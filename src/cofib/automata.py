@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .cells import Carrier, CellMorphism, GeneratorSet
+from .cells import Carrier, CellMorphism, GeneratorSet, Structure
 from .lifting import LiftReport, codiagonal, rlp, unique_rlp
 from .pcs import FormatError
 
@@ -47,7 +47,7 @@ def _natural(eid: str) -> tuple[int, str]:
 class RelAutomaton:
     """A finite relational automaton over a fixed alphabet."""
 
-    __slots__ = ("alphabet", "states", "edges", "initial", "accepting")
+    __slots__ = ("alphabet", "states", "edges", "initial", "accepting", "_view")
 
     def __init__(
         self,
@@ -62,6 +62,7 @@ class RelAutomaton:
         self.edges = dict(edges)
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
+        self._view = None
         if not self.initial <= self.states or not self.accepting <= self.states:
             raise ValueError("initial/accepting states must be states")
         for eid, e in self.edges.items():
@@ -152,8 +153,11 @@ def from_json_dict(data: dict) -> RelAutomaton:
         targets = entry.get("targets", [])
         if not isinstance(label, str):
             raise FormatError("edge label must be a string")
-        if not isinstance(sources, list) or not isinstance(targets, list):
-            raise FormatError("edge endpoints must be lists")
+        if not all(
+            isinstance(ends, list) and all(isinstance(v, str) for v in ends)
+            for ends in (sources, targets)
+        ):
+            raise FormatError("edge endpoints must be lists of strings")
         edges[f"e{k}"] = _edge(label, sources, targets)
     try:
         return RelAutomaton(
@@ -212,227 +216,76 @@ def path_automaton(word: Word, alphabet: Iterable[str]) -> RelAutomaton:
 # -- carrier ----------------------------------------------------------------
 
 
-class AutomatonCarrier(Carrier):
-    """Colimit and enumeration interface for relational automata.
+INITIAL, ACCEPTING = "initial", "accepting"
+SRC, TGT = "src", "tgt"
 
-    Cells are tagged pairs: ``("st", state)`` and ``("ed", edge_id)``.
+
+def _cell_order(cell) -> tuple:
+    """States by name, then edges in natural order."""
+    kind, name = cell
+    return (0, name) if kind == ST else (1,) + _natural(name)
+
+
+class AutomatonCarrier(Carrier):
+    """Relational automata as relational structures.
+
+    Cells are tagged pairs: ``("st", state)`` and ``("ed", edge_id)``.  A
+    state has sort ``"st"`` and may carry the marks ``initial`` and
+    ``accepting``; an edge has sort ``("ed", label)`` and the relations
+    ``src`` and ``tgt`` to its endpoints.
     """
 
-    name = "automata"
+    # Bound on this class as well, so that profiling can wrap this
+    # carrier's searches and colimits apart from the other carrier's.
+    hom = Carrier.hom
+    coproduct = Carrier.coproduct
+    quotient = Carrier.quotient
 
-    def cells(self, A: RelAutomaton) -> list:
-        return [(ST, s) for s in sorted(A.states)] + [
-            (ED, e) for e in A.edge_ids()
-        ]
-
-    def make_morphism(self, source, target, mapping, check=True) -> CellMorphism:
-        if check:
-            reason = self._morphism_violation(source, target, mapping)
-            if reason is not None:
-                raise ValueError(reason)
-        return CellMorphism(source, target, dict(mapping))
-
-    def _morphism_violation(
-        self, A: RelAutomaton, B: RelAutomaton, mapping: Mapping
-    ) -> Optional[str]:
-        if set(mapping) != set(self.cells(A)):
-            return "mapping does not cover the source cells"
-        for cell, image in mapping.items():
-            kind, name = cell
-            if kind == ST:
-                if image[0] != ST or image[1] not in B.states:
-                    return f"state {name!r} has a non-state image"
-                if name in A.initial and image[1] not in B.initial:
-                    return f"initial state {name!r} not sent to an initial state"
-                if name in A.accepting and image[1] not in B.accepting:
-                    return f"accepting state {name!r} not sent to an accepting state"
-            else:
-                if image[0] != ED or image[1] not in B.edges:
-                    return f"edge {name!r} has a non-edge image"
-                e, d = A.edges[name], B.edges[image[1]]
-                if e.label != d.label:
-                    return f"edge {name!r} changes label"
-                for u in e.sources:
-                    if mapping[(ST, u)][1] not in d.sources:
-                        return f"source {u!r} of {name!r} not preserved"
-                for u in e.targets:
-                    if mapping[(ST, u)][1] not in d.targets:
-                        return f"target {u!r} of {name!r} not preserved"
-        return None
-
-    def hom(
-        self, A: RelAutomaton, B: RelAutomaton, fixed=None, allowed=None, injective=False
-    ) -> list[CellMorphism]:
-        """Backtracking over states then edges; assigning a state narrows
-        the domains of its incident edges."""
-        state_order = sorted(A.states)
-        edge_order = A.edge_ids()
-        fixed = dict(fixed or {})
-        b_sources: dict[str, set[str]] = {}
-        b_targets: dict[str, set[str]] = {}
-
-        domains: dict = {}
-        for s in state_order:
-            base = {
-                t
-                for t in B.states
-                if (s not in A.initial or t in B.initial)
-                and (s not in A.accepting or t in B.accepting)
-            }
-            cell = (ST, s)
-            if cell in fixed:
-                image = fixed[cell]
-                base &= {image[1]} if image[0] == ST else set()
-            if allowed is not None and cell in allowed:
-                base &= {im[1] for im in allowed[cell] if im[0] == ST}
-            domains[cell] = frozenset(base)
-        for eid in edge_order:
-            e = A.edges[eid]
-            base = {d for d, de in B.edges.items() if de.label == e.label}
-            cell = (ED, eid)
-            if cell in fixed:
-                image = fixed[cell]
-                base &= {image[1]} if image[0] == ED else set()
-            if allowed is not None and cell in allowed:
-                base &= {im[1] for im in allowed[cell] if im[0] == ED}
-            domains[cell] = frozenset(base)
-
-        incident: dict[str, list[tuple[str, str]]] = defaultdict(list)
-        for eid in edge_order:
-            e = A.edges[eid]
-            for u in e.sources:
-                incident[u].append(("s", eid))
-            for u in e.targets:
-                incident[u].append(("t", eid))
-
-        order = [(ST, s) for s in state_order] + [(ED, e) for e in edge_order]
-        results: list[CellMorphism] = []
-        assignment: dict = {}
-        used: set = set()
-
-        def search(i: int) -> None:
-            if i == len(order):
-                results.append(CellMorphism(A, B, dict(assignment)))
-                return
-            cell = order[i]
-            kind, name = cell
-            for v in sorted(domains[cell]):
-                image = (kind, v)
-                if injective and image in used:
-                    continue
-                trail = []
-                viable = True
-                if kind == ST:
-                    for side, eid in incident[name]:
-                        ecell = (ED, eid)
-                        pool = frozenset(
-                            d
-                            for d in domains[ecell]
-                            if v
-                            in (
-                                B.edges[d].sources
-                                if side == "s"
-                                else B.edges[d].targets
-                            )
-                        )
-                        if pool != domains[ecell]:
-                            trail.append((ecell, domains[ecell]))
-                            domains[ecell] = pool
-                        if not pool:
-                            viable = False
-                            break
-                if viable:
-                    assignment[cell] = image
-                    used.add(image)
-                    search(i + 1)
-                    used.discard(image)
-                    del assignment[cell]
-                for ecell, old in reversed(trail):
-                    domains[ecell] = old
-
-        search(0)
-        return results
-
-    def iso_signature(self, A: RelAutomaton) -> dict:
-        sigs: dict = {}
-        for s in A.states:
-            profile = tuple(
-                sorted(
-                    (e.label, s in e.sources, s in e.targets)
-                    for e in A.edges.values()
-                    if s in e.sources or s in e.targets
-                )
-            )
-            sigs[(ST, s)] = (ST, s in A.initial, s in A.accepting, profile)
+    def encode(self, A: RelAutomaton) -> Structure:
+        sort: dict = dict.fromkeys(zip(repeat(ST), A.states), ST)
         for eid, e in A.edges.items():
-            sigs[(ED, eid)] = (ED, e.label, len(e.sources), len(e.targets))
-        return sigs
+            sort[(ED, eid)] = (ED, e.label)
+        marks = {(ST, s): frozenset({INITIAL}) for s in A.initial}
+        for s in A.accepting:
+            marks[(ST, s)] = marks.get((ST, s), frozenset()) | {ACCEPTING}
+        edges = A.edges
 
-    def empty(self) -> RelAutomaton:
-        return RelAutomaton([], [], {}, [], [])
+        def relations() -> dict:
+            rel = {}
+            for eid, e in edges.items():
+                cell = (ED, eid)
+                if e.sources:
+                    rel[(cell, SRC)] = frozenset(zip(repeat(ST), e.sources))
+                if e.targets:
+                    rel[(cell, TGT)] = frozenset(zip(repeat(ST), e.targets))
+            return rel
 
-    def coproduct(self, objs) -> tuple[RelAutomaton, list[CellMorphism]]:
-        alphabet: set[str] = set()
+        return Structure(sort, marks, _cell_order, relations)
+
+    def build(self, objs, images) -> RelAutomaton:
         states: set[str] = set()
-        edges: dict[str, Edge] = {}
         initial: set[str] = set()
         accepting: set[str] = set()
-        for k, A in enumerate(objs):
-            tag = f"{k}/"
-            alphabet |= A.alphabet
-            states |= {tag + s for s in A.states}
-            initial |= {tag + s for s in A.initial}
-            accepting |= {tag + s for s in A.accepting}
+        edges: dict[str, tuple[str, set[str], set[str]]] = {}
+        for A, image in zip(objs, images):
+            names: dict = {ST: {}, ED: {}}
+            for (kind, old), (_kind, new) in image.items():
+                names[kind][old] = new
+            state = names[ST].__getitem__
+            states.update(names[ST].values())
+            initial.update(map(state, A.initial))
+            accepting.update(map(state, A.accepting))
             for eid, e in A.edges.items():
-                edges[tag + eid] = _edge(
-                    e.label, (tag + s for s in e.sources), (tag + s for s in e.targets)
-                )
-        total = RelAutomaton(alphabet, states, edges, initial, accepting)
-        injections = []
-        for k, A in enumerate(objs):
-            tag = f"{k}/"
-            mapping = {(ST, s): (ST, tag + s) for s in A.states}
-            mapping.update({(ED, e): (ED, tag + e) for e in A.edges})
-            injections.append(CellMorphism(A, total, mapping))
-        return total, injections
-
-    def quotient(self, A: RelAutomaton, pairs) -> tuple[RelAutomaton, CellMorphism]:
-        parent: dict = {c: c for c in self.cells(A)}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in pairs:
-            if a[0] != b[0]:
-                raise ValueError("cannot merge a state with an edge")
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                lo, hi = min(ra, rb), max(ra, rb)
-                parent[hi] = lo
-        rep = {c: find(c) for c in self.cells(A)}
-        label_of: dict[str, str] = {}
-        for eid, e in A.edges.items():
-            cls = rep[(ED, eid)][1]
-            if cls in label_of and label_of[cls] != e.label:
-                raise ValueError("cannot merge edges with different labels")
-            label_of[cls] = e.label
-        states = {rep[(ST, s)][1] for s in A.states}
-        initial = {rep[(ST, s)][1] for s in A.initial}
-        accepting = {rep[(ST, s)][1] for s in A.accepting}
-        sources: dict[str, set[str]] = defaultdict(set)
-        targets: dict[str, set[str]] = defaultdict(set)
-        for eid, e in A.edges.items():
-            cls = rep[(ED, eid)][1]
-            sources[cls] |= {rep[(ST, s)][1] for s in e.sources}
-            targets[cls] |= {rep[(ST, s)][1] for s in e.targets}
-        edges = {
-            cls: _edge(label_of[cls], sources[cls], targets[cls]) for cls in label_of
-        }
-        quot = RelAutomaton(A.alphabet, states, edges, initial, accepting)
-        return quot, CellMorphism(A, quot, rep)
+                _label, sources, targets = edges.setdefault(names[ED][eid], (e.label, set(), set()))
+                sources.update(map(state, e.sources))
+                targets.update(map(state, e.targets))
+        return RelAutomaton(
+            frozenset().union(*(A.alphabet for A in objs)),
+            states,
+            {eid: _edge(*ends) for eid, ends in edges.items()},
+            initial,
+            accepting,
+        )
 
     def validate_object(self, A: RelAutomaton) -> None:
         RelAutomaton(A.alphabet, A.states, A.edges, A.initial, A.accepting)
@@ -449,25 +302,12 @@ def edge_map(m: CellMorphism) -> dict[str, str]:
     return {c[1]: v[1] for c, v in m.mapping.items() if c[0] == ED}
 
 
-def rename(A: RelAutomaton, states: Mapping[str, str], edges: Mapping[str, str]) -> RelAutomaton:
-    return RelAutomaton(
-        A.alphabet,
-        (states[s] for s in A.states),
-        {
-            edges[eid]: _edge(
-                e.label, (states[s] for s in e.sources), (states[s] for s in e.targets)
-            )
-            for eid, e in A.edges.items()
-        },
-        (states[s] for s in A.initial),
-        (states[s] for s in A.accepting),
-    )
-
-
 def canonical_rename(A: RelAutomaton) -> RelAutomaton:
-    states = {s: f"q{i}" for i, s in enumerate(sorted(A.states))}
-    edges = {e: f"e{i}" for i, e in enumerate(A.edge_ids())}
-    return rename(A, states, edges)
+    """States renamed ``q0, q1, ...`` in sorted order, edges ``e0, e1, ...``
+    in natural order."""
+    image = {(ST, s): (ST, f"q{i}") for i, s in enumerate(sorted(A.states))}
+    image.update({(ED, e): (ED, f"e{i}") for i, e in enumerate(A.edge_ids())})
+    return AUT_CARRIER.build([A], [image])
 
 
 # -- generating cofibrations --------------------------------------------------
@@ -732,23 +572,12 @@ def replay_certificate(cert: CofibCertificate) -> RelAutomaton:
         attach = AUT_CARRIER.make_morphism(gen.source, current, dict(step.attach))
         pushed, from_cod, from_cur = AUT_CARRIER.pushout(gen, attach)
         fresh = dict(step.fresh)
-        state_names: dict[str, str] = {}
-        edge_names: dict[str, str] = {}
-        for s in current.states:
-            state_names[from_cur.mapping[(ST, s)][1]] = s
-        for e in current.edges:
-            edge_names[from_cur.mapping[(ED, e)][1]] = e
+        names = {from_cur.mapping[c]: c for c in AUT_CARRIER.cells(current)}
         gen_image = set(gen.mapping.values())
         for cell in AUT_CARRIER.cells(gen.target):
-            if cell in gen_image:
-                continue
-            kind, name = cell
-            target = fresh[cell][1]
-            if kind == ST:
-                state_names[from_cod.mapping[cell][1]] = target
-            else:
-                edge_names[from_cod.mapping[cell][1]] = target
-        current = rename(pushed, state_names, edge_names)
+            if cell not in gen_image:
+                names[from_cod.mapping[cell]] = fresh[cell]
+        current = AUT_CARRIER.build([pushed], [names])
     return current
 
 
@@ -883,7 +712,6 @@ __all__ = [
     "AUT_CARRIER",
     "state_map",
     "edge_map",
-    "rename",
     "canonical_rename",
     "gen_initial",
     "gen_edge",

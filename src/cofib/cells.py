@@ -1,18 +1,31 @@
-"""Carrier-agnostic cells, morphisms, and colimit interfaces.
+"""Carrier-agnostic cells, morphisms, and the one relational core.
 
 Both carriers in this library (relational precubical sets and relational
-automata) are finite objects made of named cells, and their morphisms are
-cell maps subject to carrier-specific preservation conditions.  Everything
-the lifting machinery needs is expressed against the small interface below:
-enumerate cells, enumerate or validate morphisms, and compute colimits by
-gluing (coproduct, quotient, pushout).
+automata) are finite relational structures.  Every cell has a *sort*,
+which morphisms keep exactly, and a set of *marks*, which morphisms keep
+upward; cells are linked by stored binary *relations*.  Morphisms are
+exactly the cell maps that keep sorts, marks and every stored relation.
+
+Hom search, the morphism check, the isomorphism signature and the
+colimits (coproduct, quotient, pushout) are written once, here, against
+that view.  A carrier only encodes its objects into a :class:`Structure`
+and builds an object from the images of the cells of others.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+
+_NONE: frozenset = frozenset()
+
+
+def _same(x, y) -> bool:
+    """Object equality, deciding by identity first (the common case)."""
+    return x is y or x == y
 
 
 @dataclass(frozen=True)
@@ -28,7 +41,7 @@ class CellMorphism:
 
     def then(self, other: "CellMorphism") -> "CellMorphism":
         """Composite ``self`` followed by ``other``."""
-        if other.source != self.target:
+        if not _same(other.source, self.target):
             raise ValueError("morphisms are not composable")
         return CellMorphism(
             self.source,
@@ -59,9 +72,9 @@ class LiftingProblem:
     bottom: CellMorphism
 
     def __post_init__(self):
-        if self.top.source != self.i.source or self.top.target != self.p.source:
+        if not (_same(self.top.source, self.i.source) and _same(self.top.target, self.p.source)):
             raise ValueError("top leg does not fit the square")
-        if self.bottom.source != self.i.target or self.bottom.target != self.p.target:
+        if not (_same(self.bottom.source, self.i.target) and _same(self.bottom.target, self.p.target)):
             raise ValueError("bottom leg does not fit the square")
         if self.i.then(self.bottom).mapping != self.top.then(self.p).mapping:
             raise ValueError("square does not commute")
@@ -82,20 +95,128 @@ class GeneratorSet:
         return iter(self.positive)
 
 
+@dataclass(eq=False)
+class Structure:
+    """The relational view of one object.
+
+    ``sort`` maps every cell to its sort and ``marks`` maps marked cells
+    to their marks; colimits read only these.  ``relations()`` gives
+    ``rel``, the forward index ``(cell, relation) -> related cells`` of the
+    stored relations, loaded on first use.  A hom search also reads the
+    sort ``buckets`` of its target, and the canonical ``order`` and
+    ``later`` lists of its source; those, and the backward index ``back``
+    a target needs only when some source relation points to an earlier
+    cell, are built on first use too.
+    """
+
+    sort: Mapping
+    marks: Mapping
+    order_key: Callable[[Any], Any]
+    relations: Callable[[], Mapping]
+
+    @cached_property
+    def rel(self) -> Mapping:
+        return self.relations()
+
+    @cached_property
+    def buckets(self) -> dict:
+        """Sort -> cells of that sort."""
+        buckets: dict = defaultdict(set)
+        for c, s in self.sort.items():
+            buckets[s].add(c)
+        return {s: frozenset(cs) for s, cs in buckets.items()}
+
+    @cached_property
+    def order(self) -> list:
+        """Cells in canonical order (shared; do not mutate)."""
+        return sorted(self.sort, key=self.order_key)
+
+    @cached_property
+    def later(self) -> tuple[dict, bool]:
+        """Per cell, ``(relation, forward, other)`` for each related cell
+        after it in ``order``, ``forward`` when the relation is stored from
+        the cell itself; and whether any entry is backward."""
+        pos = {c: k for k, c in enumerate(self.order)}
+        later: dict = {c: [] for c in self.order}
+        backward = False
+        for (a, r), bs in self.rel.items():
+            for b in bs:
+                if pos[a] < pos[b]:
+                    later[a].append((r, True, b))
+                else:
+                    later[b].append((r, False, a))
+                    backward = True
+        return later, backward
+
+    @cached_property
+    def back(self) -> dict:
+        """Backward index ``(cell, relation) -> cells related to it``."""
+        back: dict = defaultdict(set)
+        for (a, r), bs in self.rel.items():
+            for b in bs:
+                back[(b, r)].add(a)
+        return {key: frozenset(v) for key, v in back.items()}
+
+
 class Carrier(ABC):
-    """Finite-colimit interface shared by both object kinds."""
+    """One kind of object, seen as relational structures.
 
-    name: str = "carrier"
+    A carrier implements :meth:`encode` and :meth:`build`; enumeration,
+    the morphism check and the colimits come from the core.  Objects keep
+    their view in a ``_view`` slot, filled on first use; they are immutable
+    after construction, so it never goes stale.
+    """
 
     @abstractmethod
+    def encode(self, obj) -> Structure:
+        """The relational view of an object."""
+
+    @abstractmethod
+    def build(self, objs: Sequence, images: Sequence[Mapping]):
+        """The object made of the images of the cells of ``objs[k]`` under
+        ``images[k]``: sorts carried over, marks and relations united.
+        Cells glued together share their sort."""
+
+    @abstractmethod
+    def validate_object(self, obj) -> None:
+        """Raise if the object violates the carrier's own laws."""
+
+    def view(self, obj) -> Structure:
+        if obj._view is None:
+            obj._view = self.encode(obj)
+        return obj._view
+
     def cells(self, obj) -> list:
-        """Cells of an object, in canonical order."""
+        """Cells of an object, in canonical order (shared; do not mutate)."""
+        return self.view(obj).order
 
-    @abstractmethod
+    def _morphism_violation(self, source, target, mapping: Mapping) -> Optional[str]:
+        """None if the cell map is a morphism, else a human-readable reason."""
+        X, Y = self.view(source), self.view(target)
+        if mapping.keys() != X.sort.keys():
+            return "mapping does not cover the source cells"
+        for c, v in mapping.items():
+            if Y.sort.get(v) != X.sort[c]:
+                return f"{c!r} -> {v!r} is not a target cell of sort {X.sort[c]!r}"
+        for c, marks in X.marks.items():
+            lost = marks - Y.marks.get(mapping[c], _NONE)
+            if lost:
+                return f"{c!r} -> {mapping[c]!r} loses the mark {min(lost)!r}"
+        for (a, r), bs in X.rel.items():
+            images = Y.rel.get((mapping[a], r), _NONE)
+            for b in bs:
+                if mapping[b] not in images:
+                    return f"relation {r} from {a!r} to {b!r} is not preserved"
+        return None
+
     def make_morphism(self, source, target, mapping: Mapping, check: bool = True) -> CellMorphism:
         """Wrap a cell map as a morphism, validating preservation conditions."""
+        if check:
+            reason = self._morphism_violation(source, target, mapping)
+            if reason is not None:
+                raise ValueError(reason)
+        return CellMorphism(source, target, dict(mapping))
 
-    @abstractmethod
     def hom(
         self,
         source,
@@ -104,29 +225,150 @@ class Carrier(ABC):
         allowed: Optional[Mapping] = None,
         injective: bool = False,
     ) -> list[CellMorphism]:
-        """All morphisms, optionally with some cells pre-assigned (``fixed``)
-        or restricted to candidate sets (``allowed``)."""
+        """All morphisms ``source -> target`` by backtracking over cells in
+        the source's canonical order, candidates in sorted order.
 
-    @abstractmethod
+        A cell's candidates are the target cells of its sort that carry its
+        marks.  Assigning a cell immediately narrows the candidates of every
+        later cell related to it (forward checking), so dead branches die
+        at the top.  ``fixed`` pins cells to images, ``allowed`` restricts
+        candidate sets, ``injective`` forbids repeated images.
+        """
+        X, Y = self.view(source), self.view(target)
+        order = X.order
+        later, backward = X.later
+        forward_index = Y.rel
+        backward_index = Y.back if backward else None
+        source_marks, target_marks = X.marks, Y.marks
+        fixed = fixed or {}
+        domains: dict = {}
+        for cell in order:
+            base = Y.buckets.get(X.sort[cell], _NONE)
+            marks = source_marks.get(cell)
+            if marks:
+                base = frozenset(v for v in base if marks <= target_marks.get(v, _NONE))
+            if cell in fixed:
+                base = base & {fixed[cell]}
+            if allowed is not None and cell in allowed:
+                base = base.intersection(allowed[cell])
+            if not base:
+                return []
+            domains[cell] = base
+        results: list[CellMorphism] = []
+        assignment: dict = {}
+        used: set = set()
+
+        def search(i: int) -> None:
+            if i == len(order):
+                results.append(CellMorphism(source, target, dict(assignment)))
+                return
+            cell = order[i]
+            for v in sorted(domains[cell]):
+                if injective and v in used:
+                    continue
+                trail = []
+                for r, forward, b in later[cell]:
+                    index = forward_index if forward else backward_index
+                    old = domains[b]
+                    narrowed = old & index.get((v, r), _NONE)
+                    if len(narrowed) != len(old):
+                        trail.append((b, old))
+                        domains[b] = narrowed
+                    if not narrowed:
+                        break
+                else:
+                    assignment[cell] = v
+                    used.add(v)
+                    search(i + 1)
+                    used.discard(v)
+                    del assignment[cell]
+                for b, old in reversed(trail):
+                    domains[b] = old
+
+        search(0)
+        return results
+
     def iso_signature(self, obj) -> dict:
-        """Per-cell invariant preserved by isomorphisms (pruning aid)."""
+        """Per-cell invariant kept by isomorphisms (pruning aid): sort,
+        marks, and the relations from and to the cell."""
+        S = self.view(obj)
+        out: dict = defaultdict(list)
+        into: dict = defaultdict(list)
+        for (a, r), bs in S.rel.items():
+            out[a].append((str(r), len(bs)))
+            for b in bs:
+                into[b].append(str(r))
+        return {
+            c: (
+                s,
+                tuple(sorted(S.marks.get(c, ()))),
+                tuple(sorted(out.get(c, ()))),
+                tuple(sorted(into.get(c, ()))),
+            )
+            for c, s in S.sort.items()
+        }
 
-    @abstractmethod
     def empty(self):
         """The object with no cells."""
+        return self.build((), ())
 
-    @abstractmethod
     def coproduct(self, objs: Sequence) -> tuple[Any, list[CellMorphism]]:
-        """Disjoint union with its injections."""
+        """Disjoint union with its injections.  A cell is a name or a
+        ``(kind, name)`` pair; in the ``k``-th summand the name gains the
+        prefix ``k/``."""
+        images = []
+        for k, obj in enumerate(objs):
+            tag = f"{k}/"
+            images.append({
+                c: tag + c if isinstance(c, str) else (c[0], tag + c[1])
+                for c in self.view(obj).sort
+            })
+        total = self.build(objs, images)
+        return total, [CellMorphism(obj, total, im) for obj, im in zip(objs, images)]
 
-    @abstractmethod
+    def sum(self, parts: Sequence[CellMorphism]) -> tuple[CellMorphism, list, list]:
+        """The coproduct of morphisms, with the injections into its domain
+        and into its codomain."""
+        dom, dom_inj = self.coproduct([f.source for f in parts])
+        cod, cod_inj = self.coproduct([f.target for f in parts])
+        mapping = {
+            di.mapping[a]: ci.mapping[b]
+            for f, di, ci in zip(parts, dom_inj, cod_inj)
+            for a, b in f.mapping.items()
+        }
+        return self.make_morphism(dom, cod, mapping), dom_inj, cod_inj
+
+    def copair(self, injections: Sequence[CellMorphism], legs: Sequence[CellMorphism]) -> CellMorphism:
+        """The morphism out of a colimit that restricts to ``legs[k]``
+        along ``injections[k]``."""
+        mapping = {
+            j.mapping[x]: y for j, leg in zip(injections, legs) for x, y in leg.mapping.items()
+        }
+        return self.make_morphism(injections[0].target, legs[0].target, mapping)
+
     def quotient(self, obj, pairs: Iterable[tuple]) -> tuple[Any, CellMorphism]:
         """Glue cells along the given pairs; returns the quotient and its
-        projection.  Classes are named by their least member."""
+        projection.  Glued cells must share their sort.  Classes are named
+        by their least member."""
+        sort = self.view(obj).sort
+        parent = {c: c for c in sort}
 
-    @abstractmethod
-    def validate_object(self, obj) -> None:
-        """Raise if the object violates the carrier's own laws."""
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b in pairs:
+            if sort[a] != sort[b]:
+                raise ValueError(f"cannot glue cells of different sorts: {a!r}, {b!r}")
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                lo, hi = min(ra, rb), max(ra, rb)
+                parent[hi] = lo
+        rep = {c: find(c) for c in parent}
+        quot = self.build([obj], [rep])
+        return quot, CellMorphism(obj, quot, rep)
 
     def identity(self, obj) -> CellMorphism:
         return CellMorphism(obj, obj, {c: c for c in self.cells(obj)})
@@ -143,7 +385,7 @@ class Carrier(ABC):
         of the two legs' codomains glued along the images of the common
         domain.
         """
-        if f.source != g.source:
+        if not _same(f.source, g.source):
             raise ValueError("span legs must share their domain")
         total, (in_f, in_g) = self.coproduct([f.target, g.target])
         pairs = [
@@ -155,23 +397,13 @@ class Carrier(ABC):
 
     def is_isomorphism(self, f: CellMorphism) -> bool:
         """Bijective on cells with a structure-preserving inverse."""
-        if len(self.cells(f.source)) != len(self.cells(f.target)):
-            return False
-        if not f.is_injective():
-            return False
         inverse = {v: c for c, v in f.mapping.items()}
-        if set(inverse) != set(self.cells(f.target)):
+        if len(inverse) != len(f.mapping):
             return False
-        try:
-            self.make_morphism(f.target, f.source, inverse, check=True)
-        except ValueError:
-            return False
-        return True
+        return self._morphism_violation(f.target, f.source, inverse) is None
 
     def find_isomorphism(self, X, Y) -> Optional[CellMorphism]:
         """Some isomorphism ``X -> Y``, or ``None``."""
-        if len(self.cells(X)) != len(self.cells(Y)):
-            return None
         sig_x = self.iso_signature(X)
         sig_y = self.iso_signature(Y)
         if sorted(sig_x.values(), key=repr) != sorted(sig_y.values(), key=repr):
@@ -186,4 +418,10 @@ class Carrier(ABC):
         return None
 
 
-__all__ = ["CellMorphism", "LiftingProblem", "GeneratorSet", "Carrier"]
+__all__ = [
+    "CellMorphism",
+    "LiftingProblem",
+    "GeneratorSet",
+    "Structure",
+    "Carrier",
+]

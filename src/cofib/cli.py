@@ -53,6 +53,13 @@ def _load_automaton(path: str) -> aut.RelAutomaton:
     return aut.from_json_dict(_load_json(path))
 
 
+def _count(text: str) -> int:
+    """A non-negative integer argument."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _word_list(words) -> list[str]:
     return sorted("".join(w) for w in words)
 
@@ -69,10 +76,8 @@ def cmd_pcs_validate(args) -> int:
 
 def cmd_pcs_blowup(args) -> int:
     P = _load_pcs(args.file)
-    report = pcs.validate(P)
-    if not report.ok:
-        _emit({"ok": False, "problems": report.problems})
-        return 1
+    if not pcs.validate(P).ok:
+        return cmd_pcs_validate(args)
     result = compute_blowup(P, args.n)
     payload = {
         "blowup": pcs.to_json_dict(result.blowup),
@@ -106,13 +111,8 @@ def cmd_pcs_euclid(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_pcs_verify(args) -> int:
-    P = _load_pcs(args.file)
-    vreport = pcs.validate(P)
-    if not vreport.ok:
-        _emit({"ok": False, "problems": vreport.problems})
-        return 1
-    report = verify_blowup(P, args.n)
+def _emit_verdict(report) -> int:
+    """A theorem-check summary, naming the generator where lifting failed."""
     payload = report.summary()
     if not report.lifting.ok:
         payload["lifting_failure"] = {
@@ -121,6 +121,13 @@ def cmd_pcs_verify(args) -> int:
         }
     _emit(payload)
     return 0 if report.ok else 1
+
+
+def cmd_pcs_verify(args) -> int:
+    P = _load_pcs(args.file)
+    if not pcs.validate(P).ok:
+        return cmd_pcs_validate(args)
+    return _emit_verdict(verify_blowup(P, args.n))
 
 
 def cmd_pcs_brick(args) -> int:
@@ -265,15 +272,7 @@ def cmd_aut_conditions(args) -> int:
 
 def cmd_aut_verify(args) -> int:
     A = _load_automaton(args.file)
-    report = aut.verify_replacement(A, language_bound=args.length)
-    payload = report.summary()
-    if not report.lifting.ok:
-        payload["lifting_failure"] = {
-            "generator": report.lifting.generator,
-            "lift_count": report.lifting.lift_count,
-        }
-    _emit(payload)
-    return 0 if report.ok else 1
+    return _emit_verdict(aut.verify_replacement(A, language_bound=args.length))
 
 
 # -- regex subcommands ----------------------------------------------------------
@@ -391,17 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("file")
     c.set_defaults(func=cmd_pcs_validate)
     c = sub.add_parser("blowup", help="compute the blowup and its map")
-    c.add_argument("-n", type=int, required=True, help="ambient dimension")
+    c.add_argument("-n", type=_count, required=True, help="ambient dimension")
     c.add_argument("file")
     c.add_argument("-o", "--output", help="write the blowup JSON here")
     c.add_argument("--provenance", action="store_true")
     c.set_defaults(func=cmd_pcs_blowup)
     c = sub.add_parser("euclid", help="search for a chart at every cube")
-    c.add_argument("-n", type=int, required=True)
+    c.add_argument("-n", type=_count, required=True)
     c.add_argument("file")
     c.set_defaults(func=cmd_pcs_euclid)
     c = sub.add_parser("verify", help="run the blowup theorem checks")
-    c.add_argument("-n", type=int, required=True)
+    c.add_argument("-n", type=_count, required=True)
     c.add_argument("file")
     c.set_defaults(func=cmd_pcs_verify)
     c = sub.add_parser("brick", help="print a euclidean brick")
@@ -415,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = groups.add_parser("aut", help="relational automata")
     sub = a.add_subparsers(dest="command", required=True)
     c = sub.add_parser("lang", help="recognized words up to a length")
-    c.add_argument("-L", "--length", type=int, required=True)
+    c.add_argument("-L", "--length", type=_count, required=True)
     c.add_argument("file")
     c.set_defaults(func=cmd_aut_lang)
     c = sub.add_parser("cofrep", help="cofibrant replacement with certificate")
@@ -428,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("file")
     c.set_defaults(func=cmd_aut_conditions)
     c = sub.add_parser("verify", help="replacement suite: lifting + language")
-    c.add_argument("-L", "--length", type=int, default=5)
+    c.add_argument("-L", "--length", type=_count, default=5)
     c.add_argument("file")
     c.set_defaults(func=cmd_aut_verify)
 
@@ -438,13 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("expr")
     c.add_argument("--alphabet", default="")
     c.add_argument("--ascii", action="store_true", help="accept 0 and () aliases")
-    c.add_argument("-L", "--length", type=int, default=None, help="include words up to L")
+    c.add_argument("-L", "--length", type=_count, default=None, help="include words up to L")
     c.set_defaults(func=cmd_rx_compile)
     c = sub.add_parser("fuzz", help="compiler vs recursive semantics")
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--count", type=int, required=True)
     c.add_argument("--depth", type=int, required=True)
-    c.add_argument("-L", "--length", type=int, required=True)
+    c.add_argument("-L", "--length", type=_count, required=True)
     c.add_argument("--alphabet", default="ab")
     c.set_defaults(func=cmd_rx_fuzz)
 

@@ -11,7 +11,7 @@ tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cells import Carrier, CellMorphism, GeneratorSet, LiftingProblem
@@ -19,12 +19,9 @@ from .cells import Carrier, CellMorphism, GeneratorSet, LiftingProblem
 
 def codiagonal(carrier: Carrier, f: CellMorphism) -> CellMorphism:
     """Fold map out of the self-pushout of ``f``."""
-    pushout, j1, j2 = carrier.pushout(f, f)
-    fold: dict = {}
-    for x in carrier.cells(f.target):
-        fold[j1.mapping[x]] = x
-        fold[j2.mapping[x]] = x
-    return carrier.make_morphism(pushout, f.target, fold, check=True)
+    _pushout, j1, j2 = carrier.pushout(f, f)
+    same = carrier.identity(f.target)
+    return carrier.copair([j1, j2], [same, same])
 
 
 def induced_on_self_pushouts(
@@ -37,13 +34,19 @@ def induced_on_self_pushouts(
     """Map of self-pushouts induced by a commuting square ``(on_dom, on_cod)``
     from ``f`` to ``f2``; sends the class of a tagged cell to the class of
     its image under ``on_cod`` in the same copy."""
-    p1, a1, b1 = carrier.pushout(f, f)
-    p2, a2, b2 = carrier.pushout(f2, f2)
-    mapping: dict = {}
-    for x in carrier.cells(f.target):
-        mapping[a1.mapping[x]] = a2.mapping[on_cod.mapping[x]]
-        mapping[b1.mapping[x]] = b2.mapping[on_cod.mapping[x]]
-    return carrier.make_morphism(p1, p2, mapping, check=True)
+    _p1, a1, b1 = carrier.pushout(f, f)
+    _p2, a2, b2 = carrier.pushout(f2, f2)
+    return carrier.copair([a1, b1], [on_cod.then(a2), on_cod.then(b2)])
+
+
+def _pins(i: CellMorphism, values: dict) -> Optional[dict]:
+    """The cells ``i(a)`` pinned to ``values[a]``, or None when ``i`` glues
+    two cells whose values differ."""
+    fixed: dict = {}
+    for a, v in values.items():
+        if fixed.setdefault(i.mapping[a], v) != v:
+            return None
+    return fixed
 
 
 def solve_lifts(carrier: Carrier, problem: LiftingProblem) -> list[CellMorphism]:
@@ -53,12 +56,9 @@ def solve_lifts(carrier: Carrier, problem: LiftingProblem) -> list[CellMorphism]
     over the fiber of ``p`` above their image under the bottom leg.
     """
     i, p, top, bottom = problem.i, problem.p, problem.top, problem.bottom
-    fixed: dict = {}
-    for a in carrier.cells(i.source):
-        cell = i.mapping[a]
-        if cell in fixed and fixed[cell] != top.mapping[a]:
-            return []
-        fixed[cell] = top.mapping[a]
+    fixed = _pins(i, top.mapping)
+    if fixed is None:
+        return []
     fibers: dict = {}
     for x in carrier.cells(p.source):
         fibers.setdefault(p.mapping[x], []).append(x)
@@ -79,16 +79,8 @@ def lifting_problems(
 ) -> Iterator[LiftingProblem]:
     """All commuting squares of ``p`` against ``i``, in canonical order."""
     for top in carrier.hom(i.source, p.source):
-        fixed: dict = {}
-        conflict = False
-        for a, v in top.mapping.items():
-            cell = i.mapping[a]
-            image = p.mapping[v]
-            if cell in fixed and fixed[cell] != image:
-                conflict = True
-                break
-            fixed[cell] = image
-        if conflict:
+        fixed = _pins(i, {a: p.mapping[v] for a, v in top.mapping.items()})
+        if fixed is None:
             continue
         for bottom in carrier.hom(i.target, p.target, fixed=fixed):
             yield LiftingProblem(i, p, top, bottom)
@@ -108,19 +100,31 @@ class LiftReport:
         return self.ok
 
 
+def _lift_check(
+    carrier: Carrier,
+    p: CellMorphism,
+    morphisms: Iterable[tuple[str, CellMorphism]],
+    unique: bool,
+) -> LiftReport:
+    """Count the fillers of every square; stop at the first square with
+    none, or with other than one when ``unique``."""
+    checked = 0
+    for name, i in morphisms:
+        for problem in lifting_problems(carrier, i, p):
+            checked += 1
+            n = len(solve_lifts(carrier, problem))
+            if n == 0 or (unique and n > 1):
+                return LiftReport(False, checked, problem, n, name)
+    return LiftReport(True, checked)
+
+
 def rlp(
     carrier: Carrier,
     p: CellMorphism,
     morphisms: Iterable[tuple[str, CellMorphism]],
 ) -> LiftReport:
     """Ordinary right lifting property: every square has at least one filler."""
-    checked = 0
-    for name, i in morphisms:
-        for problem in lifting_problems(carrier, i, p):
-            checked += 1
-            if not solve_lifts(carrier, problem):
-                return LiftReport(False, checked, problem, 0, name)
-    return LiftReport(True, checked)
+    return _lift_check(carrier, p, morphisms, unique=False)
 
 
 def unique_rlp(
@@ -130,23 +134,13 @@ def unique_rlp(
 ) -> LiftReport:
     """Unique right lifting property against the positive generators:
     every square must have exactly one filler."""
-    checked = 0
-    for name, i in generators.positive:
-        for problem in lifting_problems(carrier, i, p):
-            checked += 1
-            n = len(solve_lifts(carrier, problem))
-            if n != 1:
-                return LiftReport(False, checked, problem, n, name)
-    return LiftReport(True, checked)
+    return _lift_check(carrier, p, generators.positive, unique=True)
 
 
 def unique_rlp_single(
     carrier: Carrier, p: CellMorphism, i: CellMorphism
 ) -> bool:
-    for problem in lifting_problems(carrier, i, p):
-        if len(solve_lifts(carrier, problem)) != 1:
-            return False
-    return True
+    return _lift_check(carrier, p, [("i", i)], unique=True).ok
 
 
 def rlp_with_codiagonal(
@@ -187,47 +181,19 @@ class AppendixReport:
     composition_identity: int = 0
     double_codiagonal_iso: int = 0
     retract_identity: int = 0
-    failures: list = None
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
+    failures: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    @property
-    def total(self) -> int:
-        return (
-            self.sum_identity
-            + self.pushout_square
-            + self.composition_identity
-            + self.double_codiagonal_iso
-            + self.retract_identity
-        )
 
 
 def check_sum_identity(
     carrier: Carrier, parts: Sequence[CellMorphism]
 ) -> bool:
     """Codiagonal of a sum is the sum of the codiagonals, up to isomorphism."""
-    dom_sum, dom_inj = carrier.coproduct([f.source for f in parts])
-    cod_sum, cod_inj = carrier.coproduct([f.target for f in parts])
-    mapping: dict = {}
-    for f, di, ci in zip(parts, dom_inj, cod_inj):
-        for a in carrier.cells(f.source):
-            mapping[di.mapping[a]] = ci.mapping[f.mapping[a]]
-    sum_f = carrier.make_morphism(dom_sum, cod_sum, mapping, check=True)
-    nabla_sum = codiagonal(carrier, sum_f)
-
-    nablas = [codiagonal(carrier, f) for f in parts]
-    nd_sum, nd_inj = carrier.coproduct([n.source for n in nablas])
-    mapping = {}
-    for n, di, ci in zip(nablas, nd_inj, cod_inj):
-        for a in carrier.cells(n.source):
-            mapping[di.mapping[a]] = ci.mapping[n.mapping[a]]
-    sum_nabla = carrier.make_morphism(nd_sum, cod_sum, mapping, check=True)
+    nabla_sum = codiagonal(carrier, carrier.sum(parts)[0])
+    sum_nabla = carrier.sum([codiagonal(carrier, f) for f in parts])[0]
     return arrow_isomorphic(carrier, nabla_sum, sum_nabla)
 
 
@@ -265,13 +231,9 @@ def check_composition_identity(
     self-pushouts followed by the codiagonal of the outer map."""
     comp = i1.then(i2)
     nabla_comp = codiagonal(carrier, comp)
-    p_a, a1, a2 = carrier.pushout(comp, comp)
-    p_b, b1, b2 = carrier.pushout(i2, i2)
-    coarsen: dict = {}
-    for x in carrier.cells(comp.target):
-        coarsen[a1.mapping[x]] = b1.mapping[x]
-        coarsen[a2.mapping[x]] = b2.mapping[x]
-    step = carrier.make_morphism(p_a, p_b, coarsen, check=True)
+    _p_a, a1, a2 = carrier.pushout(comp, comp)
+    _p_b, b1, b2 = carrier.pushout(i2, i2)
+    step = carrier.copair([a1, a2], [b1, b2])
     nabla2 = codiagonal(carrier, i2)
     return morphisms_agree(nabla_comp, step.then(nabla2))
 
@@ -284,41 +246,15 @@ def check_double_codiagonal_iso(carrier: Carrier, f: CellMorphism) -> bool:
 def check_retract_identity(carrier: Carrier, f: CellMorphism) -> bool:
     """Exhibit ``f`` as a retract of ``f + f`` and check the codiagonal of
     the retract is a retract of the codiagonal."""
-    doubled_dom, dom_inj = carrier.coproduct([f.source, f.source])
-    doubled_cod, cod_inj = carrier.coproduct([f.target, f.target])
-    mapping: dict = {}
-    for di, ci in zip(dom_inj, cod_inj):
-        for a in carrier.cells(f.source):
-            mapping[di.mapping[a]] = ci.mapping[f.mapping[a]]
-    ff = carrier.make_morphism(doubled_dom, doubled_cod, mapping, check=True)
+    ff, dom_inj, cod_inj = carrier.sum([f, f])
     # section: first copy; retraction: fold both copies back
     sec_dom = dom_inj[0]
     sec_cod = cod_inj[0]
-    fold_dom = carrier.make_morphism(
-        doubled_dom,
-        f.source,
-        {
-            di.mapping[a]: a
-            for di in dom_inj
-            for a in carrier.cells(f.source)
-        },
-        check=True,
-    )
-    fold_cod = carrier.make_morphism(
-        doubled_cod,
-        f.target,
-        {
-            ci.mapping[x]: x
-            for ci in cod_inj
-            for x in carrier.cells(f.target)
-        },
-        check=True,
-    )
+    fold_dom = carrier.copair(dom_inj, [carrier.identity(f.source)] * 2)
+    fold_cod = carrier.copair(cod_inj, [carrier.identity(f.target)] * 2)
     sigma = induced_on_self_pushouts(carrier, f, ff, sec_dom, sec_cod)
     rho = induced_on_self_pushouts(carrier, ff, f, fold_dom, fold_cod)
-    if not morphisms_agree(sigma.then(rho), CellMorphism(
-        sigma.source, sigma.source, {c: c for c in carrier.cells(sigma.source)}
-    )):
+    if not morphisms_agree(sigma.then(rho), carrier.identity(sigma.source)):
         return False
     nabla_f = codiagonal(carrier, f)
     nabla_ff = codiagonal(carrier, ff)

@@ -20,10 +20,11 @@ Morphisms are dimension-preserving cell maps that send faces to faces.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
-from .cells import Carrier, CellMorphism
+from .cells import Carrier, CellMorphism, Structure
 from .words import (
     ZERO,
     BrickIndex,
@@ -41,7 +42,7 @@ class FormatError(ValueError):
 class RelPCS:
     """A finite relational precubical set."""
 
-    __slots__ = ("dim_bound", "cubes", "faces", "_dim")
+    __slots__ = ("dim_bound", "cubes", "faces", "_dim", "_view")
 
     def __init__(
         self,
@@ -57,6 +58,7 @@ class RelPCS:
             key: frozenset(ts) for key, ts in faces.items() if ts
         }
         self._dim = {c: d for d, cs in self.cubes.items() for c in cs}
+        self._view = None
 
     def dim(self, cube: str) -> int:
         return self._dim[cube]
@@ -78,11 +80,6 @@ class RelPCS:
         if word.is_identity:
             return frozenset((cube,)) if self._dim.get(cube) == word.codomain_dim else frozenset()
         return self.faces.get((cube, word), frozenset())
-
-    def relations(self) -> Iterator[tuple[str, CubeWord, str]]:
-        for (a, g), bs in self.faces.items():
-            for b in bs:
-                yield a, g, b
 
     def __eq__(self, other) -> bool:
         return (
@@ -139,11 +136,11 @@ def relpcs(
     return RelPCS(dim_bound, cubes, table)
 
 
+@dataclass
 class ValidationReport:
     """Outcome of the structural check, with a witness on failure."""
 
-    def __init__(self, problems: list[dict]):
-        self.problems = problems
+    problems: list[dict]
 
     @property
     def ok(self) -> bool:
@@ -203,10 +200,6 @@ def validate(P: RelPCS) -> ValidationReport:
 
 def empty_pcs(dim_bound: int = 0) -> RelPCS:
     return RelPCS(dim_bound, {}, {})
-
-
-def _split_word(g: CubeWord, left_len: int) -> tuple[CubeWord, CubeWord]:
-    return CubeWord(g.letters[:left_len]), CubeWord(g.letters[left_len:])
 
 
 def tensor(P: RelPCS, Q: RelPCS, joiner: str = ",") -> RelPCS:
@@ -312,12 +305,7 @@ def interval_v1() -> RelPCS:
 
 
 def rename_cells(P: RelPCS, mapping: Mapping[str, str]) -> RelPCS:
-    cubes = {d: {mapping[c] for c in cs} for d, cs in P.cubes.items()}
-    faces = {
-        (mapping[a], g): {mapping[b] for b in bs}
-        for (a, g), bs in P.faces.items()
-    }
-    return RelPCS(P.dim_bound, cubes, faces)
+    return PCS_CARRIER.build([P], [mapping])
 
 
 _CENTER_LETTER = {"p0": ZERO, "m": "1", "e-": "-", "e+": "+"}
@@ -377,19 +365,7 @@ def is_pcs_morphism(
     X: RelPCS, Y: RelPCS, mapping: Mapping[str, str]
 ) -> Optional[str]:
     """None if the cell map is a morphism, else a human-readable reason."""
-    if set(mapping) != set(X.all_cubes()):
-        return "mapping does not cover the source cubes"
-    for c, v in mapping.items():
-        if v not in Y:
-            return f"image {v!r} is not a cube of the target"
-        if Y.dim(v) != X.dim(c):
-            return f"{c!r} -> {v!r} does not preserve dimension"
-    for (a, g), bs in X.faces.items():
-        img_faces = Y.faces_of(mapping[a], g)
-        for b in bs:
-            if mapping[b] not in img_faces:
-                return f"face {b!r} of {a!r} at {g} is not preserved"
-    return None
+    return PCS_CARRIER._morphism_violation(X, Y, mapping)
 
 
 def hom_enumerate(
@@ -399,74 +375,18 @@ def hom_enumerate(
     allowed: Optional[Mapping[str, Iterable[str]]] = None,
     injective: bool = False,
 ) -> list[CellMorphism]:
-    """All morphisms ``X -> Y`` by backtracking over cell assignments.
-
-    Cells are processed by dimension descending then identifier; assigning
-    a cube immediately narrows the candidate domains of its stored faces
-    (forward checking), so dead branches die at the top.  ``fixed`` pins
-    cells to images, ``allowed`` restricts candidate sets, ``injective``
-    forbids repeated images.
-    """
-    order = X.all_cubes()
-    by_dim: dict[int, list[str]] = {d: sorted(cs) for d, cs in Y.cubes.items()}
-    down: dict[str, list[tuple[CubeWord, str]]] = defaultdict(list)
-    for (a, g), bs in X.faces.items():
-        for b in bs:
-            down[a].append((g, b))
-    fixed = dict(fixed or {})
-    domains: dict[str, frozenset[str]] = {}
-    for cell in order:
-        base = set(by_dim.get(X.dim(cell), ()))
-        if cell in fixed:
-            base &= {fixed[cell]}
-        if allowed is not None and cell in allowed:
-            base &= set(allowed[cell])
-        domains[cell] = frozenset(base)
-    results: list[CellMorphism] = []
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-
-    def search(i: int) -> None:
-        if i == len(order):
-            results.append(CellMorphism(X, Y, dict(assignment)))
-            return
-        cell = order[i]
-        for v in sorted(domains[cell]):
-            if injective and v in used:
-                continue
-            trail: list[tuple[str, frozenset[str]]] = []
-            viable = True
-            for g, b in down[cell]:
-                narrowed = domains[b] & Y.faces_of(v, g)
-                if narrowed != domains[b]:
-                    trail.append((b, domains[b]))
-                    domains[b] = narrowed
-                if not narrowed:
-                    viable = False
-                    break
-            if viable:
-                assignment[cell] = v
-                used.add(v)
-                search(i + 1)
-                used.discard(v)
-                del assignment[cell]
-            for b, old in reversed(trail):
-                domains[b] = old
-
-    search(0)
-    return results
+    """All morphisms ``X -> Y``, by the core's backtracking search: cubes
+    by dimension descending then identifier, each assignment narrowing the
+    candidates of the cube's stored faces."""
+    return Carrier.hom(PCS_CARRIER, X, Y, fixed, allowed, injective)
 
 
 def is_local_embedding(
     m: CellMorphism,
 ) -> tuple[bool, Optional[tuple[str, str, CubeWord, str]]]:
     """Distinct cubes sharing a face along the same word must stay distinct."""
-    X: RelPCS = m.source
-    groups: dict[tuple[CubeWord, str], list[str]] = defaultdict(list)
-    for (a, g), bs in X.faces.items():
-        for b in bs:
-            groups[(g, b)].append(a)
-    for (g, b), cofaces in sorted(groups.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
+    cofaces_of = PCS_CARRIER.view(m.source).back
+    for (b, g), cofaces in sorted(cofaces_of.items(), key=lambda kv: (str(kv[0][1]), kv[0][0])):
         seen: dict[str, str] = {}
         for a in sorted(cofaces):
             v = m(a)
@@ -476,18 +396,13 @@ def is_local_embedding(
     return True, None
 
 
+@dataclass
 class EuclideanReport:
     """Certificate (a chart per cube) or a counterexample cube."""
 
-    def __init__(
-        self,
-        ok: bool,
-        charts: dict[str, tuple[BrickIndex, CellMorphism]],
-        counterexample: Optional[str],
-    ):
-        self.ok = ok
-        self.charts = charts
-        self.counterexample = counterexample
+    ok: bool
+    charts: dict[str, tuple[BrickIndex, CellMorphism]]
+    counterexample: Optional[str]
 
     def __bool__(self) -> bool:
         return self.ok
@@ -567,102 +482,44 @@ def from_json_dict(data: dict) -> RelPCS:
             targets = entry["targets"]
         except KeyError as exc:
             raise FormatError(f"face entry missing {exc}")
+        if not isinstance(a, str):
+            raise FormatError(f"face cube {a!r} must be a string")
         if not isinstance(word, str) or any(ch not in "+-0" for ch in word):
             raise FormatError(f"bad word {word!r}")
-        if not isinstance(targets, list):
-            raise FormatError("face targets must be a list")
+        if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
+            raise FormatError("face targets must be a list of strings")
         faces[(a, CubeWord.parse(word))].update(targets)
     return RelPCS(dim_bound, cubes, faces)
 
 
 class PCSCarrier(Carrier):
-    """Colimit and enumeration interface for relational precubical sets."""
+    """Relational precubical sets as relational structures: a cube's sort
+    is its dimension, and ``face_g`` is one relation per word ``g``."""
 
-    name = "pcs"
+    def encode(self, P: RelPCS) -> Structure:
+        dim, faces = P._dim, P.faces
+        return Structure(dim, {}, lambda c: (-dim[c], c), lambda: faces)
 
-    def cells(self, obj: RelPCS) -> list[str]:
-        return obj.all_cubes()
-
-    def make_morphism(self, source, target, mapping, check=True) -> CellMorphism:
-        if check:
-            reason = is_pcs_morphism(source, target, mapping)
-            if reason is not None:
-                raise ValueError(reason)
-        return CellMorphism(source, target, dict(mapping))
-
-    def hom(
-        self, source, target, fixed=None, allowed=None, injective=False
-    ) -> list[CellMorphism]:
-        return hom_enumerate(
-            source, target, fixed=fixed, allowed=allowed, injective=injective
-        )
-
-    def iso_signature(self, obj: RelPCS) -> dict:
-        sigs = {}
-        coface_count: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-        for (a, g), bs in obj.faces.items():
-            for b in bs:
-                coface_count[b][str(g)] += 1
-        for c in obj.all_cubes():
-            face_profile = tuple(
-                sorted(
-                    (str(g), len(bs))
-                    for (a, g), bs in obj.faces.items()
-                    if a == c
-                )
-            )
-            coface_profile = tuple(sorted(coface_count[c].items()))
-            sigs[c] = (obj.dim(c), face_profile, coface_profile)
-        return sigs
-
-    def empty(self) -> RelPCS:
-        return empty_pcs(0)
-
-    def coproduct(self, objs) -> tuple[RelPCS, list[CellMorphism]]:
+    def build(self, objs, images) -> RelPCS:
         cubes: dict[int, set[str]] = defaultdict(set)
-        faces: dict[tuple[str, CubeWord], set[str]] = {}
-        injections = []
-        bound = max([o.dim_bound for o in objs], default=0)
-        for k, obj in enumerate(objs):
-            tag = f"{k}/"
-            for d, cs in obj.cubes.items():
-                cubes[d].update(tag + c for c in cs)
-            for (a, g), bs in obj.faces.items():
-                faces[(tag + a, g)] = {tag + b for b in bs}
-        total = RelPCS(bound, cubes, faces)
-        for k, obj in enumerate(objs):
-            tag = f"{k}/"
-            injections.append(
-                CellMorphism(obj, total, {c: tag + c for c in obj.all_cubes()})
-            )
-        return total, injections
+        faces: dict[tuple[str, CubeWord], set[str]] = defaultdict(set)
+        for P, image in zip(objs, images):
+            for d, cs in P.cubes.items():
+                cubes[d].update(map(image.__getitem__, cs))
+            for (a, g), bs in P.faces.items():
+                faces[(image[a], g)].update(map(image.__getitem__, bs))
+        return RelPCS(max((P.dim_bound for P in objs), default=0), cubes, faces)
+
+    def hom(self, source, target, fixed=None, allowed=None, injective=False) -> list[CellMorphism]:
+        """Every PCS hom search goes through :func:`hom_enumerate`."""
+        return hom_enumerate(source, target, fixed, allowed, injective)
 
     def quotient(self, obj: RelPCS, pairs) -> tuple[RelPCS, CellMorphism]:
-        parent = {c: c for c in obj.all_cubes()}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in pairs:
-            if obj.dim(a) != obj.dim(b):
-                raise ValueError(f"cannot merge cubes of different dimension: {a!r}, {b!r}")
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                lo, hi = min(ra, rb), max(ra, rb)
-                parent[hi] = lo
-        rep = {c: find(c) for c in obj.all_cubes()}
-        cubes: dict[int, set[str]] = defaultdict(set)
-        for d, cs in obj.cubes.items():
-            cubes[d].update(rep[c] for c in cs)
-        faces: dict[tuple[str, CubeWord], set[str]] = defaultdict(set)
-        for (a, g), bs in obj.faces.items():
-            faces[(rep[a], g)].update(rep[b] for b in bs)
-        quot = relpcs(obj.dim_bound, cubes, faces, close=True)
-        proj = CellMorphism(obj, quot, rep)
-        return quot, proj
+        """Glued cubes, with the face table closed again: gluing can make
+        new composites of faces."""
+        glued, proj = super().quotient(obj, pairs)
+        closed = relpcs(glued.dim_bound, glued.cubes, glued.faces, close=True)
+        return closed, CellMorphism(obj, closed, proj.mapping)
 
     def validate_object(self, obj: RelPCS) -> None:
         report = validate(obj)

@@ -180,20 +180,6 @@ def literals(r: Regex) -> set[str]:
 # -- compilation ---------------------------------------------------------------
 
 
-def _strip_accepting(A: RelAutomaton) -> RelAutomaton:
-    return RelAutomaton(A.alphabet, A.states, A.edges, A.initial, [])
-
-
-def _strip_initial(A: RelAutomaton) -> RelAutomaton:
-    return RelAutomaton(A.alphabet, A.states, A.edges, [], A.accepting)
-
-
-def _mark_initial_accepting(A: RelAutomaton) -> RelAutomaton:
-    return RelAutomaton(
-        A.alphabet, A.states, A.edges, A.initial, A.accepting | A.initial
-    )
-
-
 def _epsilon_automaton(alphabet: Iterable[str]) -> RelAutomaton:
     return RelAutomaton(alphabet, ["q0"], {}, ["q0"], ["q0"])
 
@@ -230,8 +216,8 @@ def _concat(CA: RelAutomaton, CB: RelAutomaton) -> RelAutomaton:
     NB = normalize(CB).automaton
     i = min(NA.initial) if NA.initial else None
     ends = sorted(NA.accepting - NA.initial)
-    left = _strip_accepting(NA)
-    right = _strip_initial(NB)
+    left = RelAutomaton(NA.alphabet, NA.states, NA.edges, NA.initial, [])
+    right = RelAutomaton(NB.alphabet, NB.states, NB.edges, [], NB.accepting)
     total, (in_left, in_right) = AUT_CARRIER.coproduct([left, right])
     pairs = []
     if NB.initial:
@@ -255,8 +241,11 @@ def _star(CA: RelAutomaton) -> RelAutomaton:
     i = min(NA.initial)
     ends = sorted(NA.accepting - NA.initial)
     pairs = [((ST, i), (ST, x)) for x in ends]
-    merged, _proj = AUT_CARRIER.quotient(NA, pairs)
-    return canonical_rename(_mark_initial_accepting(merged))
+    M, _proj = AUT_CARRIER.quotient(NA, pairs)
+    # the glued initial state now also accepts: the empty word is in a star
+    return canonical_rename(
+        RelAutomaton(M.alphabet, M.states, M.edges, M.initial, M.accepting | M.initial)
+    )
 
 
 # -- independent word-set semantics --------------------------------------------

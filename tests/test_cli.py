@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from cofib import pcs
 from cofib.automata import from_json_dict as aut_from_json
 from cofib.automata import to_json_dict as aut_to_json
@@ -49,7 +51,38 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"dim_bound": "x"}))
     assert main(["pcs", "validate", str(wrong)]) == 2
+    square = {"dim_bound": 1, "cubes": {"0": ["v"], "1": ["e"]}}
+    for face in (
+        {"cube": "e", "word": "-", "targets": [["v"]]},
+        {"cube": ["e"], "word": "-", "targets": ["v"]},
+    ):
+        wrong.write_text(json.dumps(dict(square, faces=[face])))
+        assert main(["pcs", "validate", str(wrong)]) == 2
+    loop = {"alphabet": ["a"], "states": ["q"], "initial": ["q"], "accepting": ["q"]}
+    for edge in (
+        {"label": "a", "sources": [["q"]], "targets": ["q"]},
+        {"label": "a", "sources": ["q"], "targets": [["q"]]},
+    ):
+        wrong.write_text(json.dumps(dict(loop, edges=[edge])))
+        assert main(["aut", "conditions", str(wrong)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pcs", "blowup", "-n", "-1", "circle.json"],
+        ["pcs", "verify", "-n", "x", "circle.json"],
+        ["aut", "lang", "-L", "-1", "loop-a.json"],
+        ["rx", "compile", "a*", "-L", "-2"],
+    ],
+)
+def test_negative_counts_exit_2(argv, capsys):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
 
 
 def test_blowup_torus(capsys):
