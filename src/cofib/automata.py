@@ -45,9 +45,15 @@ def _natural(eid: str) -> tuple[int, str]:
 
 
 class RelAutomaton:
-    """A finite relational automaton over a fixed alphabet."""
+    """A finite relational automaton over a fixed alphabet.
 
-    __slots__ = ("alphabet", "states", "edges", "initial", "accepting", "_view")
+    Objects are immutable after construction.  The relational view
+    (``_view``) and the edge index (``_index``: edge order and per-state
+    in- and out-edges) are therefore computed once, on first use, and
+    never go stale.
+    """
+
+    __slots__ = ("alphabet", "states", "edges", "initial", "accepting", "_view", "_index")
 
     def __init__(
         self,
@@ -63,6 +69,7 @@ class RelAutomaton:
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
         self._view = None
+        self._index = None
         if not self.initial <= self.states or not self.accepting <= self.states:
             raise ValueError("initial/accepting states must be states")
         for eid, e in self.edges.items():
@@ -71,14 +78,42 @@ class RelAutomaton:
             if not e.sources <= self.states or not e.targets <= self.states:
                 raise ValueError(f"edge {eid!r} endpoints must be states")
 
-    def edge_ids(self) -> list[str]:
-        return sorted(self.edges, key=_natural)
+    def _edge_index(self) -> tuple[tuple[str, ...], dict, dict]:
+        """Edges in natural order, and per state its in- and out-edges in
+        that order; built on first use."""
+        if self._index is None:
+            order = tuple(sorted(self.edges, key=_natural))
+            ins: dict[str, list[str]] = defaultdict(list)
+            outs: dict[str, list[str]] = defaultdict(list)
+            for eid in order:
+                e = self.edges[eid]
+                for v in e.targets:
+                    ins[v].append(eid)
+                for v in e.sources:
+                    outs[v].append(eid)
+            self._index = (
+                order,
+                {v: tuple(es) for v, es in ins.items()},
+                {v: tuple(es) for v, es in outs.items()},
+            )
+        return self._index
 
-    def in_edges(self, v: str) -> list[str]:
-        return [eid for eid in self.edge_ids() if v in self.edges[eid].targets]
+    def edge_ids(self) -> tuple[str, ...]:
+        """Edge ids in natural order: by length, then by name."""
+        return self._edge_index()[0]
 
-    def out_edges(self, v: str) -> list[str]:
-        return [eid for eid in self.edge_ids() if v in self.edges[eid].sources]
+    def in_edges(self, v: str) -> tuple[str, ...]:
+        """Edges with ``v`` among their targets, in natural order."""
+        return self._edge_index()[1].get(v, ())
+
+    def out_edges(self, v: str) -> tuple[str, ...]:
+        """Edges with ``v`` among their sources, in natural order."""
+        return self._edge_index()[2].get(v, ())
+
+    def internal_states(self) -> list[str]:
+        """States with both incoming and outgoing edges, sorted."""
+        _order, ins, outs = self._edge_index()
+        return sorted(ins.keys() & outs.keys())
 
     def is_simple(self) -> bool:
         """Every edge has exactly one source and one target."""
@@ -180,26 +215,42 @@ def language_upto(A: RelAutomaton, L: int) -> set[Word]:
     """All recognized words of length at most ``L``.
 
     Depth-first over prefixes with state-set transitions: a letter maps a
-    state set to all targets of matching edges touched by it.
+    state set to all targets of matching edges touched by it.  The search
+    keeps an explicit stack of one frame per prefix letter, so its memory
+    is linear in ``L`` and no ``L`` meets the recursion limit.
     """
+    if L < 0:
+        raise ValueError(f"length bound must be non-negative, got {L}")
     by_label: dict[str, list[Edge]] = defaultdict(list)
     for e in A.edges.values():
         by_label[e.label].append(e)
-    words: set[Word] = set()
-
-    def explore(prefix: Word, active: frozenset[str]) -> None:
-        if active & A.accepting:
-            words.add(prefix)
-        if len(prefix) == L:
-            return
-        for a in sorted(by_label):
+    letters = sorted(by_label)
+    start = frozenset(A.initial)
+    words: set[Word] = {()} if start & A.accepting else set()
+    prefix: list[str] = []
+    # Frame k: the active states after the first k letters of ``prefix``
+    # and the letters still to try after them.
+    stack = [(start, iter(letters))] if L > 0 else []
+    while stack:
+        active, untried = stack[-1]
+        for a in untried:
             nxt = frozenset().union(
                 *(e.targets for e in by_label[a] if e.sources & active)
             )
             if nxt:
-                explore(prefix + (a,), nxt)
-
-    explore((), frozenset(A.initial))
+                break
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        prefix.append(a)
+        if nxt & A.accepting:
+            words.add(tuple(prefix))
+        if len(prefix) < L:
+            stack.append((nxt, iter(letters)))
+        else:
+            prefix.pop()
     return words
 
 
@@ -469,10 +520,7 @@ def _fresh_names(A: RelAutomaton) -> tuple[dict, dict, dict]:
         for eid in A.edge_ids()
         for v in sorted(A.edges[eid].targets & A.accepting)
     }
-    internal = [
-        v for v in sorted(A.states) if A.in_edges(v) and A.out_edges(v)
-    ]
-    int_name = {v: claim(f"int({v})") for v in internal}
+    int_name = {v: claim(f"int({v})") for v in A.internal_states()}
     return init_name, acc_name, int_name
 
 
@@ -676,11 +724,10 @@ def verify_replacement(
     if result is None:
         result = cofibrant_replacement(A)
     R = result.replacement
-    internal = sum(1 for v in A.states if A.in_edges(v) and A.out_edges(v))
     expected_states = (
         len(A.initial)
         + sum(len(e.targets & A.accepting) for e in A.edges.values())
-        + internal
+        + len(A.internal_states())
     )
     gens = automata_generators(A.alphabet | R.alphabet)
     lifting = unique_rlp(AUT_CARRIER, result.beta, gens)

@@ -469,6 +469,7 @@ def from_json_dict(data: dict) -> RelPCS:
         if len(set(ids)) != len(ids):
             raise FormatError(f"duplicate cube ids in dimension {k}")
         cubes[d] = ids
+    declared = {c for ids in cubes.values() for c in ids}
     faces: dict[tuple[str, CubeWord], set[str]] = defaultdict(set)
     entries = data.get("faces", [])
     if not isinstance(entries, list):
@@ -488,6 +489,9 @@ def from_json_dict(data: dict) -> RelPCS:
             raise FormatError(f"bad word {word!r}")
         if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
             raise FormatError("face targets must be a list of strings")
+        for c in (a, *targets):
+            if c not in declared:
+                raise FormatError(f"face names undeclared cube {c!r}")
         faces[(a, CubeWord.parse(word))].update(targets)
     return RelPCS(dim_bound, cubes, faces)
 

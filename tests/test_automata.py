@@ -1,7 +1,9 @@
-"""Relational automata: language, generators, replacement, certificates,
-the right adjoint to simple automata, and normalization."""
+"""Relational automata: language, edge index, generators, replacement,
+certificates, the right adjoint to simple automata, and normalization."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from cofib import samples
 from cofib.automata import (
     AUT_CARRIER,
     CofibCertificate,
+    RelAutomaton,
     automata_generators,
     automaton,
     check_conditions,
@@ -26,6 +29,8 @@ from cofib.automata import (
 )
 from cofib.lifting import unique_rlp
 from cofib.pcs import FormatError
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def words(ws):
@@ -57,6 +62,16 @@ def test_empty_word_needs_initial_accepting_overlap():
     assert language_upto(B, 0) == {()}
 
 
+def test_language_rejects_negative_bound():
+    with pytest.raises(ValueError):
+        language_upto(samples.loop_a(), -1)
+
+
+def test_language_of_long_loop_needs_no_recursion():
+    words_of = language_upto(samples.loop_a(), 1500)
+    assert words_of == {("a",) * k for k in range(1501)}
+
+
 def test_language_agrees_with_path_morphism_counting():
     rng = random.Random(5)
     for _ in range(12):
@@ -66,6 +81,47 @@ def test_language_agrees_with_path_morphism_counting():
             P = path_automaton(word, "ab")
             recognized = bool(AUT_CARRIER.hom(P, A))
             assert recognized == (word in lang), (A, word)
+
+
+# -- edge index -------------------------------------------------------------------
+
+
+def reference_edge_ids(A):
+    return sorted(A.edges, key=lambda eid: (len(eid), eid))
+
+
+def reference_in_edges(A, v):
+    return [eid for eid in reference_edge_ids(A) if v in A.edges[eid].targets]
+
+
+def reference_out_edges(A, v):
+    return [eid for eid in reference_edge_ids(A) if v in A.edges[eid].sources]
+
+
+def test_edge_index_matches_sort_and_filter():
+    objs = [builder() for builder in samples.AUT_SAMPLES.values()]
+    for path in sorted(FIXTURES.glob("*.json")):
+        data = json.loads(path.read_text())
+        if "alphabet" in data:
+            objs.append(from_json_dict(data))
+    rng = random.Random(41)
+    for _ in range(40):
+        A = random_automaton(rng, max_states=6, max_edges=14, alphabet="ab")
+        # Rename edges so that natural order and string order disagree.
+        pool = sorted({"e9", "e10", "e100", "x", "acc", "e2", "z1", "b"} | A.edges.keys())
+        names = rng.sample(pool, len(A.edges))
+        edges = dict(zip(names, A.edges.values()))
+        objs.append(RelAutomaton(A.alphabet, A.states, edges, A.initial, A.accepting))
+    objs += [normalize(A).automaton for A in objs[:12]]
+    for A in objs:
+        assert list(A.edge_ids()) == reference_edge_ids(A)
+        assert A.edge_ids() is A.edge_ids()
+        for v in sorted(A.states) + ["not-a-state"]:
+            assert list(A.in_edges(v)) == reference_in_edges(A, v), (A, v)
+            assert list(A.out_edges(v)) == reference_out_edges(A, v), (A, v)
+        assert A.internal_states() == [
+            v for v in sorted(A.states) if reference_in_edges(A, v) and reference_out_edges(A, v)
+        ]
 
 
 def naive_aut_hom(A, B):

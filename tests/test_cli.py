@@ -55,9 +55,12 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     for face in (
         {"cube": "e", "word": "-", "targets": [["v"]]},
         {"cube": ["e"], "word": "-", "targets": ["v"]},
+        {"cube": "e", "word": "-", "targets": ["zz"]},
+        {"cube": "zz", "word": "-", "targets": ["v"]},
     ):
         wrong.write_text(json.dumps(dict(square, faces=[face])))
         assert main(["pcs", "validate", str(wrong)]) == 2
+        assert main(["pcs", "euclid", "-n", "1", str(wrong)]) == 2
     loop = {"alphabet": ["a"], "states": ["q"], "initial": ["q"], "accepting": ["q"]}
     for edge in (
         {"label": "a", "sources": [["q"]], "targets": ["q"]},
