@@ -18,6 +18,7 @@ from abc import ABC, abstractmethod
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 _NONE: frozenset = frozenset()
@@ -56,6 +57,15 @@ class CellMorphism:
     def is_injective(self) -> bool:
         values = list(self.mapping.values())
         return len(values) == len(set(values))
+
+    @cached_property
+    def fibres(self) -> dict:
+        """Target cell -> the source cells it receives, built once per map
+        (shared; do not mutate).  Cells outside the image have no entry."""
+        fibres: dict = defaultdict(set)
+        for c, v in self.mapping.items():
+            fibres[v].add(c)
+        return {v: frozenset(cs) for v, cs in fibres.items()}
 
 
 @dataclass(frozen=True)
@@ -132,11 +142,43 @@ class Structure:
         return sorted(self.sort, key=self.order_key)
 
     @cached_property
+    def search_order(self) -> list:
+        """Cells in the order a hom search assigns them: next comes the
+        cell related to the most cells already placed, ties and the first
+        cell of each connected part going by ``order``.  Every cell but
+        those first ones then has its candidates narrowed by an assigned
+        neighbour.  This is ``order`` itself when the two agree."""
+        pos = {c: k for k, c in enumerate(self.order)}
+        neighbours: dict = defaultdict(set)
+        for (a, _r), bs in self.rel.items():
+            for b in bs:
+                neighbours[a].add(b)
+                neighbours[b].add(a)
+        placed: set = set()
+        links: dict = defaultdict(int)  # cell -> its neighbours placed so far
+        out = []
+        for root in self.order:
+            if root in placed:
+                continue
+            heap = [(0, pos[root], root)]
+            while heap:
+                minus_links, _k, c = heappop(heap)
+                if c in placed or -minus_links != links[c]:
+                    continue  # placed, or queued again with more links
+                placed.add(c)
+                out.append(c)
+                for b in neighbours[c]:
+                    if b not in placed:
+                        links[b] += 1
+                        heappush(heap, (-links[b], pos[b], b))
+        return self.order if out == self.order else out
+
+    @cached_property
     def later(self) -> tuple[dict, bool]:
         """Per cell, ``(relation, forward, other)`` for each related cell
-        after it in ``order``, ``forward`` when the relation is stored from
-        the cell itself; and whether any entry is backward."""
-        pos = {c: k for k, c in enumerate(self.order)}
+        after it in ``search_order``, ``forward`` when the relation is
+        stored from the cell itself; and whether any entry is backward."""
+        pos = {c: k for k, c in enumerate(self.search_order)}
         later: dict = {c: [] for c in self.order}
         backward = False
         for (a, r), bs in self.rel.items():
@@ -150,12 +192,20 @@ class Structure:
 
     @cached_property
     def back(self) -> dict:
-        """Backward index ``(cell, relation) -> cells related to it``."""
+        """Backward index ``(cell, relation) -> cells related to it``.
+        Equal cell sets are stored once: the same few cells recur as the
+        set for many cells and relations, and the index lives as long as
+        the object."""
         back: dict = defaultdict(set)
         for (a, r), bs in self.rel.items():
             for b in bs:
                 back[(b, r)].add(a)
-        return {key: frozenset(v) for key, v in back.items()}
+        shared: dict = {}
+        out = {}
+        for key, cells in back.items():
+            cells = frozenset(cells)
+            out[key] = shared.setdefault(cells, cells)
+        return out
 
 
 class Carrier(ABC):
@@ -225,17 +275,20 @@ class Carrier(ABC):
         allowed: Optional[Mapping] = None,
         injective: bool = False,
     ) -> list[CellMorphism]:
-        """All morphisms ``source -> target`` by backtracking over cells in
-        the source's canonical order, candidates in sorted order.
+        """All morphisms ``source -> target``, ordered by their values over
+        the source's cells in canonical order.
 
-        A cell's candidates are the target cells of its sort that carry its
-        marks.  Assigning a cell immediately narrows the candidates of every
-        later cell related to it (forward checking), so dead branches die
-        at the top.  ``fixed`` pins cells to images, ``allowed`` restricts
-        candidate sets, ``injective`` forbids repeated images.
+        The search backtracks over the source's cells in ``search_order``,
+        candidates in sorted order; when that is not the canonical order,
+        the results are sorted afterwards.  A cell's candidates are the
+        target cells of its sort that carry its marks.  Assigning a cell
+        immediately narrows the candidates of every later cell related to
+        it (forward checking), so dead branches die at the top.  ``fixed``
+        pins cells to images, ``allowed`` restricts candidate sets,
+        ``injective`` forbids repeated images.
         """
         X, Y = self.view(source), self.view(target)
-        order = X.order
+        canonical, order = X.order, X.search_order
         later, backward = X.later
         forward_index = Y.rel
         backward_index = Y.back if backward else None
@@ -244,23 +297,23 @@ class Carrier(ABC):
         domains: dict = {}
         for cell in order:
             base = Y.buckets.get(X.sort[cell], _NONE)
-            marks = source_marks.get(cell)
-            if marks:
-                base = frozenset(v for v in base if marks <= target_marks.get(v, _NONE))
             if cell in fixed:
                 base = base & {fixed[cell]}
             if allowed is not None and cell in allowed:
                 base = base.intersection(allowed[cell])
+            marks = source_marks.get(cell)
+            if marks:
+                base = frozenset(v for v in base if marks <= target_marks.get(v, _NONE))
             if not base:
                 return []
             domains[cell] = base
-        results: list[CellMorphism] = []
+        results: list[dict] = []
         assignment: dict = {}
         used: set = set()
 
         def search(i: int) -> None:
             if i == len(order):
-                results.append(CellMorphism(source, target, dict(assignment)))
+                results.append(dict(assignment))
                 return
             cell = order[i]
             for v in sorted(domains[cell]):
@@ -286,7 +339,10 @@ class Carrier(ABC):
                     domains[b] = old
 
         search(0)
-        return results
+        if order is not canonical:
+            rows = sorted(tuple(map(m.__getitem__, canonical)) for m in results)
+            results = [dict(zip(canonical, row)) for row in rows]
+        return [CellMorphism(source, target, m) for m in results]
 
     def iso_signature(self, obj) -> dict:
         """Per-cell invariant kept by isomorphisms (pruning aid): sort,

@@ -7,6 +7,7 @@ witness), 2 on malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -376,7 +377,9 @@ def cmd_toolkit_appendix(args) -> int:
 # -- wiring ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once (``main`` reuses it; do not mutate)."""
     parser = argparse.ArgumentParser(
         prog="cofib",
         description="blowups of relational precubical sets and homotopical "

@@ -39,31 +39,21 @@ def induced_on_self_pushouts(
     return carrier.copair([a1, b1], [on_cod.then(a2), on_cod.then(b2)])
 
 
-def _pins(i: CellMorphism, values: dict) -> Optional[dict]:
-    """The cells ``i(a)`` pinned to ``values[a]``, or None when ``i`` glues
-    two cells whose values differ."""
-    fixed: dict = {}
-    for a, v in values.items():
-        if fixed.setdefault(i.mapping[a], v) != v:
-            return None
-    return fixed
-
-
 def solve_lifts(carrier: Carrier, problem: LiftingProblem) -> list[CellMorphism]:
     """All diagonal fillers of a lifting problem.
 
     Cells in the image of ``i`` are pinned by the top leg; the rest range
-    over the fiber of ``p`` above their image under the bottom leg.
+    over the fibre of ``p`` above their image under the bottom leg, read
+    from ``p.fibres``, built once per map.
     """
     i, p, top, bottom = problem.i, problem.p, problem.top, problem.bottom
-    fixed = _pins(i, top.mapping)
-    if fixed is None:
-        return []
-    fibers: dict = {}
-    for x in carrier.cells(p.source):
-        fibers.setdefault(p.mapping[x], []).append(x)
+    fixed: dict = {}
+    for a, v in top.mapping.items():
+        if fixed.setdefault(i.mapping[a], v) != v:
+            return []  # i glues two cells that the top leg keeps apart
+    fibres = p.fibres
     allowed = {
-        b: fibers.get(bottom.mapping[b], [])
+        b: fibres.get(bottom.mapping[b], ())
         for b in carrier.cells(i.target)
         if b not in fixed
     }
@@ -77,13 +67,34 @@ def solve_lifts(carrier: Carrier, problem: LiftingProblem) -> list[CellMorphism]
 def lifting_problems(
     carrier: Carrier, i: CellMorphism, p: CellMorphism
 ) -> Iterator[LiftingProblem]:
-    """All commuting squares of ``p`` against ``i``, in canonical order."""
-    for top in carrier.hom(i.source, p.source):
-        fixed = _pins(i, {a: p.mapping[v] for a, v in top.mapping.items()})
-        if fixed is None:
-            continue
-        for bottom in carrier.hom(i.target, p.target, fixed=fixed):
-            yield LiftingProblem(i, p, top, bottom)
+    """All commuting squares of ``p`` against ``i``, in canonical order:
+    by top leg, then by bottom leg, each compared by its values over the
+    cells of its source in canonical order (the order of the hom search).
+
+    Bottom legs come first, from one search ``cod(i) -> cod(p)``.  The top
+    legs over a bottom are searched with each cell ``a`` confined to the
+    fibre of ``p`` over ``bottom(i(a))``, read from ``p.fibres``, so every
+    top found makes a square, and a bottom with an empty fibre under some
+    cell costs no search.  The squares are sorted by top leg before the
+    first is yielded; the sort is stable and the bottoms come in order, so
+    squares sharing a top stay ordered by bottom.
+    """
+    fibres = p.fibres
+    top_cells = carrier.cells(i.source)
+    squares = []
+    for bottom in carrier.hom(i.target, p.target):
+        allowed = {}
+        for a in top_cells:
+            fibre = fibres.get(bottom.mapping[i.mapping[a]])
+            if fibre is None:
+                break
+            allowed[a] = fibre
+        else:
+            for top in carrier.hom(i.source, p.source, allowed=allowed):
+                squares.append((top, bottom))
+    squares.sort(key=lambda square: tuple(map(square[0].mapping.__getitem__, top_cells)))
+    for top, bottom in squares:
+        yield LiftingProblem(i, p, top, bottom)
 
 
 @dataclass

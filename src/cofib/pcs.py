@@ -459,17 +459,25 @@ def from_json_dict(data: dict) -> RelPCS:
     if not isinstance(cubes_raw, dict):
         raise FormatError("'cubes' must map dimensions to identifier lists")
     cubes: dict[int, list[str]] = {}
+    declared: dict[str, int] = {}
     for k, ids in cubes_raw.items():
         try:
             d = int(k)
         except ValueError:
             raise FormatError(f"bad dimension key {k!r}")
+        if not 0 <= d <= dim_bound:
+            raise FormatError(f"dimension {k} lies outside 0..{dim_bound}")
+        if d in cubes:
+            raise FormatError(f"dimension {d} is given twice")
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
             raise FormatError(f"cube list for dimension {k} must be strings")
         if len(set(ids)) != len(ids):
             raise FormatError(f"duplicate cube ids in dimension {k}")
+        for c in ids:
+            if c in declared:
+                raise FormatError(f"cube {c!r} declared in dimensions {declared[c]} and {d}")
+            declared[c] = d
         cubes[d] = ids
-    declared = {c for ids in cubes.values() for c in ids}
     faces: dict[tuple[str, CubeWord], set[str]] = defaultdict(set)
     entries = data.get("faces", [])
     if not isinstance(entries, list):
@@ -492,7 +500,15 @@ def from_json_dict(data: dict) -> RelPCS:
         for c in (a, *targets):
             if c not in declared:
                 raise FormatError(f"face names undeclared cube {c!r}")
-        faces[(a, CubeWord.parse(word))].update(targets)
+        g = CubeWord.parse(word)
+        if g.is_identity:
+            raise FormatError(f"face word {word!r} of {a!r} is an identity")
+        if g.codomain_dim != declared[a]:
+            raise FormatError(f"face word {word!r} does not fit the dimension of {a!r}")
+        for t in targets:
+            if declared[t] != g.domain_dim:
+                raise FormatError(f"face {t!r} of {a!r} at {word!r} has the wrong dimension")
+        faces[(a, g)].update(targets)
     return RelPCS(dim_bound, cubes, faces)
 
 

@@ -77,6 +77,34 @@ def _pillow() -> RelPCS:
     return relpcs(2, cubes, faces)
 
 
+def cycle(a: int) -> RelPCS:
+    """C_a: ``a`` vertices and ``a`` edges around one loop."""
+    faces = {}
+    for i in range(a):
+        faces[(f"e{i}", W("-"))] = [f"v{i}"]
+        faces[(f"e{i}", W("+"))] = [f"v{(i + 1) % a}"]
+    return relpcs(1, {0: [f"v{i}" for i in range(a)], 1: [f"e{i}" for i in range(a)]}, faces)
+
+
+def path(length: int) -> RelPCS:
+    """``length`` edges in a row."""
+    faces = {}
+    for i in range(length):
+        faces[(f"e{i}", W("-"))] = [f"v{i}"]
+        faces[(f"e{i}", W("+"))] = [f"v{i + 1}"]
+    vertices = [f"v{i}" for i in range(length + 1)]
+    return relpcs(1, {0: vertices, 1: [f"e{i}" for i in range(length)]}, faces)
+
+
+def wedge(k: int) -> RelPCS:
+    """``k`` loops at one vertex."""
+    faces = {}
+    for i in range(k):
+        faces[(f"e{i}", W("-"))] = ["v"]
+        faces[(f"e{i}", W("+"))] = ["v"]
+    return relpcs(1, {0: ["v"], 1: [f"e{i}" for i in range(k)]}, faces)
+
+
 def _disjoint_circle_interval() -> RelPCS:
     total, _inj = PCS_CARRIER.coproduct([samples.circle(), samples.interval()])
     return total

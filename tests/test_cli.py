@@ -61,6 +61,21 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         wrong.write_text(json.dumps(dict(square, faces=[face])))
         assert main(["pcs", "validate", str(wrong)]) == 2
         assert main(["pcs", "euclid", "-n", "1", str(wrong)]) == 2
+    # misgraded input is malformed (exit 2), not a failed check (exit 1)
+    for doc in (
+        dict(square, cubes={"0": ["v"], "1": ["v", "e"]}),
+        dict(square, cubes={"0": ["v"], "2": ["e"]}),
+        dict(square, cubes={"-1": ["v"], "1": ["e"]}),
+        dict(square, cubes={"0": ["v"], "00": ["w"], "1": ["e"]}),
+        dict(square, faces=[{"cube": "v", "word": "-", "targets": ["v"]}]),
+        dict(square, faces=[{"cube": "e", "word": "--", "targets": ["v"]}]),
+        dict(square, faces=[{"cube": "e", "word": "-", "targets": ["e"]}]),
+        dict(square, faces=[{"cube": "e", "word": "", "targets": ["e"]}]),
+        dict(square, faces=[{"cube": "e", "word": "0", "targets": ["e"]}]),
+    ):
+        wrong.write_text(json.dumps(doc))
+        assert main(["pcs", "validate", str(wrong)]) == 2
+        assert main(["pcs", "euclid", "-n", "1", str(wrong)]) == 2
     loop = {"alphabet": ["a"], "states": ["q"], "initial": ["q"], "accepting": ["q"]}
     for edge in (
         {"label": "a", "sources": [["q"]], "targets": ["q"]},

@@ -1,18 +1,23 @@
 """Codiagonals, lifting solvers, unique-lifting equivalence, colimit identities."""
 
+import random
+
 import pytest
 
 from cofib import samples
 from cofib.automata import (
     AUT_CARRIER,
     automata_generators,
+    automaton,
     cofibrant_replacement,
     gen_accept,
     gen_edge,
     gen_source,
 )
 from cofib.blowup import blowup, brick_generators
+from cofib.cells import LiftingProblem
 from cofib.lifting import (
+    LiftReport,
     appendix_identity_suite,
     check_composition_identity,
     check_double_codiagonal_iso,
@@ -21,12 +26,13 @@ from cofib.lifting import (
     check_sum_identity,
     codiagonal,
     lifting_problems,
+    rlp,
     rlp_with_codiagonal,
     solve_lifts,
     unique_rlp,
     unique_rlp_single,
 )
-from cofib.pcs import PCS_CARRIER, brick, brick_boundary, hom_enumerate
+from cofib.pcs import PCS_CARRIER, brick, brick_boundary, hom_enumerate, tensor
 from cofib.words import BrickIndex
 
 E = BrickIndex.parse
@@ -105,8 +111,6 @@ def test_unique_rlp_of_identity_holds_even_on_loops():
 def test_unique_rlp_failure_produces_witness():
     # collapsing a two-state path onto a loop: the edge fiber over the loop
     # has one edge but the endpoints disagree, so some square has no filler
-    from cofib.automata import automaton
-
     loop = samples.loop_a()
     path = samples.path_ab()
     forgetful = automaton("a", ["x"], [], ["x"], ["x"])
@@ -281,3 +285,128 @@ def test_coproduct_universal_property_both_carriers():
                 and in2.then(w).mapping == v.mapping
             ]
             assert len(mediators) == 1
+
+
+# -- bottom-first square enumeration against the tops-first oracle -------------------
+
+
+def tops_first_squares(carrier, i, p):
+    """Every commuting square as ``(top, bottom)``: each top leg in hom
+    order, then each bottom leg that agrees with ``p . top`` on the image
+    of ``i``, in hom order.  The enumeration ``lifting_problems`` replaced,
+    kept as its oracle."""
+    for top in carrier.hom(i.source, p.source):
+        fixed: dict = {}
+        for a, v in top.mapping.items():
+            if fixed.setdefault(i.mapping[a], p.mapping[v]) != p.mapping[v]:
+                break
+        else:
+            for bottom in carrier.hom(i.target, p.target, fixed=fixed):
+                yield top, bottom
+
+
+def tops_first_check(carrier, p, morphisms, unique):
+    """``_lift_check`` over the oracle's squares."""
+    checked = 0
+    for name, i in morphisms:
+        for top, bottom in tops_first_squares(carrier, i, p):
+            problem = LiftingProblem(i, p, top, bottom)
+            checked += 1
+            n = len(solve_lifts(carrier, problem))
+            if n == 0 or (unique and n > 1):
+                return LiftReport(False, checked, problem, n, name)
+    return LiftReport(True, checked)
+
+
+def _report(report):
+    failure = report.failure
+    legs = None if failure is None else (failure.top.mapping, failure.bottom.mapping)
+    return report.ok, report.checked, report.generator, report.lift_count, legs
+
+
+def random_replacements(count: int = 40):
+    """``(p, generators)`` for the replacement maps of seeded random automata."""
+    from corpus import random_automaton
+
+    rng = random.Random(4100)
+    out = []
+    for _ in range(count):
+        A = random_automaton(rng, max_states=4, max_edges=5, alphabet="ab")
+        res = cofibrant_replacement(A)
+        out.append((res.beta, automata_generators(A.alphabet | res.replacement.alphabet)))
+    return out
+
+
+def lifting_corpus():
+    """``(name, carrier, p, generators)``: blowup maps of small tori,
+    cylinders and wedges, replacement maps of seeded random automata, and
+    maps that fail to lift."""
+    from corpus import cycle, path, pcs_sample_maps, wedge
+
+    out = []
+    spaces = [
+        (f"C{a}xC{b}", tensor(cycle(a), cycle(b)), 2) for a, b in [(1, 1), (1, 3), (2, 2), (2, 3)]
+    ]
+    spaces += [("C2xP2", tensor(cycle(2), path(2)), 2), ("C1xP1", tensor(cycle(1), path(1)), 2)]
+    spaces += [(f"wedge{k}", wedge(k), n) for k in (1, 2, 3) for n in (1, 2)]
+    for name, P, n in spaces:
+        out.append((f"beta[{name}]", PCS_CARRIER, blowup(P, n).beta, brick_generators(n)))
+    for name, p in pcs_sample_maps():
+        out.append((name, PCS_CARRIER, p, brick_generators(2)))
+    circle = samples.circle()
+    _two, legs = PCS_CARRIER.coproduct([circle, circle])
+    fold = PCS_CARRIER.copair(legs, [PCS_CARRIER.identity(circle)] * 2)
+    out.append(("fold two circles", PCS_CARRIER, fold, brick_generators(1)))
+    for k, (p, gens) in enumerate(random_replacements()):
+        out.append((f"beta[random {k}]", AUT_CARRIER, p, gens))
+    loop = samples.loop_a()
+    forgetful = automaton("a", ["x"], [], ["x"], ["x"])
+    p = AUT_CARRIER.make_morphism(forgetful, loop, {("st", "x"): ("st", "v")})
+    out.append(("forgetful", AUT_CARRIER, p, automata_generators("a")))
+    return out
+
+
+def test_bottom_first_squares_match_tops_first_oracle():
+    squares = glued = failed = 0
+    for name, carrier, p, gens in lifting_corpus():
+        for _iname, i in gens.positive + gens.codiagonals:
+            got = [(s.top.mapping, s.bottom.mapping) for s in lifting_problems(carrier, i, p)]
+            want = [(t.mapping, b.mapping) for t, b in tops_first_squares(carrier, i, p)]
+            assert got == want, name
+            squares += len(got)
+            glued += len(got) if not i.is_injective() else 0
+        for report, want in (
+            (unique_rlp(carrier, p, gens), tops_first_check(carrier, p, gens.positive, True)),
+            (rlp(carrier, p, gens.codiagonals), tops_first_check(carrier, p, gens.codiagonals, False)),
+        ):
+            assert _report(report) == _report(want), name
+            failed += not report.ok
+    assert squares > 1000 and glued > 100 and failed >= 2
+
+
+def test_lift_check_makes_two_hom_calls_per_square(monkeypatch):
+    """One search for the bottom legs of each generator, then per square
+    one for its top legs and one for its fillers."""
+    from corpus import cycle
+
+    maps = [(AUT_CARRIER, p, gens) for p, gens in random_replacements()]
+    for a in range(1, 5):
+        for b in range(a, 16 // a + 1):
+            maps.append((PCS_CARRIER, blowup(tensor(cycle(a), cycle(b)), 2).beta, brick_generators(2)))
+    calls = 0
+    for carrier, p, gens in maps:
+        original = type(carrier).hom
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(type(carrier), "hom", counted)
+            calls = 0
+            report = unique_rlp(carrier, p, gens)
+            assert report.ok and calls <= len(gens.positive) + 2 * report.checked
+            calls = 0
+            report = rlp(carrier, p, gens.codiagonals)
+            assert report.ok and calls <= len(gens.codiagonals) + 2 * report.checked
