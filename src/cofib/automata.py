@@ -176,6 +176,9 @@ def from_json_dict(data: dict) -> RelAutomaton:
         value = data.get(key, [])
         if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
             raise FormatError(f"'{key}' must be a list of strings")
+    states = data.get("states", [])
+    if len(set(states)) != len(states):
+        raise FormatError("duplicate state ids")
     entries = data.get("edges", [])
     if not isinstance(entries, list):
         raise FormatError("'edges' must be a list")
@@ -197,7 +200,7 @@ def from_json_dict(data: dict) -> RelAutomaton:
     try:
         return RelAutomaton(
             data.get("alphabet", []),
-            data.get("states", []),
+            states,
             edges,
             data.get("initial", []),
             data.get("accepting", []),

@@ -22,6 +22,7 @@ from .lifting import codiagonal, rlp, unique_rlp, LiftReport
 from .pcs import (
     PCS_CARRIER,
     EuclideanReport,
+    InvalidPCS,
     RelPCS,
     brick,
     brick_boundary,
@@ -65,10 +66,12 @@ class BlowupResult:
 
 
 def blowup(P: RelPCS, n: int) -> BlowupResult:
-    """All brick probes into ``P``, glued along sub-brick inclusions."""
+    """All brick probes into ``P``, glued along sub-brick inclusions.
+
+    Raises :class:`~cofib.pcs.InvalidPCS` when ``P`` does not validate."""
     report = validate(P)
     if not report.ok:
-        raise ValueError(f"input does not validate: {report.problems[0]}")
+        raise InvalidPCS(report)
     probes: dict[BrickIndex, list[CellMorphism]] = {}
     index_of: dict[BrickIndex, dict[tuple, int]] = {}
     for eps in all_brick_indices(n):

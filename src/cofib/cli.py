@@ -68,18 +68,21 @@ def _word_list(words) -> list[str]:
 # -- pcs subcommands ----------------------------------------------------------
 
 
-def cmd_pcs_validate(args) -> int:
-    P = _load_pcs(args.file)
-    report = pcs.validate(P)
+def _emit_validation(report: pcs.ValidationReport) -> int:
     _emit({"ok": report.ok, "problems": report.problems})
     return 0 if report.ok else 1
 
 
+def cmd_pcs_validate(args) -> int:
+    return _emit_validation(pcs.validate(_load_pcs(args.file)))
+
+
 def cmd_pcs_blowup(args) -> int:
     P = _load_pcs(args.file)
-    if not pcs.validate(P).ok:
-        return cmd_pcs_validate(args)
-    result = compute_blowup(P, args.n)
+    try:
+        result = compute_blowup(P, args.n)
+    except pcs.InvalidPCS as exc:
+        return _emit_validation(exc.report)
     payload = {
         "blowup": pcs.to_json_dict(result.blowup),
         "beta": dict(sorted(result.beta.mapping.items())),
@@ -126,9 +129,11 @@ def _emit_verdict(report) -> int:
 
 def cmd_pcs_verify(args) -> int:
     P = _load_pcs(args.file)
-    if not pcs.validate(P).ok:
-        return cmd_pcs_validate(args)
-    return _emit_verdict(verify_blowup(P, args.n))
+    try:
+        report = verify_blowup(P, args.n)
+    except pcs.InvalidPCS as exc:
+        return _emit_validation(exc.report)
+    return _emit_verdict(report)
 
 
 def cmd_pcs_brick(args) -> int:

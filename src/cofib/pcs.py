@@ -32,6 +32,7 @@ from .words import (
     all_brick_indices,
     brick_cells,
     compose_words,
+    factor_through,
 )
 
 
@@ -40,9 +41,15 @@ class FormatError(ValueError):
 
 
 class RelPCS:
-    """A finite relational precubical set."""
+    """A finite relational precubical set.
 
-    __slots__ = ("dim_bound", "cubes", "faces", "_dim", "_view")
+    Objects are immutable after construction.  The relational view
+    (``_view``) and the face index (``_index``: per cube, its stored faces
+    and its cofaces) are therefore computed once, on first use, and never
+    go stale.
+    """
+
+    __slots__ = ("dim_bound", "cubes", "faces", "_dim", "_view", "_index")
 
     def __init__(
         self,
@@ -59,6 +66,7 @@ class RelPCS:
         }
         self._dim = {c: d for d, cs in self.cubes.items() for c in cs}
         self._view = None
+        self._index = None
 
     def dim(self, cube: str) -> int:
         return self._dim[cube]
@@ -75,6 +83,32 @@ class RelPCS:
 
     def cube_counts(self) -> dict[int, int]:
         return {d: len(cs) for d, cs in sorted(self.cubes.items())}
+
+    def _face_index(self) -> tuple[dict, dict]:
+        """Per cube, its ``(word, targets)`` entries and the ``(cube, word)``
+        entries naming it as a target, both in face-table order; built on
+        first use."""
+        if self._index is None:
+            out: dict[str, list[tuple[CubeWord, frozenset[str]]]] = defaultdict(list)
+            into: dict[str, list[tuple[str, CubeWord]]] = defaultdict(list)
+            for key, bs in self.faces.items():
+                a, g = key
+                out[a].append((g, bs))
+                for b in bs:
+                    into[b].append(key)
+            self._index = (
+                {a: tuple(es) for a, es in out.items()},
+                {b: tuple(es) for b, es in into.items()},
+            )
+        return self._index
+
+    def face_entries(self, cube: str) -> tuple[tuple[CubeWord, frozenset[str]], ...]:
+        """The stored ``(word, targets)`` entries of a cube."""
+        return self._face_index()[0].get(cube, ())
+
+    def cofaces(self, cube: str) -> tuple[tuple[str, CubeWord], ...]:
+        """The ``(cube, word)`` pairs along which ``cube`` is a stored face."""
+        return self._face_index()[1].get(cube, ())
 
     def faces_of(self, cube: str, word: CubeWord) -> frozenset[str]:
         if word.is_identity:
@@ -136,6 +170,14 @@ def relpcs(
     return RelPCS(dim_bound, cubes, table)
 
 
+class InvalidPCS(ValueError):
+    """A precubical set that fails :func:`validate`; carries the report."""
+
+    def __init__(self, report: "ValidationReport"):
+        super().__init__(f"input does not validate: {report.problems[0]}")
+        self.report = report
+
+
 @dataclass
 class ValidationReport:
     """Outcome of the structural check, with a witness on failure."""
@@ -181,12 +223,9 @@ def validate(P: RelPCS) -> ValidationReport:
                 )
     if problems:
         return ValidationReport(problems)
-    outgoing: dict[str, list[tuple[CubeWord, frozenset[str]]]] = defaultdict(list)
-    for (a, g), bs in P.faces.items():
-        outgoing[a].append((g, bs))
     for (a, g), bs in P.faces.items():
         for b in bs:
-            for g2, cs in outgoing.get(b, ()):
+            for g2, cs in P.face_entries(b):
                 comp = compose_words(g2, g)
                 for c in sorted(cs - P.faces_of(a, comp)):
                     problems.append(
@@ -219,10 +258,8 @@ def tensor(P: RelPCS, Q: RelPCS, joiner: str = ",") -> RelPCS:
     faces: dict[tuple[str, CubeWord], set[str]] = defaultdict(set)
     for p, q, dp, dq in pair_ids:
         pid = p + joiner + q
-        p_rels = [(g, bs) for (a, g), bs in P.faces.items() if a == p]
-        q_rels = [(g, bs) for (a, g), bs in Q.faces.items() if a == q]
-        p_rels.append((CubeWord.identity(dp), frozenset((p,))))
-        q_rels.append((CubeWord.identity(dq), frozenset((q,))))
+        p_rels = (*P.face_entries(p), (CubeWord.identity(dp), frozenset((p,))))
+        q_rels = (*Q.face_entries(q), (CubeWord.identity(dq), frozenset((q,))))
         for gp, bps in p_rels:
             for gq, bqs in q_rels:
                 g = CubeWord(gp.letters + gq.letters)
@@ -243,34 +280,27 @@ def upward(P: RelPCS, c: str) -> tuple[RelPCS, CellMorphism]:
 
     Cells are pairs (cube, word along which ``c`` is its face); the pair
     bookkeeping makes one cube of ``P`` appear once per way it sees ``c``.
-    Returns the neighborhood and the projection back to ``P``.
+    Only ``c``'s cofaces and their faces are visited, through the face
+    index.  Returns the neighborhood and the projection back to ``P``.
     """
-    c_dim = P.dim(c)
-    pairs: dict[tuple[str, CubeWord], str] = {}
-    pairs[(c, CubeWord.identity(c_dim))] = _pair_id(c, CubeWord.identity(c_dim))
-    outgoing: dict[str, list[tuple[CubeWord, frozenset[str]]]] = defaultdict(list)
-    for (a, g), bs in P.faces.items():
-        outgoing[a].append((g, bs))
-        if c in bs:
-            pairs[(a, g)] = _pair_id(a, g)
+    ident = CubeWord.identity(P.dim(c))
+    pairs: dict[tuple[str, CubeWord], str] = {(c, ident): _pair_id(c, ident)}
+    for key in P.cofaces(c):
+        pairs[key] = _pair_id(*key)
     cubes: dict[int, set[str]] = defaultdict(set)
     for (a, _g), pid in pairs.items():
         cubes[P.dim(a)].add(pid)
     faces: dict[tuple[str, CubeWord], set[str]] = defaultdict(set)
     for (a, u), pid in pairs.items():
-        for g, bs in outgoing.get(a, ()):
-            # the lower pair's word is u read off g's zero slots, provided
-            # u matches g on its inserted coordinates
-            if any(
-                ug != gg for ug, gg in zip(u.letters, g.letters) if gg != ZERO
-            ):
+        for g, bs in P.face_entries(a):
+            # a g-face b of a sees c along v, where u factors as g after v
+            v = factor_through(u, g)
+            if v is None:
                 continue
-            v = CubeWord(
-                tuple(ug for ug, gg in zip(u.letters, g.letters) if gg == ZERO)
-            )
             for b in bs:
-                if (b, v) in pairs:
-                    faces[(pid, g)].add(pairs[(b, v)])
+                lower = pairs.get((b, v))
+                if lower is not None:
+                    faces[(pid, g)].add(lower)
     nbhd = RelPCS(P.dim_bound, cubes, faces)
     proj = CellMorphism(nbhd, P, {pid: a for (a, _g), pid in pairs.items()})
     return nbhd, proj
@@ -451,10 +481,9 @@ def to_json_dict(P: RelPCS) -> dict:
 def from_json_dict(data: dict) -> RelPCS:
     if not isinstance(data, dict):
         raise FormatError("precubical set must be a JSON object")
-    try:
-        dim_bound = int(data["dim_bound"])
-    except (KeyError, TypeError, ValueError):
-        raise FormatError("missing or bad 'dim_bound'")
+    dim_bound = data.get("dim_bound")
+    if type(dim_bound) is not int:
+        raise FormatError("'dim_bound' must be an integer")
     cubes_raw = data.get("cubes", {})
     if not isinstance(cubes_raw, dict):
         raise FormatError("'cubes' must map dimensions to identifier lists")
@@ -556,6 +585,7 @@ __all__ = [
     "saturate",
     "validate",
     "ValidationReport",
+    "InvalidPCS",
     "empty_pcs",
     "tensor",
     "upward",

@@ -17,8 +17,9 @@ a whole open direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, total_ordering
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Optional
 
 MINUS = "-"
 PLUS = "+"
@@ -38,16 +39,44 @@ _LETTER_LE = {
 }
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class CubeWord:
-    """Normal form of a cube-category morphism as a sign word."""
+    """Normal form of a cube-category morphism as a sign word.
 
-    letters: tuple[str, ...]
+    Words are interned: there is one object per letter tuple, so equality
+    and hashing go by identity (in C), while ordering goes by the letters.
+    Copies and unpickled words are the interned object itself.
+    ``domain_dim`` is stored with the letters.
+    """
 
-    def __post_init__(self):
-        for c in self.letters:
-            if c not in _WORD_LETTERS:
-                raise ValueError(f"bad word letter {c!r}")
+    __slots__ = ("letters", "domain_dim")
+    _interned: dict[tuple[str, ...], "CubeWord"] = {}
+
+    def __new__(cls, letters: tuple[str, ...]) -> "CubeWord":
+        letters = tuple(letters)
+        word = cls._interned.get(letters)
+        if word is None:
+            for c in letters:
+                if c not in _WORD_LETTERS:
+                    raise ValueError(f"bad word letter {c!r}")
+            word = object.__new__(cls)
+            object.__setattr__(word, "letters", letters)
+            object.__setattr__(word, "domain_dim", letters.count(ZERO))
+            word = cls._interned.setdefault(letters, word)
+        return word
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CubeWord is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CubeWord is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle all rebuild through the interning table
+        return (CubeWord, (self.letters,))
+
+    def __lt__(self, other):
+        return self.letters < other.letters if isinstance(other, CubeWord) else NotImplemented
 
     @classmethod
     def identity(cls, m: int) -> "CubeWord":
@@ -62,16 +91,12 @@ class CubeWord:
         return len(self.letters)
 
     @property
-    def domain_dim(self) -> int:
-        return sum(1 for c in self.letters if c == ZERO)
-
-    @property
     def degree(self) -> int:
         return len(self.letters) - self.domain_dim
 
     @property
     def is_identity(self) -> bool:
-        return self.degree == 0
+        return self.domain_dim == len(self.letters)
 
     def __str__(self) -> str:
         return "".join(self.letters)
@@ -93,6 +118,23 @@ def compose_words(u: CubeWord, v: CubeWord) -> CubeWord:
         )
     it = iter(u.letters)
     return CubeWord(tuple(next(it) if c == ZERO else c for c in v.letters))
+
+
+@lru_cache(maxsize=None)
+def factor_through(u: CubeWord, g: CubeWord) -> Optional[CubeWord]:
+    """For words ``u`` and ``g`` with one codomain: the word ``v`` with
+    ``compose_words(v, g) == u``, or ``None``.
+
+    ``v`` exists when ``u`` agrees with ``g`` on ``g``'s inserted (nonzero)
+    coordinates; it is ``u`` read off ``g``'s zero slots.
+    """
+    kept = []
+    for a, b in zip(u.letters, g.letters):
+        if b == ZERO:
+            kept.append(a)
+        elif a != b:
+            return None
+    return CubeWord(tuple(kept))
 
 
 def all_words(codomain_dim: int, min_degree: int = 0) -> Iterator[CubeWord]:
@@ -284,6 +326,7 @@ __all__ = [
     "ONE",
     "CubeWord",
     "compose_words",
+    "factor_through",
     "all_words",
     "BrickIndex",
     "all_brick_indices",

@@ -1,6 +1,10 @@
 """The batch front-end: exit codes, JSON outputs, figure exports."""
 
+import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +14,8 @@ from cofib.automata import from_json_dict as aut_from_json
 from cofib.automata import to_json_dict as aut_to_json
 from cofib.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -49,8 +54,10 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["pcs", "validate", str(missing)]) == 2
     wrong = tmp_path / "wrong.json"
-    wrong.write_text(json.dumps({"dim_bound": "x"}))
-    assert main(["pcs", "validate", str(wrong)]) == 2
+    for bound in ("x", "2", 2.7, True, None):
+        wrong.write_text(json.dumps({"dim_bound": bound, "cubes": {"1": ["c"]}}))
+        assert main(["pcs", "validate", str(wrong)]) == 2
+        assert main(["pcs", "euclid", "-n", "1", str(wrong)]) == 2
     square = {"dim_bound": 1, "cubes": {"0": ["v"], "1": ["e"]}}
     for face in (
         {"cube": "e", "word": "-", "targets": [["v"]]},
@@ -83,7 +90,37 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     ):
         wrong.write_text(json.dumps(dict(loop, edges=[edge])))
         assert main(["aut", "conditions", str(wrong)]) == 2
+    wrong.write_text(json.dumps(dict(loop, states=["q", "q"], edges=[])))
+    assert main(["aut", "conditions", str(wrong)]) == 2
+    assert "duplicate state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["blowup", "verify"])
+@pytest.mark.parametrize("fixture", ["circle.json", "broken-closure.json"])
+def test_blowup_commands_validate_once(command, fixture, monkeypatch, capsys):
+    calls, validate = [], pcs.validate
+
+    def counted(P):
+        calls.append(P)
+        return validate(P)
+
+    monkeypatch.setattr(importlib.import_module("cofib.blowup"), "validate", counted)
+    monkeypatch.setattr(pcs, "validate", counted)
+    main(["pcs", command, "-n", "2", str(FIXTURES / fixture)])
     capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    done = subprocess.run(
+        [sys.executable, "-m", "cofib", "pcs", "validate", str(FIXTURES / "circle.json")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"ok": True, "problems": []}
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,14 @@
 morphism enumeration, local embeddings, euclidean certification."""
 
 import itertools
+from collections import defaultdict
 
 import pytest
 
-from corpus import pcs_corpus
+from corpus import cycle, path, pcs_corpus, wedge
 from cofib import samples
+from cofib.blowup import blowup
+from cofib.cells import CellMorphism
 from cofib.pcs import (
     PCS_CARRIER,
     brick,
@@ -22,12 +25,13 @@ from cofib.pcs import (
     is_pcs_morphism,
     min_cube,
     relpcs,
+    RelPCS,
     tensor,
     to_json_dict,
     upward,
     validate,
 )
-from cofib.words import BrickIndex, CubeWord, all_brick_indices, brick_cells, word_to_min
+from cofib.words import ZERO, BrickIndex, CubeWord, all_brick_indices, brick_cells, word_to_min
 
 W = CubeWord.parse
 E = BrickIndex.parse
@@ -121,6 +125,90 @@ def test_upward_projection_is_a_morphism():
 def test_upward_of_torus_vertex():
     nbhd, _ = upward(samples.one_square_torus(), "v")
     assert nbhd.cube_counts() == {0: 1, 1: 2, 2: 4}
+
+
+# -- the face index, against full scans of the face table -------------------------
+
+
+def full_scan_upward(P, c):
+    """Reference upward neighbourhood: scans the whole face table."""
+    c_dim = P.dim(c)
+    pairs = {(c, CubeWord.identity(c_dim)): f"{c}|{CubeWord.identity(c_dim)}"}
+    outgoing = defaultdict(list)
+    for (a, g), bs in P.faces.items():
+        outgoing[a].append((g, bs))
+        if c in bs:
+            pairs[(a, g)] = f"{a}|{g}"
+    cubes = defaultdict(set)
+    for (a, _g), pid in pairs.items():
+        cubes[P.dim(a)].add(pid)
+    faces = defaultdict(set)
+    for (a, u), pid in pairs.items():
+        for g, bs in outgoing.get(a, ()):
+            if any(ug != gg for ug, gg in zip(u.letters, g.letters) if gg != ZERO):
+                continue
+            v = CubeWord(tuple(ug for ug, gg in zip(u.letters, g.letters) if gg == ZERO))
+            for b in bs:
+                if (b, v) in pairs:
+                    faces[(pid, g)].add(pairs[(b, v)])
+    nbhd = RelPCS(P.dim_bound, cubes, faces)
+    return nbhd, CellMorphism(nbhd, P, {pid: a for (a, _g), pid in pairs.items()})
+
+
+def full_scan_tensor(P, Q, joiner=","):
+    """Reference tensor product: scans both face tables per pair of cubes."""
+    cubes, faces = defaultdict(set), defaultdict(set)
+    for dp, ps in P.cubes.items():
+        for dq, qs in Q.cubes.items():
+            for p in ps:
+                for q in qs:
+                    cubes[dp + dq].add(p + joiner + q)
+                    p_rels = [(g, bs) for (a, g), bs in P.faces.items() if a == p]
+                    q_rels = [(g, bs) for (a, g), bs in Q.faces.items() if a == q]
+                    p_rels.append((CubeWord.identity(dp), frozenset((p,))))
+                    q_rels.append((CubeWord.identity(dq), frozenset((q,))))
+                    for gp, bps in p_rels:
+                        for gq, bqs in q_rels:
+                            g = CubeWord(gp.letters + gq.letters)
+                            if not g.is_identity:
+                                faces[(p + joiner + q, g)] |= {
+                                    bp + joiner + bq for bp in bps for bq in bqs
+                                }
+    return RelPCS(P.dim_bound + Q.dim_bound, cubes, faces)
+
+
+def indexed_corpus():
+    """Tori, cylinders, wedges, 3-tori, their blowups, the bricks and the
+    fixture corpus, each with an ambient dimension."""
+    spaces = [(f"C{a}xC{b}", tensor(cycle(a), cycle(b)), 2) for a, b in [(1, 1), (1, 3), (2, 2), (3, 4)]]
+    spaces += [(f"C{a}xP{m}", tensor(cycle(a), path(m)), 2) for a, m in [(1, 1), (2, 2), (3, 1)]]
+    spaces += [(f"W{k}", wedge(k), 1) for k in (1, 2, 3)]
+    spaces += [("C1xC1xC2", tensor(tensor(cycle(1), cycle(1)), cycle(2)), 3)]
+    spaces += [(f"blowup {name}", blowup(P, n).blowup, n) for name, P, n in list(spaces)]
+    spaces += [(f"brick {eps}", brick(eps), n) for n in range(4) for eps in all_brick_indices(n)]
+    return spaces + pcs_corpus()
+
+
+def test_upward_matches_full_scan():
+    for name, P, _n in indexed_corpus():
+        for c in P.all_cubes():
+            nbhd, proj = upward(P, c)
+            want, want_proj = full_scan_upward(P, c)
+            assert nbhd == want, (name, c)
+            assert proj.mapping == want_proj.mapping, (name, c)
+
+
+def test_face_index_matches_face_table():
+    for name, P, _n in indexed_corpus():
+        for c in P.all_cubes():
+            assert P.face_entries(c) == tuple((g, bs) for (a, g), bs in P.faces.items() if a == c), name
+            assert P.cofaces(c) == tuple(key for key, bs in P.faces.items() if c in bs), name
+
+
+def test_tensor_matches_full_scan():
+    factors = [cycle(1), cycle(3), path(2), wedge(2), samples.closed_square(), brick(E("1"))]
+    for P, Q in itertools.product(factors, repeat=2):
+        assert tensor(P, Q) == full_scan_tensor(P, Q)
 
 
 # -- bricks ----------------------------------------------------------------------
@@ -307,8 +395,9 @@ def test_json_errors():
 
     with pytest.raises(FormatError):
         from_json_dict([])
-    with pytest.raises(FormatError):
-        from_json_dict({"dim_bound": "x"})
+    for bound in ("x", "2", 2.7, 2.0, True, None):
+        with pytest.raises(FormatError):
+            from_json_dict({"dim_bound": bound})
     with pytest.raises(FormatError):
         from_json_dict({"dim_bound": 1, "cubes": {"0": ["v", "v"]}})
     with pytest.raises(FormatError):

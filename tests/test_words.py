@@ -1,6 +1,8 @@
 """Sign-word combinatorics, checked against a generator-rewriting oracle."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -14,6 +16,7 @@ from cofib.words import (
     cell_le,
     compose_words,
     embed_cell,
+    factor_through,
     inclusion_between,
     inclusion_on_cells,
     word_to_min,
@@ -113,6 +116,65 @@ def test_degree_accounting():
     assert w.codomain_dim == 4
     assert w.domain_dim == 2
     assert w.degree == 2
+
+
+def test_factor_through_inverts_composition():
+    for u, g in itertools.product(all_words(3), repeat=2):
+        v = factor_through(u, g)
+        candidates = [v2 for v2 in all_words(g.domain_dim) if compose_words(v2, g) == u]
+        assert candidates == ([] if v is None else [v])
+
+
+# -- interned words ------------------------------------------------------------
+
+
+def test_equal_letters_give_one_word():
+    for w in all_words(3):
+        assert CubeWord(tuple(w.letters)) is w
+        assert CubeWord(list(w.letters)) is w
+        assert W(str(w)) is w
+    assert compose_words(W("+"), W("0-")) is W("+-")
+    assert CubeWord.identity(2) is W("00")
+
+
+def test_copies_and_pickles_are_the_interned_word():
+    w = W("+0-")
+    assert copy.copy(w) is w
+    assert copy.deepcopy(w) is w
+    assert copy.deepcopy({w: [w]}) == {w: [w]}
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(w, protocol)) is w
+
+
+def test_word_order_is_letter_order():
+    words = [w for m in range(4) for w in all_words(m)]
+    assert sorted(words) == sorted(words, key=lambda w: w.letters)
+    assert sorted(words, reverse=True) == sorted(words, key=lambda w: w.letters, reverse=True)
+    for u, v in itertools.product(words[:30], repeat=2):
+        assert (u < v, u <= v, u > v, u >= v) == (
+            u.letters < v.letters, u.letters <= v.letters, u.letters > v.letters, u.letters >= v.letters
+        )
+    with pytest.raises(TypeError):
+        W("+") < ("+",)
+
+
+def test_words_are_immutable():
+    w = W("+-")
+    with pytest.raises(AttributeError):
+        w.letters = ("-",)
+    with pytest.raises(AttributeError):
+        del w.letters
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    assert w.letters == ("+", "-") and W("+-") is w
+
+
+def test_bad_letters_raise():
+    for bad in ("1", "x", "+1"):
+        with pytest.raises(ValueError):
+            W(bad)
+    with pytest.raises(ValueError):
+        CubeWord(("+", 0))
 
 
 # -- brick cell posets ---------------------------------------------------------
