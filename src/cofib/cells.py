@@ -110,13 +110,11 @@ class Structure:
     """The relational view of one object.
 
     ``sort`` maps every cell to its sort and ``marks`` maps marked cells
-    to their marks; colimits read only these.  ``relations()`` gives
-    ``rel``, the forward index ``(cell, relation) -> related cells`` of the
-    stored relations, loaded on first use.  A hom search also reads the
-    sort ``buckets`` of its target, and the canonical ``order`` and
-    ``later`` lists of its source; those, and the backward index ``back``
-    a target needs only when some source relation points to an earlier
-    cell, are built on first use too.
+    to their marks; colimits read only these.  ``rel`` is the forward index
+    ``(cell, relation) -> related cells`` of the stored relations.  It and
+    all a hom search reads are built on first use and kept with the object:
+    as a source, ``order`` and the search ``plan``; as a target, the
+    ``candidates`` per kind and, for plans with backward links, ``back``.
     """
 
     sort: Mapping
@@ -129,66 +127,59 @@ class Structure:
         return self.relations()
 
     @cached_property
-    def buckets(self) -> dict:
-        """Sort -> cells of that sort."""
-        buckets: dict = defaultdict(set)
-        for c, s in self.sort.items():
-            buckets[s].add(c)
-        return {s: frozenset(cs) for s, cs in buckets.items()}
-
-    @cached_property
     def order(self) -> list:
         """Cells in canonical order (shared; do not mutate)."""
         return sorted(self.sort, key=self.order_key)
 
     @cached_property
-    def search_order(self) -> list:
-        """Cells in the order a hom search assigns them: next comes the
+    def plan(self) -> tuple:
+        """How a hom search from this object runs: ``(cells, kinds, slots,
+        links, backward)``.  ``cells`` is the search order: next comes the
         cell related to the most cells already placed, ties and the first
-        cell of each connected part going by ``order``.  Every cell but
-        those first ones then has its candidates narrowed by an assigned
-        neighbour.  This is ``order`` itself when the two agree."""
-        pos = {c: k for k, c in enumerate(self.order)}
+        cell of each connected part going by ``order``.  Per step, ``kinds``
+        holds the cell's ``(sort, marks)`` (marks ``None`` for none),
+        ``slots`` its place in ``order``, and ``links`` a ``(step, relation,
+        forward)`` triple per related cell at a later step, ``forward`` when
+        the relation is stored from this step's cell; ``backward`` is true
+        when some link is not forward."""
+        slot = {c: k for k, c in enumerate(self.order)}
         neighbours: dict = defaultdict(set)
         for (a, _r), bs in self.rel.items():
             for b in bs:
                 neighbours[a].add(b)
                 neighbours[b].add(a)
-        placed: set = set()
-        links: dict = defaultdict(int)  # cell -> its neighbours placed so far
-        out = []
+        step: dict = {}  # cell -> its step, once placed
+        placed_links: dict = defaultdict(int)  # cell -> its neighbours placed so far
         for root in self.order:
-            if root in placed:
-                continue
-            heap = [(0, pos[root], root)]
+            heap = [(0, slot[root], root)]
             while heap:
                 minus_links, _k, c = heappop(heap)
-                if c in placed or -minus_links != links[c]:
+                if c in step or -minus_links != placed_links[c]:
                     continue  # placed, or queued again with more links
-                placed.add(c)
-                out.append(c)
+                step[c] = len(step)
                 for b in neighbours[c]:
-                    if b not in placed:
-                        links[b] += 1
-                        heappush(heap, (-links[b], pos[b], b))
-        return self.order if out == self.order else out
-
-    @cached_property
-    def later(self) -> tuple[dict, bool]:
-        """Per cell, ``(relation, forward, other)`` for each related cell
-        after it in ``search_order``, ``forward`` when the relation is
-        stored from the cell itself; and whether any entry is backward."""
-        pos = {c: k for k, c in enumerate(self.search_order)}
-        later: dict = {c: [] for c in self.order}
+                    if b not in step:
+                        placed_links[b] += 1
+                        heappush(heap, (-placed_links[b], slot[b], b))
+        cells = tuple(step)
+        links: list = [[] for _ in cells]
         backward = False
         for (a, r), bs in self.rel.items():
             for b in bs:
-                if pos[a] < pos[b]:
-                    later[a].append((r, True, b))
+                if step[a] < step[b]:
+                    links[step[a]].append((step[b], r, True))
                 else:
-                    later[b].append((r, False, a))
+                    links[step[b]].append((step[a], r, False))
                     backward = True
-        return later, backward
+        kinds = tuple((self.sort[c], self.marks.get(c)) for c in cells)
+        return cells, kinds, tuple(map(slot.__getitem__, cells)), tuple(map(tuple, links)), backward
+
+    @cached_property
+    def candidates(self) -> dict:
+        """``(sort, marks) -> cells`` of the sort that carry the marks, for
+        this object as a hom-search target; a kind is filled in by the
+        first search that asks for it."""
+        return {}
 
     @cached_property
     def back(self) -> dict:
@@ -201,11 +192,7 @@ class Structure:
             for b in bs:
                 back[(b, r)].add(a)
         shared: dict = {}
-        out = {}
-        for key, cells in back.items():
-            cells = frozenset(cells)
-            out[key] = shared.setdefault(cells, cells)
-        return out
+        return {key: shared.setdefault(cells := frozenset(bs), cells) for key, bs in back.items()}
 
 
 class Carrier(ABC):
@@ -278,71 +265,80 @@ class Carrier(ABC):
         """All morphisms ``source -> target``, ordered by their values over
         the source's cells in canonical order.
 
-        The search backtracks over the source's cells in ``search_order``,
-        candidates in sorted order; when that is not the canonical order,
-        the results are sorted afterwards.  A cell's candidates are the
-        target cells of its sort that carry its marks.  Assigning a cell
-        immediately narrows the candidates of every later cell related to
-        it (forward checking), so dead branches die at the top.  ``fixed``
+        One loop walks the source's ``plan`` with an explicit stack, trying
+        each step's candidates (the target's cached ``candidates`` of its
+        kind) in set order.  Choosing an image narrows the candidates of
+        every later cell linked to it (forward checking), on a trail undone
+        on backtracking; the last step takes every candidate left.  The
+        rows, in canonical order, are sorted once at the end.  ``fixed``
         pins cells to images, ``allowed`` restricts candidate sets,
         ``injective`` forbids repeated images.
         """
         X, Y = self.view(source), self.view(target)
-        canonical, order = X.order, X.search_order
-        later, backward = X.later
-        forward_index = Y.rel
-        backward_index = Y.back if backward else None
-        source_marks, target_marks = X.marks, Y.marks
-        fixed = fixed or {}
-        domains: dict = {}
-        for cell in order:
-            base = Y.buckets.get(X.sort[cell], _NONE)
-            if cell in fixed:
+        cells, kinds, slots, links, backward = X.plan
+        if not cells:
+            return [CellMorphism(source, target, {})]
+        cache, domains = Y.candidates, []
+        for cell, kind in zip(cells, kinds):
+            base = cache.get(kind)
+            if base is None:
+                sort, marks = kind
+                base = cache[kind] = frozenset(
+                    v for v, s in Y.sort.items()
+                    if s == sort and (not marks or marks <= Y.marks.get(v, _NONE))
+                )
+            if fixed and cell in fixed:
                 base = base & {fixed[cell]}
             if allowed is not None and cell in allowed:
                 base = base.intersection(allowed[cell])
-            marks = source_marks.get(cell)
-            if marks:
-                base = frozenset(v for v in base if marks <= target_marks.get(v, _NONE))
             if not base:
                 return []
-            domains[cell] = base
-        results: list[dict] = []
-        assignment: dict = {}
-        used: set = set()
-
-        def search(i: int) -> None:
-            if i == len(order):
-                results.append(dict(assignment))
-                return
-            cell = order[i]
-            for v in sorted(domains[cell]):
+            domains.append(base)
+        indexes = (Y.back if backward else None, Y.rel)
+        last, values, rows, used = len(cells) - 1, [None] * len(cells), [], set()
+        pending = [iter(domains[0])] + [None] * last  # per step, its candidates left
+        trails: list = [None] * len(cells)  # per step, what its choice narrowed
+        d = 0
+        while d >= 0:
+            slot = slots[d]
+            if d == last:
+                for v in domains[d]:
+                    if not (injective and v in used):
+                        values[slot] = v
+                        rows.append(tuple(values))
+                d -= 1
+                continue
+            if trails[d] is not None:  # undo the step's previous choice
+                for j, old in reversed(trails[d]):
+                    domains[j] = old
+                used.discard(values[slot])
+            for v in pending[d]:
                 if injective and v in used:
                     continue
                 trail = []
-                for r, forward, b in later[cell]:
-                    index = forward_index if forward else backward_index
-                    old = domains[b]
-                    narrowed = old & index.get((v, r), _NONE)
+                for j, r, forward in links[d]:
+                    old = domains[j]
+                    narrowed = old & indexes[forward].get((v, r), _NONE)
                     if len(narrowed) != len(old):
-                        trail.append((b, old))
-                        domains[b] = narrowed
+                        trail.append((j, old))
+                        domains[j] = narrowed
                     if not narrowed:
                         break
                 else:
-                    assignment[cell] = v
-                    used.add(v)
-                    search(i + 1)
-                    used.discard(v)
-                    del assignment[cell]
-                for b, old in reversed(trail):
-                    domains[b] = old
-
-        search(0)
-        if order is not canonical:
-            rows = sorted(tuple(map(m.__getitem__, canonical)) for m in results)
-            results = [dict(zip(canonical, row)) for row in rows]
-        return [CellMorphism(source, target, m) for m in results]
+                    break  # every linked cell keeps a candidate: take v
+                for j, old in reversed(trail):
+                    domains[j] = old
+            else:  # no candidate left: back to the previous step
+                trails[d] = None
+                d -= 1
+                continue
+            values[slot], trails[d] = v, trail
+            if injective:
+                used.add(v)
+            d += 1
+            pending[d] = iter(domains[d])
+        rows.sort()
+        return [CellMorphism(source, target, dict(zip(X.order, row))) for row in rows]
 
     def iso_signature(self, obj) -> dict:
         """Per-cell invariant kept by isomorphisms (pruning aid): sort,

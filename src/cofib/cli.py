@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -83,8 +84,9 @@ def cmd_pcs_blowup(args) -> int:
         result = compute_blowup(P, args.n)
     except pcs.InvalidPCS as exc:
         return _emit_validation(exc.report)
+    blown = pcs.to_json_dict(result.blowup)
     payload = {
-        "blowup": pcs.to_json_dict(result.blowup),
+        "blowup": blown,
         "beta": dict(sorted(result.beta.mapping.items())),
         "cells_by_dimension": {
             str(d): n for d, n in result.blowup.cube_counts().items()
@@ -93,9 +95,7 @@ def cmd_pcs_blowup(args) -> int:
     if args.provenance:
         payload["provenance"] = result.provenance_json()
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(pcs.to_json_dict(result.blowup), indent=2, sort_keys=True)
-        )
+        Path(args.output).write_text(json.dumps(blown, indent=2, sort_keys=True))
     _emit(payload)
     return 0
 
@@ -466,10 +466,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
     except (InputError, pcs.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left early (``... | head``)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # mute the last flush
+        return 141  # 128 + SIGPIPE, as if the signal had ended the process
 
 
 if __name__ == "__main__":

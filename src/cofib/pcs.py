@@ -405,9 +405,7 @@ def hom_enumerate(
     allowed: Optional[Mapping[str, Iterable[str]]] = None,
     injective: bool = False,
 ) -> list[CellMorphism]:
-    """All morphisms ``X -> Y``, by the core's backtracking search: cubes
-    by dimension descending then identifier, each assignment narrowing the
-    candidates of the cube's stored faces."""
+    """All morphisms ``X -> Y`` in canonical order, by :meth:`Carrier.hom`."""
     return Carrier.hom(PCS_CARRIER, X, Y, fixed, allowed, injective)
 
 

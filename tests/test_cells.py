@@ -3,22 +3,28 @@
 import random
 
 from corpus import cycle, pcs_corpus, random_automaton, wedge
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cofib import samples
-from cofib.automata import AUT_CARRIER, automata_generators, cofibrant_replacement
+from cofib.automata import AUT_CARRIER, automata_generators, automaton, cofibrant_replacement
 from cofib.blowup import blowup, brick_generators
-from cofib.pcs import PCS_CARRIER, brick, tensor
-from cofib.words import BrickIndex
+from cofib.pcs import PCS_CARRIER, brick, hom_enumerate, relpcs, tensor
+from cofib.words import BrickIndex, CubeWord
 
 
-def canonical_hom(carrier, X, Y) -> list[dict]:
+def canonical_hom(carrier, X, Y, fixed=None, allowed=None, injective=False) -> list[dict]:
     """Every morphism ``X -> Y`` as a cell map: cells assigned in canonical
     order, candidates in sorted order, each partial map checked against
     every relation between cells assigned so far.  So the maps come in
-    lexicographic order of their values over ``carrier.cells(X)``."""
+    lexicographic order of their values over ``carrier.cells(X)``.
+    ``fixed``, ``allowed`` and ``injective`` filter candidates as they do
+    for ``Carrier.hom``."""
     SX, SY = carrier.view(X), carrier.view(Y)
     cells = carrier.cells(X)
     pairs = [(a, r, b) for (a, r), bs in SX.rel.items() for b in bs]
+    fixed = fixed or {}
+    allowed = allowed or {}
     out: list[dict] = []
 
     def extend(k: int, m: dict) -> None:
@@ -26,8 +32,14 @@ def canonical_hom(carrier, X, Y) -> list[dict]:
             out.append(dict(m))
             return
         c = cells[k]
-        for v in sorted(SY.buckets.get(SX.sort[c], ())):
+        for v in sorted(v for v, s in SY.sort.items() if s == SX.sort[c]):
             if not SX.marks.get(c, frozenset()) <= SY.marks.get(v, frozenset()):
+                continue
+            if c in fixed and v != fixed[c]:
+                continue
+            if c in allowed and v not in allowed[c]:
+                continue
+            if injective and v in m.values():
                 continue
             m[c] = v
             if all(m[b] in SY.rel.get((m[a], r), ()) for a, r, b in pairs if a in m and b in m):
@@ -73,3 +85,86 @@ def test_automata_hom_order_matches_canonical_search():
         for Y in targets:
             found += _agree(AUT_CARRIER, X, Y)
     assert found > 500
+
+
+# Face words of a cube of dimension 1 or 2 that are not the identity.
+FACE_WORDS = {
+    d: [CubeWord.parse(w) for w in words]
+    for d, words in {1: ("-", "+"), 2: ("-0", "+0", "0-", "0+", "--", "-+", "+-", "++")}.items()
+}
+
+
+@st.composite
+def relational_pcs(draw, max_cubes: int):
+    """A relational PCS of dimension at most 2, closed under composition
+    or not; a face slot holds zero, one or two cubes."""
+    dims = draw(st.lists(st.integers(0, 2), max_size=max_cubes))
+    cubes: dict = {}
+    for k, d in enumerate(dims):
+        cubes.setdefault(d, []).append(f"c{k}")
+    faces = {}
+    for d, names in cubes.items():
+        for name in names:
+            for word in FACE_WORDS.get(d, ()):
+                pool = cubes.get(word.domain_dim)
+                if pool:
+                    faces[(name, word)] = draw(st.lists(st.sampled_from(pool), max_size=2))
+    return relpcs(2, cubes, faces, close=draw(st.booleans()))
+
+
+@st.composite
+def relational_automata(draw, max_states: int, max_edges: int):
+    """A relational automaton over ``ab`` with set-valued sources and
+    targets and random initial and accepting marks."""
+    states = [f"s{k}" for k in range(draw(st.integers(1, max_states)))]
+    subset = st.lists(st.sampled_from(states), unique=True)
+    edges = draw(st.lists(st.tuples(st.sampled_from("ab"), subset, subset), max_size=max_edges))
+    return automaton("ab", states, edges, draw(subset), draw(subset))
+
+
+def _search_args(data, carrier, X, Y) -> dict:
+    """Random ``fixed``, ``allowed`` and ``injective`` for a search
+    ``X -> Y``; images range over all of ``Y``, whatever their sort."""
+    xs, ys = carrier.cells(X), carrier.cells(Y)
+    args = {"injective": data.draw(st.booleans())}
+    if xs and ys and data.draw(st.booleans()):
+        args["fixed"] = data.draw(st.dictionaries(st.sampled_from(xs), st.sampled_from(ys), max_size=2))
+    if xs and ys and data.draw(st.booleans()):
+        args["allowed"] = data.draw(st.dictionaries(
+            st.sampled_from(xs), st.frozensets(st.sampled_from(ys)), max_size=len(xs)))
+    return args
+
+
+def _agree_with_args(carrier, X, Y, args) -> None:
+    got = [list(h.mapping.items()) for h in carrier.hom(X, Y, **args)]
+    want = [list(m.items()) for m in canonical_hom(carrier, X, Y, **args)]
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(relational_pcs(max_cubes=5), relational_pcs(max_cubes=7), st.data())
+def test_pcs_hom_matches_canonical_search_on_random_pcs(X, Y, data):
+    _agree_with_args(PCS_CARRIER, X, Y, _search_args(data, PCS_CARRIER, X, Y))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(relational_automata(3, 2), relational_automata(4, 4), st.data())
+def test_automata_hom_matches_canonical_search_on_random_automata(X, Y, data):
+    _agree_with_args(AUT_CARRIER, X, Y, _search_args(data, AUT_CARRIER, X, Y))
+
+
+def test_large_self_hom_and_isomorphism_do_not_recurse():
+    """1156 cells: a search that recursed once per cell hit the limit."""
+    T = tensor(cycle(17), cycle(17))
+    identity = PCS_CARRIER.identity(T)
+    assert [h.mapping for h in hom_enumerate(T, T, fixed=identity.mapping)] == [identity.mapping]
+    iso = PCS_CARRIER.find_isomorphism(T, T)
+    assert iso is not None and PCS_CARRIER.is_isomorphism(iso)
+
+
+def test_empty_source_has_exactly_the_empty_morphism():
+    for carrier, Y in ((PCS_CARRIER, tensor(cycle(2), cycle(3))),
+                       (AUT_CARRIER, samples.AUT_SAMPLES["loop-a"]())):
+        for target in (Y, carrier.empty()):
+            homs = carrier.hom(carrier.empty(), target)
+            assert [(h.target, h.mapping) for h in homs] == [(target, {})]

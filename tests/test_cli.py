@@ -1,5 +1,6 @@
 """The batch front-end: exit codes, JSON outputs, figure exports."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from corpus import cycle
 
 from cofib import pcs
 from cofib.automata import from_json_dict as aut_from_json
@@ -111,16 +113,39 @@ def test_blowup_commands_validate_once(command, fixture, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_python_dash_m_runs_the_cli():
+def _subprocess_env() -> dict:
+    """The environment with this checkout's ``src`` first on the path."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
+def test_python_dash_m_runs_the_cli():
     done = subprocess.run(
         [sys.executable, "-m", "cofib", "pcs", "validate", str(FIXTURES / "circle.json")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        cwd=ROOT, env=_subprocess_env(), capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"ok": True, "problems": []}
+
+
+def test_closed_pipe_exits_141_quietly(tmp_path):
+    """``cofib pcs euclid -n 2 t12.json | head -2``: the output (about
+    100 KB) outgrows the pipe, so the reader closes it mid-write."""
+    torus = tmp_path / "t12.json"
+    torus.write_text(json.dumps(pcs.to_json_dict(pcs.tensor(cycle(12), cycle(12)))))
+    err = tmp_path / "stderr.txt"
+    with err.open("w") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cofib", "pcs", "euclid", "-n", "2", str(torus)],
+            cwd=ROOT, env=_subprocess_env(), stdout=subprocess.PIPE, stderr=stderr,
+        )
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert head == [b"{\n", b'  "charts": {\n']
+    assert err.read_text() == ""
+    assert code == 141
 
 
 @pytest.mark.parametrize(
@@ -180,6 +205,21 @@ def test_blowup_writes_output_file(tmp_path, capsys):
     assert code == 0
     reloaded = pcs.from_json_dict(json.loads(out.read_text()))
     assert reloaded.cube_counts() == {0: 1, 1: 2, 2: 1}
+
+
+def test_blowup_output_file_bytes(tmp_path, capsys):
+    """The ``-o`` file shares its dict with stdout's ``blowup`` entry; its
+    bytes are pinned (sha256 of the file written before the two shared)."""
+    out = tmp_path / "blown.json"
+    code, data = run_json(
+        capsys, "pcs", "blowup", "-n", "2", "-o", str(out), str(FIXTURES / "one-square.json")
+    )
+    assert code == 0
+    written = out.read_bytes()
+    assert hashlib.sha256(written).hexdigest() == (
+        "0d4c1e5305bbf8dc769b5a03cae23b5a7e283cdf31b513f77634b742a1db898f"
+    )
+    assert json.loads(written) == data["blowup"]
 
 
 def test_euclid_pass_and_fail(capsys):
