@@ -17,9 +17,10 @@ property against every generator, which is checked by counting fillers.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement, repeat
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .cells import Carrier, CellMorphism, GeneratorSet, Structure
 from .lifting import LiftReport, codiagonal, rlp, unique_rlp
@@ -29,8 +30,7 @@ ST = "st"
 ED = "ed"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     label: str
     sources: frozenset[str]
     targets: frozenset[str]
@@ -320,7 +320,7 @@ class AutomatonCarrier(Carrier):
         states: set[str] = set()
         initial: set[str] = set()
         accepting: set[str] = set()
-        edges: dict[str, tuple[str, set[str], set[str]]] = {}
+        edges: dict[str, Edge] = {}
         for A, image in zip(objs, images):
             names: dict = {ST: {}, ED: {}}
             for (kind, old), (_kind, new) in image.items():
@@ -330,13 +330,18 @@ class AutomatonCarrier(Carrier):
             initial.update(map(state, A.initial))
             accepting.update(map(state, A.accepting))
             for eid, e in A.edges.items():
-                _label, sources, targets = edges.setdefault(names[ED][eid], (e.label, set(), set()))
-                sources.update(map(state, e.sources))
-                targets.update(map(state, e.targets))
+                new = names[ED][eid]
+                sources = frozenset(map(state, e.sources))
+                targets = frozenset(map(state, e.targets))
+                glued = edges.get(new)
+                if glued is not None:
+                    sources |= glued.sources
+                    targets |= glued.targets
+                edges[new] = Edge(e.label, sources, targets)
         return RelAutomaton(
             frozenset().union(*(A.alphabet for A in objs)),
             states,
-            {eid: _edge(*ends) for eid, ends in edges.items()},
+            edges,
             initial,
             accepting,
         )
@@ -497,13 +502,6 @@ def _generator_instance(alphabet, name: str, labels: tuple[str, ...]) -> CellMor
     raise ValueError(f"unknown generator {name!r}")
 
 
-@dataclass
-class ReplacementResult:
-    replacement: RelAutomaton
-    beta: CellMorphism
-    certificate: CofibCertificate
-
-
 def _fresh_names(A: RelAutomaton) -> tuple[dict, dict, dict]:
     """Deterministic names for the replacement's states, unique by construction."""
     taken: set[str] = set()
@@ -527,6 +525,91 @@ def _fresh_names(A: RelAutomaton) -> tuple[dict, dict, dict]:
     return init_name, acc_name, int_name
 
 
+@dataclass
+class ReplacementResult:
+    """The cofibrant replacement of ``source``, with its projection
+    ``beta`` back to ``source`` and the build script ``certificate``.
+
+    ``beta`` and ``certificate`` are built on first read and cached, since
+    normalization reads only the replacement.  ``beta`` is checked to be a
+    morphism when it is built.  ``names`` holds the copies' state names,
+    as given by ``_fresh_names``.
+    """
+
+    source: RelAutomaton
+    replacement: RelAutomaton
+    names: tuple[dict, dict, dict] = field(repr=False)
+
+    @cached_property
+    def beta(self) -> CellMorphism:
+        A = self.source
+        init_name, acc_name, int_name = self.names
+        mapping = {(ED, eid): (ED, eid) for eid in A.edges}
+        for v, name in init_name.items():
+            mapping[(ST, name)] = (ST, v)
+        for (eid, v), name in acc_name.items():
+            mapping[(ST, name)] = (ST, v)
+        for v, name in int_name.items():
+            mapping[(ST, name)] = (ST, v)
+        return AUT_CARRIER.make_morphism(self.replacement, A, mapping, check=True)
+
+    @cached_property
+    def certificate(self) -> CofibCertificate:
+        A = self.source
+        init_name, acc_name, int_name = self.names
+        steps: list[CertStep] = []
+        for v in sorted(A.initial):
+            kind = "initial_accepting" if v in A.accepting else "initial"
+            steps.append(
+                CertStep(kind, (), (), (((ST, "q"), (ST, init_name[v])),))
+            )
+        for eid in A.edge_ids():
+            steps.append(
+                CertStep(
+                    "edge",
+                    (A.edges[eid].label,),
+                    (),
+                    (((ED, "e"), (ED, eid)),),
+                )
+            )
+        for v in sorted(A.initial):
+            for eid in A.out_edges(v):
+                steps.append(
+                    CertStep(
+                        "source",
+                        (A.edges[eid].label,),
+                        (
+                            ((ST, "q"), (ST, init_name[v])),
+                            ((ED, "e"), (ED, eid)),
+                        ),
+                        (),
+                    )
+                )
+        for eid in A.edge_ids():
+            for v in sorted(A.edges[eid].targets & A.accepting):
+                steps.append(
+                    CertStep(
+                        "accept",
+                        (A.edges[eid].label,),
+                        (((ED, "e"), (ED, eid)),),
+                        (((ST, "t"), (ST, acc_name[(eid, v)])),),
+                    )
+                )
+        for v in sorted(int_name):
+            ins = A.in_edges(v)
+            outs = A.out_edges(v)
+            labels = tuple(A.edges[e].label for e in ins) + ("|",) + tuple(
+                A.edges[e].label for e in outs
+            )
+            attach = tuple(
+                ((ED, f"in{i}"), (ED, eid)) for i, eid in enumerate(ins)
+            ) + tuple(((ED, f"out{j}"), (ED, eid)) for j, eid in enumerate(outs))
+            steps.append(
+                CertStep("internal", labels, attach, (((ST, "q"), (ST, int_name[v])),))
+            )
+        return CofibCertificate(tuple(sorted(A.alphabet)), tuple(steps))
+
+
 def cofibrant_replacement(A: RelAutomaton) -> ReplacementResult:
     """Rebuild an automaton in the shape the generators can produce.
 
@@ -536,7 +619,7 @@ def cofibrant_replacement(A: RelAutomaton) -> ReplacementResult:
     both incoming and outgoing edges gets one internal copy carrying its
     full star.  The projection sends every copy back to its original.
     """
-    init_name, acc_name, int_name = _fresh_names(A)
+    names = init_name, acc_name, int_name = _fresh_names(A)
     states = set(init_name.values()) | set(acc_name.values()) | set(int_name.values())
     initial = set(init_name.values())
     accepting = {init_name[v] for v in A.initial & A.accepting}
@@ -550,68 +633,7 @@ def cofibrant_replacement(A: RelAutomaton) -> ReplacementResult:
         targets |= {int_name[v] for v in e.targets if v in int_name}
         edges[eid] = _edge(e.label, sources, targets)
     replacement = RelAutomaton(A.alphabet, states, edges, initial, accepting)
-
-    mapping = {(ED, eid): (ED, eid) for eid in A.edges}
-    for v, name in init_name.items():
-        mapping[(ST, name)] = (ST, v)
-    for (eid, v), name in acc_name.items():
-        mapping[(ST, name)] = (ST, v)
-    for v, name in int_name.items():
-        mapping[(ST, name)] = (ST, v)
-    beta = AUT_CARRIER.make_morphism(replacement, A, mapping)
-
-    steps: list[CertStep] = []
-    for v in sorted(A.initial):
-        kind = "initial_accepting" if v in A.accepting else "initial"
-        steps.append(
-            CertStep(kind, (), (), (((ST, "q"), (ST, init_name[v])),))
-        )
-    for eid in A.edge_ids():
-        steps.append(
-            CertStep(
-                "edge",
-                (A.edges[eid].label,),
-                (),
-                (((ED, "e"), (ED, eid)),),
-            )
-        )
-    for v in sorted(A.initial):
-        for eid in A.out_edges(v):
-            steps.append(
-                CertStep(
-                    "source",
-                    (A.edges[eid].label,),
-                    (
-                        ((ST, "q"), (ST, init_name[v])),
-                        ((ED, "e"), (ED, eid)),
-                    ),
-                    (),
-                )
-            )
-    for eid in A.edge_ids():
-        for v in sorted(A.edges[eid].targets & A.accepting):
-            steps.append(
-                CertStep(
-                    "accept",
-                    (A.edges[eid].label,),
-                    (((ED, "e"), (ED, eid)),),
-                    (((ST, "t"), (ST, acc_name[(eid, v)])),),
-                )
-            )
-    for v in sorted(int_name):
-        ins = A.in_edges(v)
-        outs = A.out_edges(v)
-        labels = tuple(A.edges[e].label for e in ins) + ("|",) + tuple(
-            A.edges[e].label for e in outs
-        )
-        attach = tuple(
-            ((ED, f"in{i}"), (ED, eid)) for i, eid in enumerate(ins)
-        ) + tuple(((ED, f"out{j}"), (ED, eid)) for j, eid in enumerate(outs))
-        steps.append(
-            CertStep("internal", labels, attach, (((ST, "q"), (ST, int_name[v])),))
-        )
-    certificate = CofibCertificate(tuple(sorted(A.alphabet)), tuple(steps))
-    return ReplacementResult(replacement, beta, certificate)
+    return ReplacementResult(A, replacement, names)
 
 
 def replay_certificate(cert: CofibCertificate) -> RelAutomaton:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .automata import (
     AUT_CARRIER,
@@ -38,29 +38,41 @@ class Regex:
 
     __slots__ = ()
 
+    def __str__(self) -> str:
+        # Written out with an explicit stack of pending nodes and text, so
+        # that no depth of nesting meets the recursion limit.
+        out: list[str] = []
+        pending: list = [self]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, Union):
+                pending += (")", item.right, "|", item.left, "(")
+            elif isinstance(item, Concat):
+                pending += (")", item.right, item.left, "(")
+            elif isinstance(item, Star):
+                pending += (")*", item.inner, "(")
+            elif isinstance(item, Lit):
+                out.append(item.char)
+            else:
+                out.append("∅" if isinstance(item, Empty) else "ε")
+        return "".join(out)
+
 
 @dataclass(frozen=True)
 class Empty(Regex):
     __slots__ = ()
-
-    def __str__(self):
-        return "∅"
 
 
 @dataclass(frozen=True)
 class Epsilon(Regex):
     __slots__ = ()
 
-    def __str__(self):
-        return "ε"
-
 
 @dataclass(frozen=True)
 class Lit(Regex):
     char: str
-
-    def __str__(self):
-        return self.char
 
 
 @dataclass(frozen=True)
@@ -68,25 +80,16 @@ class Union(Regex):
     left: Regex
     right: Regex
 
-    def __str__(self):
-        return f"({self.left}|{self.right})"
-
 
 @dataclass(frozen=True)
 class Concat(Regex):
     left: Regex
     right: Regex
 
-    def __str__(self):
-        return f"({self.left}{self.right})"
-
 
 @dataclass(frozen=True)
 class Star(Regex):
     inner: Regex
-
-    def __str__(self):
-        return f"({self.inner})*"
 
 
 _SPECIAL = set("|*()∅ε")
@@ -95,86 +98,82 @@ _SPECIAL = set("|*()∅ε")
 def parse(text: str, ascii_aliases: bool = False) -> Regex:
     """Parse the concrete syntax: ``∅``, ``ε``, literals, ``|``,
     juxtaposition, postfix ``*``, parentheses.  With ``ascii_aliases``,
-    ``0`` reads as the empty language and ``()`` as the empty word."""
+    ``0`` reads as the empty language and ``()`` as the empty word.
+
+    One left-to-right pass with an explicit stack of open parentheses, so
+    that no depth of nesting meets the recursion limit.  Union and
+    concatenation associate to the left; ``*`` binds tightest.
+    """
     src = [c for c in text if not c.isspace()]
     pos = 0
-
-    def peek() -> Optional[str]:
-        return src[pos] if pos < len(src) else None
 
     def fail(msg: str):
         raise FormatError(f"regex parse error at {pos}: {msg}")
 
-    def alternation() -> Regex:
-        nonlocal pos
-        node = sequence()
-        while peek() == "|":
-            pos += 1
-            node = Union(node, sequence())
-        return node
-
-    def sequence() -> Regex:
-        nonlocal pos
-        parts: list[Regex] = []
-        while peek() is not None and peek() not in "|)":
-            parts.append(starred())
-        if not parts:
-            if ascii_aliases:
-                return Epsilon()
+    def close(frame: list) -> Regex:
+        """The expression of a frame, once its last alternative ends."""
+        union, parts = frame
+        if parts:
+            node = parts[0]
+            for part in parts[1:]:
+                node = Concat(node, part)
+        elif ascii_aliases:
+            node = Epsilon()
+        else:
             fail("empty expression (use ε, or () with ascii aliases)")
-        node = parts[0]
-        for part in parts[1:]:
-            node = Concat(node, part)
-        return node
+        return node if union is None else Union(union, node)
 
-    def starred() -> Regex:
-        nonlocal pos
-        node = atom()
-        while peek() == "*":
-            pos += 1
-            node = Star(node)
-        return node
-
-    def atom() -> Regex:
-        nonlocal pos
-        c = peek()
-        if c is None:
-            fail("unexpected end of input")
+    # One frame per open parenthesis, the whole text at the bottom: the
+    # union of the alternatives closed so far (None before the first
+    # ``|``), and the factors of the current alternative.
+    stack: list[list] = [[None, []]]
+    while pos < len(src):
+        c = src[pos]
+        frame = stack[-1]
         if c == "(":
-            pos += 1
-            node = alternation()
-            if peek() != ")":
-                fail("missing closing parenthesis")
-            pos += 1
-            return node
-        if c == "∅":
-            pos += 1
-            return Empty()
-        if c == "ε":
-            pos += 1
-            return Epsilon()
-        if c == "0" and ascii_aliases:
-            pos += 1
-            return Empty()
-        if c in _SPECIAL:
+            stack.append([None, []])
+        elif c == ")":
+            node = close(frame)
+            if len(stack) == 1:
+                fail(f"trailing input {''.join(src[pos:])!r}")
+            stack.pop()
+            stack[-1][1].append(node)
+        elif c == "|":
+            frame[:] = [close(frame), []]
+        elif c == "*" and frame[1]:
+            frame[1][-1] = Star(frame[1][-1])
+        elif c == "∅" or (c == "0" and ascii_aliases):
+            frame[1].append(Empty())
+        elif c == "ε":
+            frame[1].append(Epsilon())
+        elif c in _SPECIAL:
             fail(f"unexpected {c!r}")
+        else:
+            frame[1].append(Lit(c))
         pos += 1
-        return Lit(c)
-
-    node = alternation()
-    if pos != len(src):
-        fail(f"trailing input {''.join(src[pos:])!r}")
+    node = close(stack[-1])
+    if len(stack) > 1:
+        fail("missing closing parenthesis")
     return node
 
 
-def literals(r: Regex) -> set[str]:
-    if isinstance(r, Lit):
-        return {r.char}
+def _operands(r: Regex) -> tuple[Regex, ...]:
     if isinstance(r, (Union, Concat)):
-        return literals(r.left) | literals(r.right)
+        return (r.left, r.right)
     if isinstance(r, Star):
-        return literals(r.inner)
-    return set()
+        return (r.inner,)
+    return ()
+
+
+def literals(r: Regex) -> set[str]:
+    found: set[str] = set()
+    pending = [r]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Lit):
+            found.add(node.char)
+        pending += _operands(node)
+    return found
 
 
 # -- compilation ---------------------------------------------------------------
@@ -191,6 +190,26 @@ def compile_regex(r: Regex, alphabet: Iterable[str] = ()) -> RelAutomaton:
 
 
 def _compile(r: Regex, ab: frozenset[str]) -> RelAutomaton:
+    """Operands before operators, left before right, with explicit stacks
+    (nodes still to visit; automata of finished operands), so that no
+    depth of nesting meets the recursion limit."""
+    done: list[RelAutomaton] = []
+    pending: list[tuple[Regex, bool]] = [(r, False)]
+    while pending:
+        node, expanded = pending.pop()
+        operands = _operands(node)
+        if operands and not expanded:
+            pending.append((node, True))
+            pending += ((op, False) for op in reversed(operands))
+            continue
+        args = done[len(done) - len(operands) :]
+        del done[len(done) - len(operands) :]
+        done.append(_compile_node(node, args, ab))
+    return done[0]
+
+
+def _compile_node(r: Regex, args: list[RelAutomaton], ab: frozenset[str]) -> RelAutomaton:
+    """The automaton of one node, given those of its operands."""
     if isinstance(r, Empty):
         return RelAutomaton(ab, [], {}, [], [])
     if isinstance(r, Epsilon):
@@ -198,14 +217,12 @@ def _compile(r: Regex, ab: frozenset[str]) -> RelAutomaton:
     if isinstance(r, Lit):
         return automaton(ab, ["q0", "q1"], [(r.char, ["q0"], ["q1"])], ["q0"], ["q1"])
     if isinstance(r, Union):
-        total, _inj = AUT_CARRIER.coproduct(
-            [_compile(r.left, ab), _compile(r.right, ab)]
-        )
+        total, _inj = AUT_CARRIER.coproduct(args)
         return canonical_rename(total)
     if isinstance(r, Concat):
-        return _concat(_compile(r.left, ab), _compile(r.right, ab))
+        return _concat(*args)
     if isinstance(r, Star):
-        return _star(_compile(r.inner, ab))
+        return _star(*args)
     raise TypeError(f"not a regex: {r!r}")
 
 

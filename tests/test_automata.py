@@ -1,6 +1,7 @@
 """Relational automata: language, edge index, generators, replacement,
 certificates, the right adjoint to simple automata, and normalization."""
 
+import inspect
 import json
 import random
 from pathlib import Path
@@ -11,8 +12,13 @@ from corpus import automata_corpus, random_automaton
 from cofib import samples
 from cofib.automata import (
     AUT_CARRIER,
+    ED,
+    ST,
     CofibCertificate,
+    Edge,
     RelAutomaton,
+    ReplacementResult,
+    _fresh_names,
     automata_generators,
     automaton,
     check_conditions,
@@ -231,7 +237,73 @@ def test_accepting_copy_created_even_for_initial_targets():
 def test_certificate_replays_bit_exactly():
     for A in automata_corpus(30):
         result = cofibrant_replacement(A)
+        assert result.certificate is result.certificate
         assert replay_certificate(result.certificate) == result.replacement
+
+
+def _direct_beta_mapping(A):
+    """The projection's cell map written out directly from the copies'
+    names: the oracle for the lazily built ``beta``."""
+    init_name, acc_name, int_name = _fresh_names(A)
+    mapping = {(ED, eid): (ED, eid) for eid in A.edges}
+    for v, name in init_name.items():
+        mapping[(ST, name)] = (ST, v)
+    for (eid, v), name in acc_name.items():
+        mapping[(ST, name)] = (ST, v)
+    for v, name in int_name.items():
+        mapping[(ST, name)] = (ST, v)
+    return mapping
+
+
+def test_beta_is_built_once_and_matches_the_direct_map():
+    for A in automata_corpus(60):
+        result = cofibrant_replacement(A)
+        beta = result.beta
+        assert result.beta is beta
+        assert beta.source is result.replacement and beta.target is A
+        assert beta.mapping == _direct_beta_mapping(A)
+
+
+def test_reading_beta_checks_the_morphism(monkeypatch):
+    real = AUT_CARRIER.make_morphism
+    checks = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        checks.append(bound.arguments["check"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(AUT_CARRIER, "make_morphism", spy)
+    result = cofibrant_replacement(samples.loop_ab())
+    assert checks == []
+    result.beta
+    result.beta
+    assert checks == [True]
+    # a replacement the projection does not fit is caught on first read
+    R = result.replacement
+    swapped = {eid: Edge("b" if e.label == "a" else "a", e.sources, e.targets)
+               for eid, e in R.edges.items()}
+    bad = ReplacementResult(
+        result.source,
+        RelAutomaton(R.alphabet, R.states, swapped, R.initial, R.accepting),
+        result.names,
+    )
+    with pytest.raises(ValueError, match="not a target cell of sort"):
+        bad.beta
+
+
+def test_edge_keeps_value_semantics():
+    for A in automata_corpus(30):
+        for e in A.edges.values():
+            twin = Edge(e.label, frozenset(e.sources), frozenset(e.targets))
+            assert twin == e and twin is not e
+            assert hash(twin) == hash(e) == hash((e.label, e.sources, e.targets))
+            assert repr(e) == (
+                f"Edge(label={e.label!r}, sources={e.sources!r}, targets={e.targets!r})"
+            )
+            assert Edge(e.label + "'", e.sources, e.targets) != e
+            assert Edge(e.label, e.sources, e.targets | {"new"}) != e
 
 
 def test_certificate_attachments_are_validated():

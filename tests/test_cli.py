@@ -337,6 +337,12 @@ def test_rx_compile_ascii_flag(capsys):
     capsys.readouterr()
 
 
+def test_rx_compile_deep_nesting_exits_0(capsys):
+    code, data = run_json(capsys, "rx", "compile", "(" * 600 + "a" + ")" * 600, "-L", "2")
+    assert code == 0
+    assert data["regex"] == "a" and data["words"] == ["a"]
+
+
 def test_rx_fuzz(capsys):
     code = main(["rx", "fuzz", "--seed", "7", "--count", "25", "--depth", "3", "-L", "6"])
     out = capsys.readouterr().out

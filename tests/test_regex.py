@@ -1,9 +1,14 @@
 """Regex parsing, the recursive word-set oracle, and the compiler."""
 
+import hashlib
+import json
+import random
+from functools import cache
+
 import pytest
 
 from cofib import samples
-from cofib.automata import check_conditions, language_upto
+from cofib.automata import AUT_CARRIER, check_conditions, language_upto, to_json_dict
 from cofib.pcs import FormatError
 from cofib.regex import (
     Concat,
@@ -14,6 +19,7 @@ from cofib.regex import (
     Union,
     compile_regex,
     kleene_fuzz,
+    literals,
     parse,
     random_regex,
     regex_lang_upto,
@@ -48,6 +54,14 @@ def test_parse_ascii_aliases():
     assert parse("0") == Lit("0")
     with pytest.raises(FormatError):
         parse("()")
+
+
+def test_deep_nesting_needs_no_recursion():
+    chain = parse("a" * 1100)
+    assert literals(chain) == {"a"}
+    assert str(chain) == "(" * 1099 + "a" + "a)" * 1099
+    deep_union = parse("(∅|" * 600 + "a" + ")" * 600)
+    assert words(language_upto(compile_regex(deep_union, "ab"), 3)) == ["a"]
 
 
 def test_parse_errors():
@@ -154,8 +168,6 @@ def test_fuzz_small_batch():
 
 
 def test_random_regex_depth_zero_is_leaf():
-    import random
-
     rng = random.Random(0)
     for _ in range(20):
         r = random_regex(rng, 0, ("a", "b"))
@@ -170,13 +182,39 @@ def _size(r):
     return 1 + _size(r.left) + _size(r.right)
 
 
+@cache
+def _seed99_sample():
+    """400 random expressions of depth 4, each with its compiled automaton."""
+    rng = random.Random(99)
+    sample = [random_regex(rng, 4, ("a", "b")) for _ in range(400)]
+    return [(r, compile_regex(r, "ab")) for r in sample]
+
+
 def test_empirical_state_bound():
     # regression bound measured on this exact sample (see README table);
     # only finiteness is guaranteed, the linear factor is empirical
-    import random
-
-    rng = random.Random(99)
-    for _ in range(400):
-        r = random_regex(rng, 4, ("a", "b"))
-        states = len(compile_regex(r, "ab").states)
+    for r, A in _seed99_sample():
+        states = len(A.states)
         assert states <= 3 * _size(r) + 2, (str(r), states)
+
+
+def test_compiled_bytes_are_pinned():
+    # `rx compile` prints to_json_dict of the compiled automaton, so a
+    # changed digest means changed CLI bytes on these 400 expressions
+    digest = hashlib.sha256()
+    for _r, A in _seed99_sample():
+        digest.update(json.dumps(to_json_dict(A), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "86d8fe8276fcd761ebd25593f0a68e19e2dcbeb2b49cbddec723e76025952745"
+    )
+
+
+def test_compile_builds_no_projection(monkeypatch):
+    # normalization reads only the replacement, never its projection
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile_regex built a morphism")
+
+    monkeypatch.setattr(AUT_CARRIER, "make_morphism", refuse)
+    for text in ["a*b*", "(a|b)*a", "(ab)*|ε", "a(b|a)*b", "εb"]:
+        r = parse(text)
+        assert language_upto(compile_regex(r, "ab"), 5) == regex_lang_upto(r, 5)
