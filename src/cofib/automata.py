@@ -40,6 +40,11 @@ def _edge(label: str, sources: Iterable[str] = (), targets: Iterable[str] = ()) 
     return Edge(label, frozenset(sources), frozenset(targets))
 
 
+# An ``Edge`` made from a ready tuple, without the Python-level ``__new__``
+# of the named tuple: ``_new_edge(Edge, (label, sources, targets))``.
+_new_edge = tuple.__new__
+
+
 def _natural(eid: str) -> tuple[int, str]:
     return (len(eid), eid)
 
@@ -82,7 +87,8 @@ class RelAutomaton:
         """Edges in natural order, and per state its in- and out-edges in
         that order; built on first use."""
         if self._index is None:
-            order = tuple(sorted(self.edges, key=_natural))
+            # natural order from two C-level sorts: by name, then stably by length
+            order = tuple(sorted(sorted(self.edges), key=len))
             ins: dict[str, list[str]] = defaultdict(list)
             outs: dict[str, list[str]] = defaultdict(list)
             for eid in order:
@@ -322,22 +328,20 @@ class AutomatonCarrier(Carrier):
         accepting: set[str] = set()
         edges: dict[str, Edge] = {}
         for A, image in zip(objs, images):
-            names: dict = {ST: {}, ED: {}}
-            for (kind, old), (_kind, new) in image.items():
-                names[kind][old] = new
-            state = names[ST].__getitem__
-            states.update(names[ST].values())
+            names = {s: image[(ST, s)][1] for s in A.states}
+            state = names.__getitem__
+            states.update(names.values())
             initial.update(map(state, A.initial))
             accepting.update(map(state, A.accepting))
             for eid, e in A.edges.items():
-                new = names[ED][eid]
+                new = image[(ED, eid)][1]
                 sources = frozenset(map(state, e.sources))
                 targets = frozenset(map(state, e.targets))
                 glued = edges.get(new)
                 if glued is not None:
                     sources |= glued.sources
                     targets |= glued.targets
-                edges[new] = Edge(e.label, sources, targets)
+                edges[new] = _new_edge(Edge, (e.label, sources, targets))
         return RelAutomaton(
             frozenset().union(*(A.alphabet for A in objs)),
             states,
@@ -676,12 +680,6 @@ def to_simple(A: RelAutomaton) -> RelAutomaton:
     return RelAutomaton(A.alphabet, A.states, edges, A.initial, A.accepting)
 
 
-def merge_initial_states(A: RelAutomaton) -> tuple[RelAutomaton, CellMorphism]:
-    inits = sorted(A.initial)
-    pairs = [((ST, inits[0]), (ST, v)) for v in inits[1:]]
-    return AUT_CARRIER.quotient(A, pairs)
-
-
 @dataclass
 class NormalizeResult:
     automaton: RelAutomaton
@@ -694,12 +692,38 @@ def normalize(A: RelAutomaton) -> NormalizeResult:
     The result recognizes the same words, has a unique initial state, and
     satisfies the concatenation-safety conditions.  An automaton with no
     initial state recognizes nothing and is returned unchanged.
+
+    Written in one pass from the replacement ``R``, equal to
+    ``canonical_rename(to_simple(Q))`` where ``Q`` glues ``R``'s initial
+    states into the least of them: states are numbered ``q0, q1, ...`` in
+    sorted order of their names in ``Q``, and every edge of ``R``, in
+    natural order, gives one edge ``e0, e1, ...`` per pair of a source and
+    a target, both in sorted order.
     """
     if not A.initial:
         return NormalizeResult(A, warning="no initial state; nothing to normalize")
-    replaced = cofibrant_replacement(A).replacement
-    merged, _proj = merge_initial_states(replaced)
-    return NormalizeResult(canonical_rename(to_simple(merged)))
+    R = cofibrant_replacement(A).replacement
+    start = min(R.initial)
+    kept = sorted(R.states - R.initial | {start})
+    number = {s: k for k, s in enumerate(kept)}
+    number.update(dict.fromkeys(R.initial, number[start]))
+    single = [frozenset((f"q{k}",)) for k in range(len(kept))]
+    edges: dict[str, Edge] = {}
+    for eid in R.edge_ids():
+        e = R.edges[eid]
+        targets = sorted({number[v] for v in e.targets})
+        for u in sorted({number[v] for v in e.sources}):
+            for v in targets:
+                edges[f"e{len(edges)}"] = _new_edge(Edge, (e.label, single[u], single[v]))
+    return NormalizeResult(
+        RelAutomaton(
+            R.alphabet,
+            (f"q{k}" for k in range(len(kept))),
+            edges,
+            single[number[start]],
+            {f"q{number[s]}" for s in R.accepting},
+        )
+    )
 
 
 # -- verification -------------------------------------------------------------
@@ -798,7 +822,6 @@ __all__ = [
     "cofibrant_replacement",
     "replay_certificate",
     "to_simple",
-    "merge_initial_states",
     "NormalizeResult",
     "normalize",
     "ReplacementReport",

@@ -311,7 +311,8 @@ class Carrier(ABC):
             if trails[d] is not None:  # undo the step's previous choice
                 for j, old in reversed(trails[d]):
                     domains[j] = old
-                used.discard(values[slot])
+                if injective:
+                    used.discard(values[slot])
             for v in pending[d]:
                 if injective and v in used:
                     continue
@@ -403,13 +404,15 @@ class Carrier(ABC):
         projection.  Glued cells must share their sort.  Classes are named
         by their least member."""
         sort = self.view(obj).sort
-        parent = {c: c for c in sort}
+        parent: dict = {}  # union-find links of the cells the pairs touch; roots have none
 
         def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+            root = x
+            while root in parent:
+                root = parent[root]
+            while x != root:  # path compression
+                parent[x], x = root, parent[x]
+            return root
 
         for a, b in pairs:
             if sort[a] != sort[b]:
@@ -418,7 +421,8 @@ class Carrier(ABC):
             if ra != rb:
                 lo, hi = min(ra, rb), max(ra, rb)
                 parent[hi] = lo
-        rep = {c: find(c) for c in parent}
+        rep = dict(zip(sort, sort))
+        rep.update({c: find(c) for c in parent})
         quot = self.build([obj], [rep])
         return quot, CellMorphism(obj, quot, rep)
 

@@ -9,15 +9,16 @@ gluing discipline is the whole point: the naive merge of two loops
 recognizes interleavings, the normalized merge recognizes the
 concatenation.
 
-An independent recursive word-set semantics doubles as the oracle; the
-fuzzer drives both pipelines against each other.
+An independent word-set semantics, defined by structural recursion and
+evaluated with an explicit stack, doubles as the oracle; the fuzzer drives
+both pipelines against each other.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .automata import (
     AUT_CARRIER,
@@ -75,20 +76,37 @@ class Lit(Regex):
     char: str
 
 
-@dataclass(frozen=True)
-class Union(Regex):
+class _Compound(Regex):
+    """A node with operands.  Equality and hash are structural, as the
+    generated ones would be, but read the prefix form, which is built with
+    an explicit stack, so that no depth of nesting meets the recursion
+    limit."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _prefix(self) == _prefix(other)
+
+    def __hash__(self):
+        return hash(_prefix(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Union(_Compound):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
-class Concat(Regex):
+@dataclass(frozen=True, eq=False)
+class Concat(_Compound):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
-class Star(Regex):
+@dataclass(frozen=True, eq=False)
+class Star(_Compound):
     inner: Regex
 
 
@@ -165,15 +183,43 @@ def _operands(r: Regex) -> tuple[Regex, ...]:
     return ()
 
 
-def literals(r: Regex) -> set[str]:
-    found: set[str] = set()
+def _postorder(r: Regex, visit: Callable[[Regex, list], Any]) -> Any:
+    """``visit(node, values of its operands)`` at the root, evaluated
+    operands before operators, left before right, with explicit stacks
+    (nodes still to visit; values of finished operands)."""
+    done: list = []
+    pending: list[tuple[Regex, bool]] = [(r, False)]
+    while pending:
+        node, expanded = pending.pop()
+        operands = _operands(node)
+        if operands and not expanded:
+            pending.append((node, True))
+            pending += ((op, False) for op in reversed(operands))
+            continue
+        args = done[len(done) - len(operands) :]
+        del done[len(done) - len(operands) :]
+        done.append(visit(node, args))
+    return done[0]
+
+
+def _prefix(r: Regex) -> tuple:
+    """The nodes in prefix order, compound ones by their class and leaves
+    as they are.  Each class fixes its number of operands, so this
+    determines the tree."""
+    out: list = []
     pending = [r]
     while pending:
         node = pending.pop()
-        if isinstance(node, Lit):
-            found.add(node.char)
-        pending += _operands(node)
-    return found
+        if isinstance(node, _Compound):
+            out.append(node.__class__)
+            pending += reversed(_operands(node))
+        else:
+            out.append(node)
+    return tuple(out)
+
+
+def literals(r: Regex) -> set[str]:
+    return {node.char for node in _prefix(r) if isinstance(node, Lit)}
 
 
 # -- compilation ---------------------------------------------------------------
@@ -186,26 +232,7 @@ def _epsilon_automaton(alphabet: Iterable[str]) -> RelAutomaton:
 def compile_regex(r: Regex, alphabet: Iterable[str] = ()) -> RelAutomaton:
     """Compile to a finite automaton recognizing the same language."""
     ab = frozenset(alphabet) | literals(r)
-    return _compile(r, ab)
-
-
-def _compile(r: Regex, ab: frozenset[str]) -> RelAutomaton:
-    """Operands before operators, left before right, with explicit stacks
-    (nodes still to visit; automata of finished operands), so that no
-    depth of nesting meets the recursion limit."""
-    done: list[RelAutomaton] = []
-    pending: list[tuple[Regex, bool]] = [(r, False)]
-    while pending:
-        node, expanded = pending.pop()
-        operands = _operands(node)
-        if operands and not expanded:
-            pending.append((node, True))
-            pending += ((op, False) for op in reversed(operands))
-            continue
-        args = done[len(done) - len(operands) :]
-        del done[len(done) - len(operands) :]
-        done.append(_compile_node(node, args, ab))
-    return done[0]
+    return _postorder(r, lambda node, args: _compile_node(node, args, ab))
 
 
 def _compile_node(r: Regex, args: list[RelAutomaton], ab: frozenset[str]) -> RelAutomaton:
@@ -269,48 +296,46 @@ def _star(CA: RelAutomaton) -> RelAutomaton:
 
 
 def regex_lang_upto(r: Regex, L: int) -> set[Word]:
-    """Truncated language by structural recursion with length pruning."""
-    memo: dict[tuple[Regex, int], frozenset[Word]] = {}
+    """Truncated language: every word of length at most ``L``, evaluated
+    operands first with length pruning."""
+    return set(_postorder(r, lambda node, args: _lang_node(node, args, L)))
 
-    def lang(node: Regex, bound: int) -> frozenset[Word]:
-        key = (node, bound)
-        if key in memo:
-            return memo[key]
-        out: frozenset[Word]
-        if isinstance(node, Empty):
-            out = frozenset()
-        elif isinstance(node, Epsilon):
-            out = frozenset({()})
-        elif isinstance(node, Lit):
-            out = frozenset({(node.char,)}) if bound >= 1 else frozenset()
-        elif isinstance(node, Union):
-            out = lang(node.left, bound) | lang(node.right, bound)
-        elif isinstance(node, Concat):
-            acc = set()
-            for u in lang(node.left, bound):
-                for v in lang(node.right, bound - len(u)):
-                    acc.add(u + v)
-            out = frozenset(acc)
-        elif isinstance(node, Star):
-            base = lang(node.inner, bound) - {()}
-            words = {()}
-            frontier = {()}
-            while frontier:
-                nxt = set()
-                for u in frontier:
-                    for v in base:
-                        w = u + v
-                        if len(w) <= bound and w not in words:
-                            words.add(w)
-                            nxt.add(w)
-                frontier = nxt
-            out = frozenset(words)
-        else:
-            raise TypeError(f"not a regex: {node!r}")
-        memo[key] = out
-        return out
 
-    return set(lang(r, L))
+def _lang_node(node: Regex, args: list[frozenset[Word]], L: int) -> frozenset[Word]:
+    """The words of length at most ``L`` of one node, given those of its
+    operands."""
+    if isinstance(node, Empty):
+        return frozenset()
+    if isinstance(node, Epsilon):
+        return frozenset({()})
+    if isinstance(node, Lit):
+        return frozenset({(node.char,)}) if L >= 1 else frozenset()
+    if isinstance(node, Union):
+        return args[0] | args[1]
+    if isinstance(node, Concat):
+        right = sorted(args[1], key=len)
+        out = set()
+        for u in args[0]:
+            for v in right:
+                if len(u) + len(v) > L:
+                    break
+                out.add(u + v)
+        return frozenset(out)
+    if isinstance(node, Star):
+        base = args[0] - {()}
+        words = {()}
+        frontier = {()}
+        while frontier:
+            nxt = set()
+            for u in frontier:
+                for v in base:
+                    w = u + v
+                    if len(w) <= L and w not in words:
+                        words.add(w)
+                        nxt.add(w)
+            frontier = nxt
+        return frozenset(words)
+    raise TypeError(f"not a regex: {node!r}")
 
 
 # -- fuzzing --------------------------------------------------------------------

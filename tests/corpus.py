@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from cofib import samples
 from cofib.automata import RelAutomaton, automaton
 from cofib.pcs import PCS_CARRIER, RelPCS, brick, brick_boundary, relpcs, tensor
@@ -227,3 +229,15 @@ def automata_corpus(count: int = 200, seed: int = 20240) -> list[RelAutomaton]:
     named = [builder() for builder in samples.AUT_SAMPLES.values()]
     rest = [random_automaton(rng) for _ in range(count - len(named))]
     return named + rest
+
+
+@st.composite
+def relational_automata(draw, max_states: int, max_edges: int, min_initial: int = 0):
+    """A relational automaton over ``ab`` with set-valued sources and
+    targets and random initial and accepting marks, at least
+    ``min_initial`` states initial."""
+    states = [f"s{k}" for k in range(draw(st.integers(max(1, min_initial), max_states)))]
+    subset = st.lists(st.sampled_from(states), unique=True)
+    edges = draw(st.lists(st.tuples(st.sampled_from("ab"), subset, subset), max_size=max_edges))
+    initial = draw(st.lists(st.sampled_from(states), unique=True, min_size=min_initial))
+    return automaton("ab", states, edges, initial, draw(subset))

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from corpus import automata_corpus, random_automaton
+from corpus import automata_corpus, random_automaton, relational_automata
+from hypothesis import given, settings
 from cofib import samples
 from cofib.automata import (
     AUT_CARRIER,
@@ -21,11 +22,11 @@ from cofib.automata import (
     _fresh_names,
     automata_generators,
     automaton,
+    canonical_rename,
     check_conditions,
     cofibrant_replacement,
     from_json_dict,
     language_upto,
-    merge_initial_states,
     normalize,
     path_automaton,
     replay_certificate,
@@ -454,11 +455,62 @@ def test_normalize_without_initial_states_warns():
     assert result.automaton == A
 
 
+def merge_initial_states(A: RelAutomaton):
+    """The quotient gluing every initial state into the least of them."""
+    inits = sorted(A.initial)
+    pairs = [((ST, inits[0]), (ST, v)) for v in inits[1:]]
+    return AUT_CARRIER.quotient(A, pairs)
+
+
+def normalize_by_composition(A: RelAutomaton) -> RelAutomaton:
+    """The oracle for the one-pass ``normalize``: the replacement, its
+    initial states glued, split into simple edges and renamed, one object
+    per step."""
+    merged, _proj = merge_initial_states(cofibrant_replacement(A).replacement)
+    return canonical_rename(to_simple(merged))
+
+
 def test_merge_initial_states_unions_markers():
     A = automaton("a", ["p", "q"], [], ["p", "q"], ["q"])
     merged, _proj = merge_initial_states(A)
     (s,) = merged.initial
     assert s in merged.accepting
+
+
+def _normalize_agrees(A: RelAutomaton) -> None:
+    got, want = normalize(A).automaton, normalize_by_composition(A)
+    assert got == want
+    assert json.dumps(to_json_dict(got)) == json.dumps(to_json_dict(want))
+
+
+def test_normalize_equals_the_composition_on_the_corpus():
+    checked = 0
+    for A in automata_corpus(200):
+        if A.initial:
+            _normalize_agrees(A)
+            checked += 1
+    assert checked > 100
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(relational_automata(5, 6, min_initial=1))
+def test_normalize_equals_the_composition(A):
+    _normalize_agrees(A)
+
+
+def test_normalize_builds_the_replacement_and_the_result_only(monkeypatch):
+    built = []
+    init = RelAutomaton.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    A = samples.two_start_automaton()
+    assert len(A.initial) > 1
+    monkeypatch.setattr(RelAutomaton, "__init__", spy)
+    N = normalize(A).automaton
+    assert len(built) == 2 and built[-1] is N
 
 
 # -- serialization -----------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""The core hom search against a plain canonical-order backtracking."""
+"""The core hom search against a plain canonical-order backtracking, and
+the core quotient against a union-find over every cell."""
 
 import random
 
-from corpus import cycle, pcs_corpus, random_automaton, wedge
+from corpus import cycle, pcs_corpus, random_automaton, relational_automata, wedge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cofib import samples
-from cofib.automata import AUT_CARRIER, automata_generators, automaton, cofibrant_replacement
+from cofib.automata import AUT_CARRIER, automata_generators, cofibrant_replacement
 from cofib.blowup import blowup, brick_generators
+from cofib.cells import Carrier
 from cofib.pcs import PCS_CARRIER, brick, hom_enumerate, relpcs, tensor
 from cofib.words import BrickIndex, CubeWord
 
@@ -112,16 +114,6 @@ def relational_pcs(draw, max_cubes: int):
     return relpcs(2, cubes, faces, close=draw(st.booleans()))
 
 
-@st.composite
-def relational_automata(draw, max_states: int, max_edges: int):
-    """A relational automaton over ``ab`` with set-valued sources and
-    targets and random initial and accepting marks."""
-    states = [f"s{k}" for k in range(draw(st.integers(1, max_states)))]
-    subset = st.lists(st.sampled_from(states), unique=True)
-    edges = draw(st.lists(st.tuples(st.sampled_from("ab"), subset, subset), max_size=max_edges))
-    return automaton("ab", states, edges, draw(subset), draw(subset))
-
-
 def _search_args(data, carrier, X, Y) -> dict:
     """Random ``fixed``, ``allowed`` and ``injective`` for a search
     ``X -> Y``; images range over all of ``Y``, whatever their sort."""
@@ -168,3 +160,54 @@ def test_empty_source_has_exactly_the_empty_morphism():
         for target in (Y, carrier.empty()):
             homs = carrier.hom(carrier.empty(), target)
             assert [(h.target, h.mapping) for h in homs] == [(target, {})]
+
+
+def quotient_over_all_cells(carrier, obj, pairs) -> tuple:
+    """The quotient by a union-find over every cell of ``obj``, each class
+    named by its least member: the oracle for ``Carrier.quotient``, which
+    links only the cells the pairs touch."""
+    parent = {c: c for c in carrier.view(obj).sort}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    rep = {c: find(c) for c in parent}
+    return carrier.build([obj], [rep]), rep
+
+
+def _chained_pairs(data, carrier, X) -> list:
+    """Pairs of cells of one sort: per sort a random chain ``c0, c1, ...``
+    gives the pairs ``(c0, c1), (c1, c2), ...``; all pairs in random order."""
+    by_sort: dict = {}
+    for c, s in carrier.view(X).sort.items():
+        by_sort.setdefault(s, []).append(c)
+    pairs = []
+    for cells in by_sort.values():
+        chain = data.draw(st.lists(st.sampled_from(cells), max_size=5))
+        pairs += zip(chain, chain[1:])
+    return data.draw(st.permutations(pairs))
+
+
+def _quotient_agrees(carrier, X, pairs) -> None:
+    # the core's quotient; the PCS carrier's own also closes the face table
+    quot, proj = Carrier.quotient(carrier, X, pairs)
+    want, rep = quotient_over_all_cells(carrier, X, pairs)
+    assert list(proj.mapping.items()) == list(rep.items())
+    assert quot == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(relational_pcs(max_cubes=7), st.data())
+def test_pcs_quotient_matches_union_find_over_all_cells(X, data):
+    _quotient_agrees(PCS_CARRIER, X, _chained_pairs(data, PCS_CARRIER, X))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(relational_automata(5, 5), st.data())
+def test_automata_quotient_matches_union_find_over_all_cells(X, data):
+    _quotient_agrees(AUT_CARRIER, X, _chained_pairs(data, AUT_CARRIER, X))

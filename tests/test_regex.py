@@ -64,6 +64,24 @@ def test_deep_nesting_needs_no_recursion():
     assert words(language_upto(compile_regex(deep_union, "ab"), 3)) == ["a"]
 
 
+def test_deep_trees_compare_hash_and_evaluate_without_recursion():
+    chain, again = parse("a" * 1100), parse("a" * 1100)
+    assert chain == again and hash(chain) == hash(again)
+    assert chain != parse("a" * 1099 + "b") and chain != parse("a" * 1099)
+    assert regex_lang_upto(chain, 2) == set()
+    assert regex_lang_upto(parse("a" * 1100), 1100) == {("a",) * 1100}
+
+
+def test_structural_equality_matches_the_dataclass_fields():
+    a, b = Lit("a"), Lit("b")
+    assert Concat(a, b) == Concat(Lit("a"), Lit("b"))
+    assert hash(Concat(a, b)) == hash(Concat(Lit("a"), Lit("b")))
+    assert Union(a, b) != Concat(a, b) and Union(a, b) != Union(b, a)
+    assert Star(a) != a and a != Star(a) and Star(a) != Star(Star(a))
+    assert Star(Empty()) == Star(Empty()) and Star(Empty()) != Star(Epsilon())
+    assert len({parse("a|b*"), parse("(a)|(b)*"), parse("a|b")}) == 2
+
+
 def test_parse_errors():
     with pytest.raises(FormatError):
         parse("(a")
