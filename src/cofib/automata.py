@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .cells import Carrier, CellMorphism, GeneratorSet, Structure
-from .lifting import LiftReport, codiagonal, rlp, unique_rlp
+from .lifting import LiftReport, codiagonal, lifting_reports
 from .pcs import FormatError
 
 ST = "st"
@@ -422,7 +422,7 @@ def automata_generators(
     alphabet: Iterable[str], max_in: int = 2, max_out: int = 2
 ) -> GeneratorSet:
     """The generator family over an alphabet, internal stars up to the
-    given arities, with codiagonals computed by self-pushout.
+    given arities.  Codiagonals are computed by self-pushout on demand.
 
     Squares against an internal-star generator only constrain through the
     *sets* of edges hitting the new state, so checking arities up to 2 is
@@ -446,10 +446,7 @@ def automata_generators(
                 for outs in combinations_with_replacement(letters, n):
                     name = f"internal({','.join(ins)}|{','.join(outs)})"
                     positive.append((name, gen_internal(letters, ins, outs)))
-    nablas = tuple(
-        (f"nabla[{name}]", codiagonal(AUT_CARRIER, f)) for name, f in positive
-    )
-    return GeneratorSet(tuple(positive), nablas)
+    return GeneratorSet(tuple(positive), lambda f: codiagonal(AUT_CARRIER, f), "nabla[{}]")
 
 
 def check_conditions(A: RelAutomaton) -> tuple[bool, Optional[tuple[str, str]]]:
@@ -779,11 +776,7 @@ def verify_replacement(
         + len(A.internal_states())
     )
     gens = automata_generators(A.alphabet | R.alphabet)
-    lifting = unique_rlp(AUT_CARRIER, result.beta, gens)
-    if check_codiagonals:
-        codiag = rlp(AUT_CARRIER, result.beta, gens.codiagonals)
-    else:
-        codiag = LiftReport(True, 0)
+    lifting, codiag = lifting_reports(AUT_CARRIER, result.beta, gens, check_codiagonals)
     return ReplacementReport(
         edge_count_ok=len(R.edges) == len(A.edges),
         state_formula_ok=len(R.states) == expected_states,

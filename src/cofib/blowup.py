@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .cells import CellMorphism, GeneratorSet
-from .lifting import codiagonal, rlp, unique_rlp, LiftReport
+from .lifting import LiftReport, codiagonal, lifting_reports
 from .pcs import (
     PCS_CARRIER,
     EuclideanReport,
@@ -114,7 +114,8 @@ def blowup(P: RelPCS, n: int) -> BlowupResult:
 @lru_cache(maxsize=None)
 def brick_generators(n: int) -> GeneratorSet:
     """The generating cofibrations in ambient dimension ``n``: each brick
-    minus its minimal cube includes into the whole brick."""
+    minus its minimal cube includes into the whole brick.  Every codiagonal
+    is built here, once per ``n``."""
     positive = []
     for eps in all_brick_indices(n):
         boundary = brick_boundary(eps)
@@ -122,10 +123,9 @@ def brick_generators(n: int) -> GeneratorSet:
             boundary, brick(eps), {c: c for c in boundary.all_cubes()}
         )
         positive.append((f"i_{eps}" if eps.bits else "i_", incl))
-    nablas = tuple(
-        (f"nabla_{name}", codiagonal(PCS_CARRIER, incl)) for name, incl in positive
-    )
-    return GeneratorSet(tuple(positive), nablas)
+    gens = GeneratorSet(tuple(positive), lambda f: codiagonal(PCS_CARRIER, f), "nabla_{}")
+    gens.codiagonals  # built now, and kept with the cached set
+    return gens
 
 
 @dataclass
@@ -167,11 +167,11 @@ class BlowupReport:
 def verify_blowup(P: RelPCS, n: int, result: Optional[BlowupResult] = None) -> BlowupReport:
     if result is None:
         result = blowup(P, n)
-    gens = brick_generators(n)
+    lifting, codiagonal_lifting = lifting_reports(PCS_CARRIER, result.beta, brick_generators(n))
     return BlowupReport(
         euclidean=euclidean_check(result.blowup, n),
-        lifting=unique_rlp(PCS_CARRIER, result.beta, gens),
-        codiagonal_lifting=rlp(PCS_CARRIER, result.beta, gens.codiagonals),
+        lifting=lifting,
+        codiagonal_lifting=codiagonal_lifting,
         input_euclidean=euclidean_check(P, n),
         beta_iso=PCS_CARRIER.is_isomorphism(result.beta),
     )

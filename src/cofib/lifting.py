@@ -65,24 +65,30 @@ def solve_lifts(carrier: Carrier, problem: LiftingProblem) -> list[CellMorphism]
 
 
 def lifting_problems(
-    carrier: Carrier, i: CellMorphism, p: CellMorphism
+    carrier: Carrier,
+    i: CellMorphism,
+    p: CellMorphism,
+    bottoms: Optional[Sequence[CellMorphism]] = None,
 ) -> Iterator[LiftingProblem]:
     """All commuting squares of ``p`` against ``i``, in canonical order:
     by top leg, then by bottom leg, each compared by its values over the
     cells of its source in canonical order (the order of the hom search).
 
-    Bottom legs come first, from one search ``cod(i) -> cod(p)``.  The top
-    legs over a bottom are searched with each cell ``a`` confined to the
-    fibre of ``p`` over ``bottom(i(a))``, read from ``p.fibres``, so every
-    top found makes a square, and a bottom with an empty fibre under some
-    cell costs no search.  The squares are sorted by top leg before the
-    first is yielded; the sort is stable and the bottoms come in order, so
+    Bottom legs come first, from one search ``cod(i) -> cod(p)`` (or from
+    ``bottoms``, its result searched elsewhere).  The top legs over a
+    bottom are searched with each cell ``a`` confined to the fibre of
+    ``p`` over ``bottom(i(a))``, read from ``p.fibres``, so every top
+    found makes a square, and a bottom with an empty fibre under some cell
+    costs no search.  The squares are sorted by top leg before the first
+    is yielded; the sort is stable and the bottoms come in order, so
     squares sharing a top stay ordered by bottom.
     """
     fibres = p.fibres
     top_cells = carrier.cells(i.source)
     squares = []
-    for bottom in carrier.hom(i.target, p.target):
+    if bottoms is None:
+        bottoms = carrier.hom(i.target, p.target)
+    for bottom in bottoms:
         allowed = {}
         for a in top_cells:
             fibre = fibres.get(bottom.mapping[i.mapping[a]])
@@ -116,12 +122,14 @@ def _lift_check(
     p: CellMorphism,
     morphisms: Iterable[tuple[str, CellMorphism]],
     unique: bool,
+    bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
 ) -> LiftReport:
     """Count the fillers of every square; stop at the first square with
     none, or with other than one when ``unique``."""
     checked = 0
-    for name, i in morphisms:
-        for problem in lifting_problems(carrier, i, p):
+    for k, (name, i) in enumerate(morphisms):
+        legs = None if bottoms is None else bottoms[k]
+        for problem in lifting_problems(carrier, i, p, legs):
             checked += 1
             n = len(solve_lifts(carrier, problem))
             if n == 0 or (unique and n > 1):
@@ -133,19 +141,50 @@ def rlp(
     carrier: Carrier,
     p: CellMorphism,
     morphisms: Iterable[tuple[str, CellMorphism]],
+    bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
 ) -> LiftReport:
-    """Ordinary right lifting property: every square has at least one filler."""
-    return _lift_check(carrier, p, morphisms, unique=False)
+    """Ordinary right lifting property: every square has at least one filler.
+
+    ``bottoms``, when given, holds for each morphism ``i`` in turn its
+    bottom legs ``cod(i) -> cod(p)`` in hom order, searched elsewhere.
+    """
+    return _lift_check(carrier, p, morphisms, unique=False, bottoms=bottoms)
 
 
 def unique_rlp(
     carrier: Carrier,
     p: CellMorphism,
     generators: GeneratorSet,
+    bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
 ) -> LiftReport:
     """Unique right lifting property against the positive generators:
-    every square must have exactly one filler."""
-    return _lift_check(carrier, p, generators.positive, unique=True)
+    every square must have exactly one filler.  ``bottoms`` as for
+    :func:`rlp`."""
+    return _lift_check(carrier, p, generators.positive, unique=True, bottoms=bottoms)
+
+
+def lifting_reports(
+    carrier: Carrier,
+    p: CellMorphism,
+    generators: GeneratorSet,
+    codiagonals: bool = True,
+) -> tuple[LiftReport, LiftReport]:
+    """``unique_rlp`` against the positive generators and ``rlp`` against
+    their codiagonals (skipped, and reported as vacuous, unless
+    ``codiagonals``), from one bottom-leg search per generator.
+
+    A codiagonal ``nabla f`` has ``f``'s codomain, so its squares have
+    exactly ``f``'s bottom legs.  A generator without a bottom leg has no
+    square against either map, and its codiagonal is never requested.
+    The reports are those of the two checks run on their own.
+    """
+    bottoms = [carrier.hom(f.target, p.target) for _name, f in generators.positive]
+    unique = unique_rlp(carrier, p, generators, bottoms)
+    if not codiagonals:
+        return unique, LiftReport(True, 0)
+    squared = [k for k, legs in enumerate(bottoms) if legs]
+    nablas = map(generators.codiagonal, squared)
+    return unique, rlp(carrier, p, nablas, [bottoms[k] for k in squared])
 
 
 def unique_rlp_single(
@@ -323,6 +362,7 @@ __all__ = [
     "LiftReport",
     "rlp",
     "unique_rlp",
+    "lifting_reports",
     "unique_rlp_single",
     "rlp_with_codiagonal",
     "arrow_isomorphic",

@@ -17,7 +17,7 @@ both pipelines against each other.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Sequence
 
 from .automata import (
@@ -77,12 +77,28 @@ class Lit(Regex):
 
 
 class _Compound(Regex):
-    """A node with operands.  Equality and hash are structural, as the
-    generated ones would be, but read the prefix form, which is built with
-    an explicit stack, so that no depth of nesting meets the recursion
-    limit."""
+    """A node with operands.  Equality, hash and repr are those the
+    dataclass would generate, but equality and hash read the prefix form,
+    built with an explicit stack, and repr writes its text with one, so
+    that no depth of nesting meets the recursion limit."""
 
     __slots__ = ()
+
+    def __repr__(self):
+        out: list[str] = []
+        pending: list = [self]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, _Compound):
+                pending.append(")")
+                for k, f in reversed(list(enumerate(fields(item)))):
+                    pending += (getattr(item, f.name), f"{', ' if k else ''}{f.name}=")
+                pending.append(f"{item.__class__.__qualname__}(")
+            else:
+                out.append(repr(item))
+        return "".join(out)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -93,19 +109,19 @@ class _Compound(Regex):
         return hash(_prefix(self))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Union(_Compound):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Concat(_Compound):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Star(_Compound):
     inner: Regex
 

@@ -1,6 +1,7 @@
 """Relational automata: language, edge index, generators, replacement,
 certificates, the right adjoint to simple automata, and normalization."""
 
+import importlib
 import inspect
 import json
 import random
@@ -15,6 +16,7 @@ from cofib.automata import (
     AUT_CARRIER,
     ED,
     ST,
+    AutomatonCarrier,
     CofibCertificate,
     Edge,
     RelAutomaton,
@@ -179,6 +181,35 @@ def test_generator_family_for_one_letter():
     assert len(gens.codiagonals) == len(gens.positive)
 
 
+def spy_codiagonals(monkeypatch) -> list:
+    """The generators whose codiagonal gets built, in order, seen where
+    the lifting and automata layers call ``codiagonal``."""
+    modules = [importlib.import_module(f"cofib.{name}") for name in ("lifting", "automata")]
+    built = []
+    original = modules[0].codiagonal
+
+    def spy(carrier, f):
+        built.append(f)
+        return original(carrier, f)
+
+    for module in modules:
+        monkeypatch.setattr(module, "codiagonal", spy)
+    return built
+
+
+def test_codiagonals_are_built_on_first_request_and_kept(monkeypatch):
+    built = spy_codiagonals(monkeypatch)
+    gens = automata_generators("a", 1, 1)
+    assert built == []
+    first = gens.codiagonal(2)
+    assert first[0] == "nabla[edge(a)]" and built == [gens.positive[2][1]]
+    assert gens.codiagonal(2) is first and len(built) == 1
+    assert gens.codiagonals[2] is first and len(built) == len(gens.positive)
+    assert [name for name, _f in gens.codiagonals] == [
+        f"nabla[{name}]" for name, _f in gens.positive
+    ]
+
+
 def test_generator_labels_expand_over_alphabet():
     gens = automata_generators("ab", 2, 1)
     names = {name for name, _f in gens.positive}
@@ -329,6 +360,48 @@ def test_replacement_suite_on_random_corpus():
     for A in automata_corpus(40):
         report = verify_replacement(A, language_bound=5, check_codiagonals=False)
         assert report.ok, to_json_dict(A)
+
+
+def test_verify_builds_one_codiagonal_per_generator_with_a_bottom_leg(monkeypatch):
+    built = spy_codiagonals(monkeypatch)
+    searches = []
+    hom = AutomatonCarrier.hom
+
+    def spy(self, source, target, *args, **kwargs):
+        searches.append(target)
+        return hom(self, source, target, *args, **kwargs)
+
+    monkeypatch.setattr(AutomatonCarrier, "hom", spy)
+    skipped = 0
+    for A in automata_corpus(25):
+        result = cofibrant_replacement(A)
+        p = result.beta
+        gens = automata_generators(A.alphabet | result.replacement.alphabet)
+        squared = [f for _name, f in gens.positive if hom(AUT_CARRIER, f.target, p.target)]
+        skipped += len(gens.positive) - len(squared)
+        built.clear()
+        searches.clear()
+        report = verify_replacement(A, result, language_bound=3)
+        assert report.ok, to_json_dict(A)
+        assert [(f.mapping, f.target) for f in built] == [(f.mapping, f.target) for f in squared]
+        # one bottom search per generator, then per square one search for
+        # its top legs and one for its fillers, at most
+        assert sum(target is p.target for target in searches) == len(gens.positive)
+        squares = report.lifting.checked + report.codiagonal_lifting.checked
+        assert len(searches) <= len(gens.positive) + 2 * squares
+    assert skipped > 500
+
+
+def test_codiagonals_are_not_built_unless_checked(monkeypatch, capsys):
+    from cofib.cli import main
+
+    built = spy_codiagonals(monkeypatch)
+    for A in automata_corpus(10):
+        report = verify_replacement(A, language_bound=3, check_codiagonals=False)
+        assert report.ok and report.codiagonal_lifting.checked == 0
+    assert main(["aut", "cofrep", str(FIXTURES / "loop-ab.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["unique_rlp"] is True
+    assert built == []
 
 
 def test_replacement_idempotent_up_to_isomorphism():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from corpus import relational_automata
+from hypothesis import given, settings
 
 from cofib import samples
 from cofib.automata import (
@@ -26,6 +28,7 @@ from cofib.lifting import (
     check_sum_identity,
     codiagonal,
     lifting_problems,
+    lifting_reports,
     rlp,
     rlp_with_codiagonal,
     solve_lifts,
@@ -320,7 +323,9 @@ def tops_first_check(carrier, p, morphisms, unique):
 
 def _report(report):
     failure = report.failure
-    legs = None if failure is None else (failure.top.mapping, failure.bottom.mapping)
+    legs = None
+    if failure is not None:
+        legs = (failure.i.mapping, failure.top.mapping, failure.bottom.mapping)
     return report.ok, report.checked, report.generator, report.lift_count, legs
 
 
@@ -375,12 +380,14 @@ def test_bottom_first_squares_match_tops_first_oracle():
             assert got == want, name
             squares += len(got)
             glued += len(got) if not i.is_injective() else 0
-        for report, want in (
-            (unique_rlp(carrier, p, gens), tops_first_check(carrier, p, gens.positive, True)),
-            (rlp(carrier, p, gens.codiagonals), tops_first_check(carrier, p, gens.codiagonals, False)),
-        ):
-            assert _report(report) == _report(want), name
-            failed += not report.ok
+        reports = [unique_rlp(carrier, p, gens), rlp(carrier, p, gens.codiagonals)]
+        want = [
+            tops_first_check(carrier, p, gens.positive, True),
+            tops_first_check(carrier, p, gens.codiagonals, False),
+        ]
+        shared = lifting_reports(carrier, p, gens)
+        assert [*map(_report, reports)] == [*map(_report, want)] == [*map(_report, shared)], name
+        failed += sum(not report.ok for report in reports)
     assert squares > 1000 and glued > 100 and failed >= 2
 
 
@@ -410,3 +417,60 @@ def test_lift_check_makes_two_hom_calls_per_square(monkeypatch):
             calls = 0
             report = rlp(carrier, p, gens.codiagonals)
             assert report.ok and calls <= len(gens.codiagonals) + 2 * report.checked
+
+
+# -- one bottom-leg search per generator, codiagonals on demand ------------------------
+
+
+def eager_reports(carrier, p, gens):
+    """The oracle of ``lifting_reports``: each check searches its own bottom
+    legs, and every codiagonal is built up front."""
+    nablas = [(gens.nabla_name.format(n), codiagonal(carrier, f)) for n, f in gens.positive]
+    return unique_rlp(carrier, p, gens), rlp(carrier, p, nablas)
+
+
+def assert_same_reports(carrier, p, gens, name):
+    got = lifting_reports(carrier, p, gens)
+    want = eager_reports(carrier, p, gens)
+    assert [_report(r) for r in got] == [_report(r) for r in want], name
+    return got
+
+
+def test_lifting_reports_match_the_eager_checks_on_corpus_blowups_and_automata():
+    from corpus import automata_corpus, pcs_corpus, pcs_sample_maps
+
+    for name, P, n in pcs_corpus():
+        assert_same_reports(PCS_CARRIER, blowup(P, n).beta, brick_generators(n), name)
+    circle = samples.circle()
+    _two, legs = PCS_CARRIER.coproduct([circle, circle])
+    fold = PCS_CARRIER.copair(legs, [PCS_CARRIER.identity(circle)] * 2)
+    failed = 0
+    for name, p in pcs_sample_maps() + [("fold two circles", fold)]:
+        for n in (1, 2):
+            unique, codiag = assert_same_reports(PCS_CARRIER, p, brick_generators(n), name)
+            failed += (not unique.ok) + (not codiag.ok)
+    assert failed >= 4
+    for k, A in enumerate(automata_corpus(25)):
+        res = cofibrant_replacement(A)
+        gens = automata_generators(A.alphabet | res.replacement.alphabet)
+        assert_same_reports(AUT_CARRIER, res.beta, gens, k)
+
+
+def test_lifting_reports_match_the_eager_checks_on_the_failing_witness_map():
+    loop = samples.loop_a()
+    forgetful = automaton("a", ["x"], [], ["x"], ["x"])
+    p = AUT_CARRIER.make_morphism(forgetful, loop, {("st", "x"): ("st", "v")})
+    unique, _codiag = assert_same_reports(AUT_CARRIER, p, automata_generators("a"), "forgetful")
+    assert not unique.ok and unique.generator == "edge(a)" and unique.lift_count == 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(relational_automata(4, 5))
+def test_lifting_reports_match_the_eager_checks_on_generated_automata(A):
+    res = cofibrant_replacement(A)
+    assert_same_reports(AUT_CARRIER, res.beta, automata_generators("ab"), "beta")
+    # gluing two states usually breaks lifting: failures must agree too
+    states = sorted(c for c in AUT_CARRIER.cells(A) if c[0] == "st")
+    if len(states) >= 2:
+        _quotient, fold = AUT_CARRIER.quotient(A, [tuple(states[:2])])
+        assert_same_reports(AUT_CARRIER, fold, automata_generators("ab"), "fold")

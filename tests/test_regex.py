@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import fields, make_dataclass
 from functools import cache
 
 import pytest
@@ -70,6 +71,38 @@ def test_deep_trees_compare_hash_and_evaluate_without_recursion():
     assert chain != parse("a" * 1099 + "b") and chain != parse("a" * 1099)
     assert regex_lang_upto(chain, 2) == set()
     assert regex_lang_upto(parse("a" * 1100), 1100) == {("a",) * 1100}
+
+
+# The regex nodes as plain dataclasses, with the generated (recursive) repr.
+_PLAIN = {
+    cls: make_dataclass(cls.__name__, [f.name for f in fields(cls)], frozen=True)
+    for cls in (Union, Concat, Star)
+}
+
+
+def _plain(r):
+    if type(r) in _PLAIN:
+        return _PLAIN[type(r)](*(_plain(getattr(r, f.name)) for f in fields(r)))
+    return r
+
+
+def test_repr_is_the_generated_dataclass_repr():
+    assert repr(Concat(Star(Lit("a")), Epsilon())) == (
+        "Concat(left=Star(inner=Lit(char='a')), right=Epsilon())"
+    )
+    rng = random.Random(17)
+    for _ in range(300):
+        r = random_regex(rng, rng.randint(0, 5), ("a", "b"))
+        assert repr(r) == repr(_plain(r))
+
+
+def test_repr_of_deep_tree_needs_no_recursion():
+    chain = parse("a" * 1100)
+    assert repr(chain) == (
+        "Concat(left=" * 1099 + "Lit(char='a')" + ", right=Lit(char='a'))" * 1099
+    )
+    short = parse("a" * 30)
+    assert repr(short) == repr(_plain(short))
 
 
 def test_structural_equality_matches_the_dataclass_fields():
