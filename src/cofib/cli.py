@@ -62,6 +62,21 @@ def _count(text: str) -> int:
     return int(text)
 
 
+MAX_AMBIENT_DIM = 7  # `pcs verify -n 7` on one square runs for half a minute
+MAX_FUZZ_DEPTH = 16  # random regex trees grow with depth: 4687 nodes at 24
+
+
+def _at_most(limit: int, what: str):
+    """An argument type: a non-negative integer of at most ``limit``."""
+
+    def parse(text: str) -> int:
+        if _count(text) > limit:
+            raise argparse.ArgumentTypeError(f"{what} {text} exceeds the limit {limit}")
+        return int(text)
+
+    return parse
+
+
 def _word_list(words) -> list[str]:
     return sorted("".join(w) for w in words)
 
@@ -141,6 +156,8 @@ def cmd_pcs_brick(args) -> int:
         eps = BrickIndex.parse(args.epsilon)
     except ValueError as exc:
         raise InputError(str(exc))
+    if len(eps.bits) > MAX_AMBIENT_DIM:
+        raise InputError(f"brick dimension {len(eps.bits)} exceeds the limit {MAX_AMBIENT_DIM}")
     _emit(pcs.to_json_dict(pcs.brick(eps)))
     return 0
 
@@ -295,6 +312,8 @@ def cmd_rx_compile(args) -> int:
 
 
 def cmd_rx_fuzz(args) -> int:
+    if not args.alphabet:
+        raise InputError("the alphabet must have at least one letter")
     report = rx.kleene_fuzz(
         seed=args.seed,
         count=args.count,
@@ -385,6 +404,7 @@ def cmd_toolkit_appendix(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once (``main`` reuses it; do not mutate)."""
+    ambient_dim = _at_most(MAX_AMBIENT_DIM, "ambient dimension")
     parser = argparse.ArgumentParser(
         prog="cofib",
         description="blowups of relational precubical sets and homotopical "
@@ -398,17 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("file")
     c.set_defaults(func=cmd_pcs_validate)
     c = sub.add_parser("blowup", help="compute the blowup and its map")
-    c.add_argument("-n", type=_count, required=True, help="ambient dimension")
+    c.add_argument("-n", type=ambient_dim, required=True, help="ambient dimension")
     c.add_argument("file")
     c.add_argument("-o", "--output", help="write the blowup JSON here")
     c.add_argument("--provenance", action="store_true")
     c.set_defaults(func=cmd_pcs_blowup)
     c = sub.add_parser("euclid", help="search for a chart at every cube")
-    c.add_argument("-n", type=_count, required=True)
+    c.add_argument("-n", type=ambient_dim, required=True)
     c.add_argument("file")
     c.set_defaults(func=cmd_pcs_euclid)
     c = sub.add_parser("verify", help="run the blowup theorem checks")
-    c.add_argument("-n", type=_count, required=True)
+    c.add_argument("-n", type=ambient_dim, required=True)
     c.add_argument("file")
     c.set_defaults(func=cmd_pcs_verify)
     c = sub.add_parser("brick", help="print a euclidean brick")
@@ -449,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_rx_compile)
     c = sub.add_parser("fuzz", help="compiler vs recursive semantics")
     c.add_argument("--seed", type=int, required=True)
-    c.add_argument("--count", type=int, required=True)
-    c.add_argument("--depth", type=int, required=True)
+    c.add_argument("--count", type=_count, required=True)
+    c.add_argument("--depth", type=_at_most(MAX_FUZZ_DEPTH, "depth"), required=True)
     c.add_argument("-L", "--length", type=_count, required=True)
     c.add_argument("--alphabet", default="ab")
     c.set_defaults(func=cmd_rx_fuzz)

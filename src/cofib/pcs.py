@@ -26,7 +26,6 @@ from typing import Iterable, Mapping, Optional
 
 from .cells import Carrier, CellMorphism, Structure
 from .words import (
-    ZERO,
     BrickIndex,
     CubeWord,
     all_brick_indices,
@@ -255,7 +254,7 @@ def tensor(P: RelPCS, Q: RelPCS, joiner: str = ",") -> RelPCS:
                 for q in sorted(qs):
                     cubes[dp + dq].add(p + joiner + q)
                     pair_ids.append((p, q, dp, dq))
-    faces: dict[tuple[str, CubeWord], set[str]] = defaultdict(set)
+    faces: dict[tuple[str, CubeWord], frozenset[str]] = {}
     for p, q, dp, dq in pair_ids:
         pid = p + joiner + q
         p_rels = (*P.face_entries(p), (CubeWord.identity(dp), frozenset((p,))))
@@ -263,11 +262,8 @@ def tensor(P: RelPCS, Q: RelPCS, joiner: str = ",") -> RelPCS:
         for gp, bps in p_rels:
             for gq, bqs in q_rels:
                 g = CubeWord(gp.letters + gq.letters)
-                if g.is_identity:
-                    continue
-                for bp in bps:
-                    for bq in bqs:
-                        faces[(pid, g)].add(bp + joiner + bq)
+                if not g.is_identity:  # the split at dp makes each key new
+                    faces[(pid, g)] = frozenset(bp + joiner + bq for bp in bps for bq in bqs)
     return RelPCS(P.dim_bound + Q.dim_bound, cubes, faces)
 
 
@@ -306,64 +302,34 @@ def upward(P: RelPCS, c: str) -> tuple[RelPCS, CellMorphism]:
     return nbhd, proj
 
 
-# The two interval shapes: a single directed edge, and two consecutive
-# edges around a central vertex.
-def interval_v0() -> RelPCS:
-    return relpcs(
-        1,
-        {0: ["s", "t"], 1: ["p0"]},
-        {
-            ("p0", CubeWord.parse("-")): ["s"],
-            ("p0", CubeWord.parse("+")): ["t"],
-        },
-        close=False,
-    )
-
-
-def interval_v1() -> RelPCS:
-    return relpcs(
-        1,
-        {0: ["s", "m", "t"], 1: ["e-", "e+"]},
-        {
-            ("e-", CubeWord.parse("-")): ["s"],
-            ("e-", CubeWord.parse("+")): ["m"],
-            ("e+", CubeWord.parse("-")): ["m"],
-            ("e+", CubeWord.parse("+")): ["t"],
-        },
-        close=False,
-    )
-
-
 def rename_cells(P: RelPCS, mapping: Mapping[str, str]) -> RelPCS:
     return PCS_CARRIER.build([P], [mapping])
 
 
-_CENTER_LETTER = {"p0": ZERO, "m": "1", "e-": "-", "e+": "+"}
+# The two 1-dimensional local models, named by the letter a brick cell
+# carries in that direction: the open edge ``0``, and the star of a vertex
+# ``1`` between an incoming edge ``-`` and an outgoing edge ``+``.
+_OPEN_EDGE = RelPCS(1, {1: ["0"]}, {})
+_STAR = RelPCS(
+    1,
+    {0: ["1"], 1: ["-", "+"]},
+    {("-", CubeWord.parse("+")): ["1"], ("+", CubeWord.parse("-")): ["1"]},
+)
 
 
 @lru_cache(maxsize=None)
 def brick(epsilon: BrickIndex) -> RelPCS:
     """The euclidean brick over ``epsilon``, with canonical cell names.
 
-    Built as the upward neighborhood of the central cell of the tensor
-    product of intervals, then renamed: each cell is the sign pattern
-    recording which half (or center) of each subdivided direction it sits
-    on.  The unique bottom-dimensional cube is ``min_cube(epsilon)``.
+    A brick is the tensor product of its local models, one per direction:
+    the star where the bit is 1, the open edge where it is 0.  Each cell is
+    the word of its letters, one per direction, so the unique
+    bottom-dimensional cube is ``min_cube(epsilon)``.
     """
-    factors = [interval_v1() if b else interval_v0() for b in epsilon.bits]
-    ambient = relpcs(0, {0: ["!"]}, {}, close=False)  # tensor unit
-    for f in factors:
-        ambient = tensor(ambient, f)
-    center = ",".join(["!"] + ["m" if b else "p0" for b in epsilon.bits])
-    if not epsilon.bits:
-        center = "!"
-    nbhd, _proj = upward(ambient, center)
-    renaming = {}
-    for pid in nbhd.all_cubes():
-        cube_id = pid.rsplit("|", 1)[0]
-        comps = cube_id.split(",")[1:] if epsilon.bits else []
-        renaming[pid] = "".join(_CENTER_LETTER[c] for c in comps)
-    return rename_cells(nbhd, renaming)
+    B = RelPCS(0, {0: [""]}, {})  # the tensor unit
+    for bit in epsilon.bits:
+        B = tensor(B, _STAR if bit else _OPEN_EDGE, joiner="")
+    return B
 
 
 def min_cube(epsilon: BrickIndex) -> str:
@@ -587,8 +553,6 @@ __all__ = [
     "empty_pcs",
     "tensor",
     "upward",
-    "interval_v0",
-    "interval_v1",
     "rename_cells",
     "brick",
     "min_cube",

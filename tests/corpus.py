@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from cofib import samples
 from cofib.automata import RelAutomaton, automaton
-from cofib.pcs import PCS_CARRIER, RelPCS, brick, brick_boundary, relpcs, tensor
+from cofib.pcs import (
+    PCS_CARRIER,
+    RelPCS,
+    brick,
+    brick_boundary,
+    relpcs,
+    rename_cells,
+    tensor,
+    upward,
+)
 from cofib.words import BrickIndex, CubeWord
 
 W = CubeWord.parse
@@ -105,6 +114,47 @@ def wedge(k: int) -> RelPCS:
         faces[(f"e{i}", W("-"))] = ["v"]
         faces[(f"e{i}", W("+"))] = ["v"]
     return relpcs(1, {0: ["v"], 1: [f"e{i}" for i in range(k)]}, faces)
+
+
+# The two interval shapes: a single directed edge, and two consecutive
+# edges around a central vertex.
+def interval_v0() -> RelPCS:
+    return relpcs(
+        1, {0: ["s", "t"], 1: ["p0"]}, {("p0", W("-")): ["s"], ("p0", W("+")): ["t"]}, close=False
+    )
+
+
+def interval_v1() -> RelPCS:
+    return relpcs(
+        1,
+        {0: ["s", "m", "t"], 1: ["e-", "e+"]},
+        {
+            ("e-", W("-")): ["s"],
+            ("e-", W("+")): ["m"],
+            ("e+", W("-")): ["m"],
+            ("e+", W("+")): ["t"],
+        },
+        close=False,
+    )
+
+
+_CENTER_LETTER = {"p0": "0", "m": "1", "e-": "-", "e+": "+"}
+
+
+def brick_oracle(epsilon: BrickIndex) -> RelPCS:
+    """The brick built the long way, as the oracle for ``pcs.brick``: the
+    upward neighborhood of the central cell of the tensor product of
+    intervals, each cell renamed by the letters of its central position."""
+    ambient = relpcs(0, {0: ["!"]}, {}, close=False)  # tensor unit
+    for bit in epsilon.bits:
+        ambient = tensor(ambient, interval_v1() if bit else interval_v0())
+    center = ",".join(["!"] + ["m" if b else "p0" for b in epsilon.bits])
+    nbhd, _proj = upward(ambient, center)
+    renaming = {}
+    for pid in nbhd.all_cubes():
+        comps = pid.rsplit("|", 1)[0].split(",")[1:]
+        renaming[pid] = "".join(_CENTER_LETTER[c] for c in comps)
+    return rename_cells(nbhd, renaming)
 
 
 def _disjoint_circle_interval() -> RelPCS:

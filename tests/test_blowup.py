@@ -2,7 +2,7 @@
 
 import pytest
 
-from corpus import euclidean_expectations, pcs_corpus
+from corpus import cycle, euclidean_expectations, pcs_corpus
 from cofib import samples
 from cofib.blowup import (
     blowup,
@@ -15,6 +15,7 @@ from cofib.pcs import (
     PCS_CARRIER,
     hom_enumerate,
     relpcs,
+    tensor,
     validate,
 )
 from cofib.words import BrickIndex, CubeWord, all_brick_indices
@@ -122,6 +123,18 @@ def test_verify_blowup_on_corpus_matches_expectations():
         report = verify_blowup(P, n)
         assert report.ok, name
         assert report.input_euclidean.ok == expect[name], name
+
+
+@pytest.mark.parametrize("k, n, squares", [(2, 3, 64), (3, 3, 216), (2, 4, 256)])
+def test_verify_blowup_ambient_dimension_ladder(k, n, squares):
+    """The n-fold tensor power of C_k at ambient dimension n: the
+    generators' bricks grow with n, and every square still has one filler."""
+    X = cycle(k)
+    for _ in range(n - 1):
+        X = tensor(X, cycle(k))
+    report = verify_blowup(X, n)
+    assert report.ok
+    assert (report.lifting.checked, report.codiagonal_lifting.checked) == (squares, squares)
 
 
 def test_brick_colimit_examples():

@@ -155,6 +155,7 @@ def test_closed_pipe_exits_141_quietly(tmp_path):
         ["pcs", "verify", "-n", "x", "circle.json"],
         ["aut", "lang", "-L", "-1", "loop-a.json"],
         ["rx", "compile", "a*", "-L", "-2"],
+        ["rx", "fuzz", "--seed", "1", "--count", "-3", "--depth", "2", "-L", "2"],
     ],
 )
 def test_negative_counts_exit_2(argv, capsys):
@@ -163,6 +164,28 @@ def test_negative_counts_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["pcs", "blowup", "-n", "8", "one-square.json"], 7),
+        (["pcs", "euclid", "-n", "8", "one-square.json"], 7),
+        (["pcs", "verify", "-n", "8", "one-square.json"], 7),
+        (["rx", "fuzz", "--seed", "1", "--count", "1", "--depth", "3000", "-L", "2"], 16),
+    ],
+)
+def test_oversized_requests_exit_2(argv, limit, capsys):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"exceeds the limit {limit}" in capsys.readouterr().err
+
+
+def test_brick_above_the_limit_exits_2(capsys):
+    assert main(["pcs", "brick", "-e", "1" * 9]) == 2
+    assert "exceeds the limit 7" in capsys.readouterr().err
 
 
 def test_blowup_torus(capsys):
@@ -350,6 +373,12 @@ def test_rx_fuzz(capsys):
     assert code == 0
     assert data["mismatches"] == 0
     assert data["regexes"] == 25
+
+
+def test_rx_fuzz_empty_alphabet_exits_2(capsys):
+    code = main(["rx", "fuzz", "--seed", "1", "--count", "1", "--depth", "2", "-L", "2", "--alphabet", ""])
+    assert code == 2
+    assert "alphabet" in capsys.readouterr().err
 
 
 def test_rx_fuzz_deterministic(capsys):

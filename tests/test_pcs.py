@@ -6,7 +6,7 @@ from collections import defaultdict
 
 import pytest
 
-from corpus import cycle, path, pcs_corpus, wedge
+from corpus import brick_oracle, cycle, interval_v0, interval_v1, path, pcs_corpus, wedge
 from cofib import samples
 from cofib.blowup import blowup
 from cofib.cells import CellMorphism
@@ -19,8 +19,6 @@ from cofib.pcs import (
     euclidean_check,
     from_json_dict,
     hom_enumerate,
-    interval_v0,
-    interval_v1,
     is_local_embedding,
     is_pcs_morphism,
     min_cube,
@@ -219,6 +217,12 @@ def test_brick_cell_counts():
     assert brick(E("11")).cube_counts() == {0: 1, 1: 4, 2: 4}
     assert brick(E("10")).cube_counts() == {1: 1, 2: 2}
     assert brick(E("01")).cube_counts() == {1: 1, 2: 2}
+
+
+def test_brick_equals_the_upward_neighborhood_oracle():
+    for n in range(6):
+        for eps in all_brick_indices(n):
+            assert brick(eps) == brick_oracle(eps), str(eps)
 
 
 def test_brick_cells_match_poset_naming():
