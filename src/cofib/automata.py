@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -422,14 +422,23 @@ def automata_generators(
     alphabet: Iterable[str], max_in: int = 2, max_out: int = 2
 ) -> GeneratorSet:
     """The generator family over an alphabet, internal stars up to the
-    given arities.  Codiagonals are computed by self-pushout on demand.
+    given arities.  The generators are built once per alphabet and arities
+    and shared; each call returns a fresh set around them, whose
+    codiagonals are computed by self-pushout on demand.
 
     Squares against an internal-star generator only constrain through the
     *sets* of edges hitting the new state, so checking arities up to 2 is
     exact for the whole family: a failure at any arity forces one at
     (1,1), (1,2) or (2,1).
     """
-    letters = sorted(set(alphabet))
+    positive = _positive_generators(tuple(sorted(set(alphabet))), max_in, max_out)
+    return GeneratorSet(positive, lambda f: codiagonal(AUT_CARRIER, f), "nabla[{}]")
+
+
+@lru_cache(maxsize=64)  # bounded: unlike brick dimensions, alphabets are unbounded
+def _positive_generators(
+    letters: tuple[str, ...], max_in: int, max_out: int
+) -> tuple[tuple[str, CellMorphism], ...]:
     positive: list[tuple[str, CellMorphism]] = [
         ("initial", gen_initial(letters, accepting=False)),
         ("initial_accepting", gen_initial(letters, accepting=True)),
@@ -446,7 +455,7 @@ def automata_generators(
                 for outs in combinations_with_replacement(letters, n):
                     name = f"internal({','.join(ins)}|{','.join(outs)})"
                     positive.append((name, gen_internal(letters, ins, outs)))
-    return GeneratorSet(tuple(positive), lambda f: codiagonal(AUT_CARRIER, f), "nabla[{}]")
+    return tuple(positive)
 
 
 def check_conditions(A: RelAutomaton) -> tuple[bool, Optional[tuple[str, str]]]:

@@ -291,3 +291,32 @@ def relational_automata(draw, max_states: int, max_edges: int, min_initial: int 
     edges = draw(st.lists(st.tuples(st.sampled_from("ab"), subset, subset), max_size=max_edges))
     initial = draw(st.lists(st.sampled_from(states), unique=True, min_size=min_initial))
     return automaton("ab", states, edges, initial, draw(subset))
+
+
+def eager_automata_generators(alphabet, max_in: int = 2, max_out: int = 2):
+    """The oracle of ``automata_generators``: every generator built afresh
+    on each call, as the library did before it shared them."""
+    from itertools import combinations_with_replacement
+
+    from cofib.automata import AUT_CARRIER, gen_accept, gen_edge, gen_initial, gen_internal, gen_source
+    from cofib.cells import GeneratorSet
+    from cofib.lifting import codiagonal
+
+    letters = sorted(set(alphabet))
+    positive = [
+        ("initial", gen_initial(letters, accepting=False)),
+        ("initial_accepting", gen_initial(letters, accepting=True)),
+    ]
+    for a in letters:
+        positive.append((f"edge({a})", gen_edge(letters, a)))
+    for a in letters:
+        positive.append((f"source({a})", gen_source(letters, a)))
+    for a in letters:
+        positive.append((f"accept({a})", gen_accept(letters, a)))
+    for m in range(1, max_in + 1):
+        for n in range(1, max_out + 1):
+            for ins in combinations_with_replacement(letters, m):
+                for outs in combinations_with_replacement(letters, n):
+                    name = f"internal({','.join(ins)}|{','.join(outs)})"
+                    positive.append((name, gen_internal(letters, ins, outs)))
+    return GeneratorSet(tuple(positive), lambda f: codiagonal(AUT_CARRIER, f), "nabla[{}]")

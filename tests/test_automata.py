@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from corpus import automata_corpus, random_automaton, relational_automata
+from corpus import automata_corpus, eager_automata_generators, random_automaton, relational_automata
 from hypothesis import given, settings
+from cofib import automata as automata_module
 from cofib import samples
 from cofib.automata import (
     AUT_CARRIER,
@@ -215,6 +216,60 @@ def test_generator_labels_expand_over_alphabet():
     names = {name for name, _f in gens.positive}
     assert "internal(a,b|a)" in names
     assert "internal(b,b|b)" in names
+
+
+@pytest.mark.parametrize(
+    "alphabet, arities",
+    [("abc", {}), ("ab", {}), ("a", {}), ("ab", {"max_in": 1, "max_out": 1})],
+)
+def test_shared_generators_equal_the_eager_oracle(alphabet, arities):
+    got = automata_generators(alphabet, **arities).positive
+    want = eager_automata_generators(alphabet, **arities).positive
+    assert [name for name, _f in got] == [name for name, _f in want]
+    for (_name, f), (_same, g) in zip(got, want):
+        assert f.mapping == g.mapping and f.source == g.source and f.target == g.target
+
+
+def test_generators_are_built_once_per_alphabet_and_arities():
+    cab = automata_generators("cab")
+    listed = automata_generators(["a", "b", "c", "a"])
+    assert cab is not listed and len(cab.positive) == 92
+    assert [name for name, _f in cab] == [name for name, _f in listed]
+    assert all(f is g for (_name, f), (_same, g) in zip(cab, listed))
+    for arities in [(1, 1), (2, 1), (1, 2), (3, 2)]:
+        other = automata_generators("abc", *arities)
+        assert not any(f is g for (_name, f), (_other, g) in zip(cab, other))
+        assert automata_generators("cba", *arities).positive == other.positive
+
+
+def test_second_verify_builds_no_generator_and_the_same_codiagonals(monkeypatch):
+    corpus = [(A, cofibrant_replacement(A)) for A in automata_corpus(8)]
+    alphabets = {tuple(sorted(A.alphabet | r.replacement.alphabet)) for A, r in corpus}
+    family_sizes = sum(len(automata_generators(a).positive) for a in alphabets)
+    # the replay builds one generator per step of each certificate
+    replayed = sum(len(r.certificate.steps) for _A, r in corpus)
+    built = spy_codiagonals(monkeypatch)
+    made = []
+    for name in ("gen_initial", "gen_edge", "gen_source", "gen_accept", "gen_internal"):
+        original = getattr(automata_module, name)
+
+        def spy(*args, _original=original, **kwargs):
+            made.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(automata_module, name, spy)
+    automata_module._positive_generators.cache_clear()
+    rounds = []
+    for _round in range(2):
+        made.clear()
+        built.clear()
+        for A, result in corpus:
+            assert verify_replacement(A, result, language_bound=3).ok, to_json_dict(A)
+        rounds.append((len(made) - replayed, list(built)))
+    (made_first, built_first), (made_second, built_second) = rounds
+    assert made_first == family_sizes and made_second == 0
+    assert built_first and len(built_second) == len(built_first)
+    assert all(f is g for f, g in zip(built_first, built_second))
 
 
 # -- cofibrant replacement ---------------------------------------------------------

@@ -173,6 +173,10 @@ def test_negative_counts_exit_2(argv, capsys):
         (["pcs", "euclid", "-n", "8", "one-square.json"], 7),
         (["pcs", "verify", "-n", "8", "one-square.json"], 7),
         (["rx", "fuzz", "--seed", "1", "--count", "1", "--depth", "3000", "-L", "2"], 16),
+        (["aut", "lang", "-L", "13", "loop-ab.json"], 12),
+        (["aut", "verify", "-L", "40", "loop-ab.json"], 12),
+        (["rx", "compile", "(a|b)*", "-L", "13"], 12),
+        (["rx", "fuzz", "--seed", "1", "--count", "1", "--depth", "2", "-L", "99"], 12),
     ],
 )
 def test_oversized_requests_exit_2(argv, limit, capsys):
@@ -181,6 +185,18 @@ def test_oversized_requests_exit_2(argv, limit, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"exceeds the limit {limit}" in capsys.readouterr().err
+
+
+def test_oversized_word_length_exits_2_at_once_without_a_traceback():
+    # uncapped, this would list 2^1000001 words
+    argv = ["aut", "lang", "-L", "1000000", str(FIXTURES / "loop-ab.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cofib", *argv], cwd=ROOT, env=_subprocess_env(),
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "word length 1000000 exceeds the limit 12" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_brick_above_the_limit_exits_2(capsys):
