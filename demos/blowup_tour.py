@@ -13,9 +13,9 @@ against every brick generator.
 
 from cofib.blowup import blowup, brick_generators, verify_blowup
 from cofib.lifting import unique_rlp
-from cofib.pcs import PCS_CARRIER, brick, euclidean_check, upward, validate
+from cofib.pcs import PCS_CARRIER, brick, euclidean_check, min_cube, upward, validate
 from cofib.samples import circle, one_square_torus, y_graph
-from cofib.words import BrickIndex, all_brick_indices, brick_cells
+from cofib.words import BrickIndex, all_brick_indices
 
 
 def show(title):
@@ -29,7 +29,7 @@ for eps in all_brick_indices(2):
     B = brick(eps)
     counts = B.cube_counts()
     print(f"  brick {eps}: cells by dimension {counts}, "
-          f"minimal cube {brick_cells(eps).top}")
+          f"minimal cube {min_cube(eps)}")
 print("""
 A brick records what a neighborhood in a 2-grid looks like: shape 00 is an
 open square, 01 and 10 are an edge with the two squares over it, and 11 is

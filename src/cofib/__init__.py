@@ -7,7 +7,7 @@ and every theorem the library leans on is re-checked on the inputs by
 enumerating lifting problems and counting fillers.
 """
 
-from .words import BrickCell, BrickIndex, CubeWord, brick_cells, compose_words
+from .words import BrickIndex, CubeWord, compose_words
 from .cells import Carrier, CellMorphism, GeneratorSet, LiftingProblem
 from .pcs import (
     PCS_CARRIER,
@@ -40,10 +40,8 @@ from .regex import compile_regex, kleene_fuzz, parse, regex_lang_upto
 __version__ = "0.1.0"
 
 __all__ = [
-    "BrickCell",
     "BrickIndex",
     "CubeWord",
-    "brick_cells",
     "compose_words",
     "Carrier",
     "CellMorphism",

@@ -30,17 +30,10 @@ from .pcs import (
     hom_enumerate,
     min_cube,
     relpcs,
+    sub_bricks,
     validate,
 )
-from .words import (
-    BrickIndex,
-    all_brick_indices,
-    brick_cells,
-    cell_le,
-    inclusion_between,
-    inclusion_on_cells,
-    word_to_min,
-)
+from .words import BrickIndex, all_brick_indices
 
 
 @dataclass
@@ -94,18 +87,14 @@ def blowup(P: RelPCS, n: int) -> BlowupResult:
 
     faces: dict = defaultdict(set)
     for eps, homs in probes.items():
-        poset = brick_cells(eps)
-        top = poset.top
-        sub_bricks = {
-            w: (w.sub_index(), inclusion_on_cells(w)) for w in poset if w != top
-        }
+        subs = sub_bricks(eps)
         for k, f in enumerate(homs):
             fid = cube_id(eps, k)
-            for w, (sub, incl) in sub_bricks.items():
-                restricted = {u: f.mapping[v] for u, v in incl.items()}
-                key = tuple(sorted(restricted.items(), key=repr))
+            for _w, sub, incl, g in subs:
+                # incl.mapping runs in cell-name order, which f.key() also sorts by
+                key = tuple((u, f.mapping[v]) for u, v in incl.mapping.items())
                 j = index_of[sub][key]
-                faces[(cube_id(sub, j), word_to_min(w))].add(fid)
+                faces[(cube_id(sub, j), g)].add(fid)
     blown = relpcs(n, cubes, faces, close=True)
     beta = CellMorphism(blown, P, beta_map)
     return BlowupResult(blown, beta, provenance)
@@ -192,20 +181,20 @@ def induced_map(
 
 def brick_colimit_check(epsilon: BrickIndex) -> bool:
     """Rebuild the brick boundary as the glued union of its proper
-    sub-bricks and compare with deleting the minimal cube."""
-    poset = brick_cells(epsilon)
-    elems = [w for w in poset if w != poset.top]
-    objs = [brick(w.sub_index()) for w in elems]
-    total, injections = PCS_CARRIER.coproduct(objs)
+    sub-bricks and compare with deleting the minimal cube.
+
+    The sub-brick along ``w`` lies in the one along ``w2`` when ``w`` is in
+    the image of ``w2``'s inclusion; it is glued there along the inclusion
+    followed by the inverse of ``w2``'s."""
+    subs = sub_bricks(epsilon)
+    total, injections = PCS_CARRIER.coproduct([incl.source for _w, _s, incl, _g in subs])
+    inverses = [{v: u for u, v in incl.mapping.items()} for _w, _s, incl, _g in subs]
     pairs = []
-    for a, w in enumerate(elems):
-        for b, w2 in enumerate(elems):
-            if w != w2 and cell_le(w, w2):
-                incl = inclusion_between(w, w2)
-                for u, v in incl.items():
-                    pairs.append(
-                        (injections[a].mapping[u], injections[b].mapping[v])
-                    )
+    for a, (w, _s, incl, _g) in enumerate(subs):
+        for b, back in enumerate(inverses):
+            if a != b and w in back:
+                for u, v in incl.mapping.items():
+                    pairs.append((injections[a].mapping[u], injections[b].mapping[back[v]]))
     colim, _proj = PCS_CARRIER.quotient(total, pairs)
     target = brick_boundary(epsilon)
     return PCS_CARRIER.find_isomorphism(colim, target) is not None

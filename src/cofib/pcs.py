@@ -26,10 +26,10 @@ from typing import Iterable, Mapping, Optional
 
 from .cells import Carrier, CellMorphism, Structure
 from .words import (
+    ONE,
     BrickIndex,
     CubeWord,
     all_brick_indices,
-    brick_cells,
     compose_words,
     factor_through,
 )
@@ -333,7 +333,35 @@ def brick(epsilon: BrickIndex) -> RelPCS:
 
 
 def min_cube(epsilon: BrickIndex) -> str:
-    return str(brick_cells(epsilon).top)
+    """The brick's bottom-dimensional cube: ``1`` where the shape subdivides
+    a direction, ``0`` where it leaves it open."""
+    return str(epsilon)
+
+
+@lru_cache(maxsize=None)
+def sub_bricks(
+    epsilon: BrickIndex,
+) -> tuple[tuple[str, BrickIndex, CellMorphism, CubeWord], ...]:
+    """The sub-bricks of ``brick(epsilon)``, one per cell ``w`` other than
+    the minimal cube, in name order, as ``(w, sub, inclusion, word)``.
+
+    ``sub`` has bit 1 where ``w`` has the letter ``1``.  The inclusion
+    ``brick(sub) -> brick(epsilon)`` sends the minimal cube to ``w``: a cell
+    ``u`` goes to ``w`` with its ``1`` letters replaced by ``u``'s letters;
+    its cell map runs in cell-name order.  ``word`` is the one along which ``w`` has the minimal cube as a face.
+    """
+    B = brick(epsilon)
+    to_min = dict(B.cofaces(min_cube(epsilon)))
+    out = []
+    for w in sorted(to_min):
+        sub = BrickIndex(tuple(int(a == ONE) for a in w))
+        S = brick(sub)
+        mapping = {
+            u: "".join(b if a == ONE else a for a, b in zip(w, u))
+            for u in sorted(S.all_cubes())
+        }
+        out.append((w, sub, PCS_CARRIER.make_morphism(S, B, mapping), to_min[w]))
+    return tuple(out)
 
 
 def restrict(P: RelPCS, keep: Iterable[str]) -> RelPCS:
@@ -556,6 +584,7 @@ __all__ = [
     "rename_cells",
     "brick",
     "min_cube",
+    "sub_bricks",
     "restrict",
     "delete_cube",
     "brick_boundary",

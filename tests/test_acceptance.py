@@ -131,7 +131,7 @@ def test_criterion_03_euclidean_iff_isomorphism(capsys):
 
 
 def test_criterion_04_brick_colimits(capsys):
-    cases = [eps for n in range(0, 4) for eps in all_brick_indices(n)]
+    cases = [eps for n in range(0, 5) for eps in all_brick_indices(n)]
     failures = [str(eps) for eps in cases if not brick_colimit_check(eps)]
     ok = not failures
     with capsys.disabled():
@@ -139,7 +139,7 @@ def test_criterion_04_brick_colimits(capsys):
             4,
             "boundary of a brick is the colimit of its sub-bricks",
             ok,
-            f"({len(cases)} shapes up to n=3, failures={failures})",
+            f"({len(cases)} shapes up to n=4, failures={failures})",
         )
 
 

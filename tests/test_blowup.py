@@ -1,5 +1,8 @@
 """Blowup computation and the theorem checks on the fixture corpus."""
 
+import hashlib
+import json
+
 import pytest
 
 from corpus import cycle, euclidean_expectations, pcs_corpus
@@ -15,7 +18,9 @@ from cofib.pcs import (
     PCS_CARRIER,
     hom_enumerate,
     relpcs,
+    saturate,
     tensor,
+    to_json_dict,
     validate,
 )
 from cofib.words import BrickIndex, CubeWord, all_brick_indices
@@ -125,16 +130,52 @@ def test_verify_blowup_on_corpus_matches_expectations():
         assert report.input_euclidean.ok == expect[name], name
 
 
+def tensor_power(k: int, n: int):
+    """C_k tensored with itself n times."""
+    X = cycle(k)
+    for _ in range(n - 1):
+        X = tensor(X, cycle(k))
+    return X
+
+
+LADDER = [(2, 3), (3, 3), (2, 4)]
+
+
 @pytest.mark.parametrize("k, n, squares", [(2, 3, 64), (3, 3, 216), (2, 4, 256)])
 def test_verify_blowup_ambient_dimension_ladder(k, n, squares):
     """The n-fold tensor power of C_k at ambient dimension n: the
     generators' bricks grow with n, and every square still has one filler."""
-    X = cycle(k)
-    for _ in range(n - 1):
-        X = tensor(X, cycle(k))
+    X = tensor_power(k, n)
     report = verify_blowup(X, n)
     assert report.ok
     assert (report.lifting.checked, report.codiagonal_lifting.checked) == (squares, squares)
+
+
+@pytest.mark.parametrize(
+    "k, n, digest",
+    [
+        (2, 3, "a3ace43b48143aae972c3ab555afae85107d036ba358210c883ddf20b926d1ce"),
+        (3, 3, "f43d24718db70c48431fc8e1bd8872e753e2e7f2d32f0371745d8697d0f6d5ae"),
+        (2, 4, "121b0eecc89cbfc1a42a5c79589ae567e6e755291e49476db3bcdad070c8ee82"),
+    ],
+    ids=["C2^3", "C3^3", "C2^4"],
+)
+def test_ladder_blowup_bytes_are_pinned(k, n, digest):
+    """The blowup's face table and per-cube provenance above n = 2, where
+    the CLI golden file does not reach, pinned by a sha256 of their JSON."""
+    result = blowup(tensor_power(k, n), n)
+    data = {"blowup": to_json_dict(result.blowup), "provenance": result.provenance_json()}
+    assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_blowup_face_table_is_already_closed():
+    """Saturating the blowup's face table adds nothing, on the corpus at
+    n = 1, 2, 3 and its own dimension, and on the ladder."""
+    cases = [(name, P, m) for name, P, n in pcs_corpus() for m in sorted({n, 1, 2, 3})]
+    cases += [(f"C{k}^{n}", tensor_power(k, n), n) for k, n in LADDER]
+    for name, P, n in cases:
+        faces = blowup(P, n).blowup.faces
+        assert saturate(faces) == faces, (name, n)
 
 
 def test_brick_colimit_examples():
@@ -144,7 +185,7 @@ def test_brick_colimit_examples():
 
 
 def test_brick_colimit_all_small_shapes():
-    for n in range(0, 4):
+    for n in range(0, 5):
         for eps in all_brick_indices(n):
             assert brick_colimit_check(eps), str(eps)
 

@@ -24,12 +24,13 @@ from cofib.pcs import (
     min_cube,
     relpcs,
     RelPCS,
+    sub_bricks,
     tensor,
     to_json_dict,
     upward,
     validate,
 )
-from cofib.words import ZERO, BrickIndex, CubeWord, all_brick_indices, brick_cells, word_to_min
+from cofib.words import ZERO, BrickIndex, CubeWord, all_brick_indices
 
 W = CubeWord.parse
 E = BrickIndex.parse
@@ -225,38 +226,68 @@ def test_brick_equals_the_upward_neighborhood_oracle():
             assert brick(eps) == brick_oracle(eps), str(eps)
 
 
-def test_brick_cells_match_poset_naming():
+def test_bricks_name_their_cells_by_letters():
+    """Letter ``0`` on each open direction, one of ``-``, ``+``, ``1`` on each
+    subdivided one; the minimal cube is the only cell of its dimension."""
     for n in range(4):
         for eps in all_brick_indices(n):
             B = brick(eps)
-            assert set(B.all_cubes()) == {str(w) for w in brick_cells(eps)}
+            choices = [ZERO if b == 0 else "-+1" for b in eps.bits]
+            assert set(B.all_cubes()) == {"".join(p) for p in itertools.product(*choices)}
             assert validate(B).ok
-            assert min_cube(eps) in B
+            assert B.cubes[eps.min_dim] == {min_cube(eps)}
 
 
-def test_brick_min_reached_along_word_to_min():
+def _flipped(w: str) -> CubeWord:
+    """Drop the ``1`` letters and flip the signs: the minimal cube sits on the
+    ``+`` side of an incoming half and on the ``-`` side of an outgoing one."""
+    return W("".join({"-": "+", "+": "-"}.get(c, c) for c in w if c != "1"))
+
+
+def test_brick_min_reached_along_the_sub_brick_word():
+    for n in range(1, 5):
+        for eps in all_brick_indices(n):
+            B = brick(eps)
+            bottom = min_cube(eps)
+            for w, _sub, _incl, g in sub_bricks(eps):
+                assert g == _flipped(w)
+                assert B.faces_of(w, g) == frozenset({bottom})
+
+
+def test_upward_of_min_is_the_graph_of_the_sub_brick_words():
     for n in range(1, 4):
         for eps in all_brick_indices(n):
             B = brick(eps)
             bottom = min_cube(eps)
-            for w in brick_cells(eps):
-                if str(w) == bottom:
-                    continue
-                assert B.faces_of(str(w), word_to_min(w)) == frozenset({bottom})
-
-
-def test_upward_of_min_is_the_graph_of_word_to_min():
-    for n in range(1, 4):
-        for eps in all_brick_indices(n):
-            B = brick(eps)
-            nbhd, proj = upward(B, min_cube(eps))
+            nbhd, proj = upward(B, bottom)
             pairs = {
                 (proj.mapping[pid], g)
                 for pid in nbhd.all_cubes()
                 for g in [W(pid.rsplit("|", 1)[1])]
             }
-            expected = {(str(w), word_to_min(w)) for w in brick_cells(eps)}
-            assert pairs == expected
+            expected = {(w, g) for w, _sub, _incl, g in sub_bricks(eps)}
+            assert pairs == expected | {(bottom, CubeWord.identity(eps.min_dim))}
+
+
+def test_sub_brick_inclusion_is_the_unique_pinned_hom():
+    for n in range(5):
+        for eps in all_brick_indices(n):
+            for w, sub, incl, _g in sub_bricks(eps):
+                homs = hom_enumerate(brick(sub), brick(eps), fixed={min_cube(sub): w})
+                assert [h.mapping for h in homs] == [incl.mapping], (str(eps), w)
+
+
+def test_upward_of_a_cell_is_its_sub_brick():
+    """``upward(brick(eps), w)`` is ``brick(sub)``, and the projection back
+    to the brick is the sub-brick inclusion."""
+    for n in range(5):
+        for eps in all_brick_indices(n):
+            B = brick(eps)
+            for w, sub, incl, _g in sub_bricks(eps):
+                nbhd, proj = upward(B, w)
+                phi = PCS_CARRIER.find_isomorphism(brick(sub), nbhd)
+                assert phi is not None, (str(eps), w)
+                assert {u: proj.mapping[c] for u, c in phi.mapping.items()} == incl.mapping
 
 
 # -- morphism enumeration ---------------------------------------------------------

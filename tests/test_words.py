@@ -1,4 +1,5 @@
-"""Sign-word combinatorics, checked against a generator-rewriting oracle."""
+"""Sign-word combinatorics, checked against a generator-rewriting oracle,
+and the letter-named cells of bricks with their sub-brick inclusions."""
 
 import copy
 import itertools
@@ -6,23 +7,18 @@ import pickle
 
 import pytest
 
+from cofib.pcs import brick, min_cube, sub_bricks
 from cofib.words import (
-    BrickCell,
     BrickIndex,
     CubeWord,
     all_brick_indices,
     all_words,
-    brick_cells,
-    cell_le,
     compose_words,
-    embed_cell,
     factor_through,
-    inclusion_between,
-    inclusion_on_cells,
-    word_to_min,
 )
 
 W = CubeWord.parse
+E = BrickIndex.parse
 
 
 # -- oracle: compose by concatenating coface generators and rewriting ---------
@@ -177,125 +173,132 @@ def test_bad_letters_raise():
         CubeWord(("+", 0))
 
 
-# -- brick cell posets ---------------------------------------------------------
+# -- brick cells and their sub-brick inclusions --------------------------------
+#
+# A brick's cells are named by letters, one per direction: ``0`` on an open
+# direction, ``-``/``+``/``1`` on a subdivided one.  These are examples and
+# properties of the inclusions ``pcs.sub_bricks`` reads off the brick; the
+# hom-search and upward-neighbourhood oracles are in ``test_pcs.py``.
+
+
+def inclusions(eps: BrickIndex) -> dict[str, dict[str, str]]:
+    """Cell ``w`` of ``brick(eps)`` -> the cell map of its sub-brick's inclusion."""
+    return {w: incl.mapping for w, _sub, incl, _g in sub_bricks(eps)}
 
 
 def test_cells_of_the_square_brick():
-    po = brick_cells(BrickIndex.parse("11"))
-    names = {str(w) for w in po}
-    assert names == {"++", "+-", "-+", "--", "+1", "-1", "1+", "1-", "11"}
-    assert str(po.top) == "11"
+    B = brick(E("11"))
+    names = {"++", "+-", "-+", "--", "+1", "-1", "1+", "1-", "11"}
+    assert set(B.all_cubes()) == names
+    assert min_cube(E("11")) == "11"
+    assert list(inclusions(E("11"))) == sorted(names - {"11"})
 
 
 def test_cells_of_degenerate_bricks():
-    assert [str(w) for w in brick_cells(BrickIndex.parse("00"))] == ["00"]
-    po = brick_cells(BrickIndex.parse("01"))
-    assert {str(w) for w in po} == {"0+", "0-", "01"}
-    assert str(po.top) == "01"
+    assert brick(E("00")).all_cubes() == ["00"]
+    assert sub_bricks(E("00")) == ()
+    assert set(brick(E("01")).all_cubes()) == {"0+", "0-", "01"}
+    assert min_cube(E("01")) == "01"
 
 
 def test_top_is_maximum():
+    """The minimal cube is a face of every other cell, along one word."""
     for n in range(4):
         for eps in all_brick_indices(n):
-            po = brick_cells(eps)
-            assert all(po.le(w, po.top) for w in po)
+            B = brick(eps)
+            bottom = min_cube(eps)
+            assert set(inclusions(eps)) == set(B.all_cubes()) - {bottom}
+            for w, _sub, _incl, g in sub_bricks(eps):
+                assert [h for h, bs in B.face_entries(w) if bottom in bs] == [g]
 
 
 def test_cell_membership_enforced():
+    B = brick(E("01"))
+    assert "1+" not in B and "00" not in B
     with pytest.raises(ValueError):
-        BrickCell.parse("1+", BrickIndex.parse("01"))
-    with pytest.raises(ValueError):
-        BrickCell.parse("00", BrickIndex.parse("01"))
+        E("12")
 
 
 def test_sub_index_and_meet():
-    eps = BrickIndex.parse("11")
-    w = BrickCell.parse("-1", eps)
-    assert str(w.sub_index()) == "01"
-    assert str(w.meet(BrickIndex.parse("01"))) == "01"
-    assert str(w.meet(BrickIndex.parse("10"))) == "-0"
+    """The sub-brick along ``w`` has bit 1 where ``w`` has the letter 1.
+    A cell ``w`` below ``w2`` sits in ``w2``'s sub-brick at ``w`` met with
+    that sub-brick's shape."""
+    shapes = {w: str(sub) for w, sub, _incl, _g in sub_bricks(E("11"))}
+    assert (shapes["-1"], shapes["1+"], shapes["++"]) == ("01", "10", "00")
+    back = {v: u for u, v in inclusions(E("111"))["1-1"].items()}
+    assert back["+-1"] == "+01"
+    assert back["1--"] == "10-"
+    assert "1+1" not in back
 
 
-def test_word_to_min_examples():
-    eps = BrickIndex.parse("11")
-    assert word_to_min(BrickCell.parse("-1", eps)) == W("+")
-    assert word_to_min(BrickCell.parse("11", eps)) == CubeWord.identity(0)
-    assert word_to_min(BrickCell.parse("++", eps)) == W("--")
+def test_word_to_the_minimal_cube_examples():
+    words = {w: g for w, _sub, _incl, g in sub_bricks(E("11"))}
+    assert words["-1"] == W("+")
+    assert words["1+"] == W("-")
+    assert words["++"] == W("--")
 
 
-def test_embed_cell_examples():
-    eps = BrickIndex.parse("11")
-    w = BrickCell.parse("-1", eps)
-    sub = w.sub_index()
-    assert str(embed_cell(w, BrickCell.parse("01", sub))) == "-1"
-    assert str(embed_cell(w, BrickCell.parse("0+", sub))) == "-+"
-    top = BrickCell.parse("11", eps)
-    for u in brick_cells(eps):
-        assert embed_cell(top, u) == u
-
-
-def test_embed_cell_rejects_wrong_sub_brick():
-    eps = BrickIndex.parse("11")
-    w = BrickCell.parse("-1", eps)
-    with pytest.raises(ValueError):
-        embed_cell(w, BrickCell.parse("+0", BrickIndex.parse("10")))
+def test_sub_brick_inclusion_examples():
+    incl = inclusions(E("11"))
+    assert incl["-1"] == {"0+": "-+", "0-": "--", "01": "-1"}
+    assert incl["+-"] == {"00": "+-"}
+    assert inclusions(E("101"))["10+"] == {"+00": "+0+", "-00": "-0+", "100": "10+"}
 
 
 def test_embedding_of_top_is_the_cell_itself():
     for n in range(1, 4):
         for eps in all_brick_indices(n):
-            for w in brick_cells(eps):
-                sub_top = brick_cells(w.sub_index()).top
-                assert embed_cell(w, sub_top) == w
+            for w, sub, incl, _g in sub_bricks(eps):
+                assert incl.source is brick(sub) and incl.target is brick(eps)
+                assert incl.mapping[min_cube(sub)] == w
+
+
+def _opposite(w: str, w2: str) -> bool:
+    return any({a, b} == {"+", "-"} for a, b in zip(w, w2))
 
 
 def test_opposite_sign_embeddings_are_disjoint():
     for n in range(1, 4):
         for eps in all_brick_indices(n):
-            cells = list(brick_cells(eps))
-            for w, w2 in itertools.combinations(cells, 2):
-                if not any(
-                    {a, b} == {"+", "-"} for a, b in zip(w.letters, w2.letters)
-                ):
-                    continue
-                im1 = set(inclusion_on_cells(w).values())
-                im2 = set(inclusion_on_cells(w2).values())
-                assert not im1 & im2
+            incl = inclusions(eps)
+            for w, w2 in itertools.combinations(incl, 2):
+                if _opposite(w, w2):
+                    assert not set(incl[w].values()) & set(incl[w2].values())
 
 
-def _pointwise_meet(w: BrickCell, w2: BrickCell) -> BrickCell:
+def _pointwise_meet(w: str, w2: str) -> str:
     order = {"0": 0, "+": 1, "-": 1, "1": 2}
-    letters = []
-    for a, b in zip(w.letters, w2.letters):
-        letters.append(a if order[a] <= order[b] else b)
-    return BrickCell(tuple(letters), w.epsilon)
+    return "".join(a if order[a] <= order[b] else b for a, b in zip(w, w2))
 
 
 def test_compatible_embeddings_intersect_along_their_meet():
     for n in range(1, 4):
         for eps in all_brick_indices(n):
-            cells = list(brick_cells(eps))
-            for w, w2 in itertools.combinations(cells, 2):
-                if any({a, b} == {"+", "-"} for a, b in zip(w.letters, w2.letters)):
+            incl = inclusions(eps)
+            for w, w2 in itertools.combinations(incl, 2):
+                if _opposite(w, w2):
                     continue
-                meet = _pointwise_meet(w, w2)
-                im1 = set(inclusion_on_cells(w).values())
-                im2 = set(inclusion_on_cells(w2).values())
-                im_meet = set(inclusion_on_cells(meet).values())
-                assert im1 & im2 == im_meet
+                meet = incl[_pointwise_meet(w, w2)]
+                assert set(incl[w].values()) & set(incl[w2].values()) == set(meet.values())
 
 
 def test_inclusions_compose_along_the_order():
+    """``w <= w2`` when ``w`` is in the image of ``w2``'s inclusion; the map
+    between their sub-bricks is the inclusion of ``w`` followed by the
+    inverse of ``w2``'s."""
     for eps in all_brick_indices(3):
-        cells = list(brick_cells(eps))
-        for w in cells:
-            for w2 in cells:
-                if w == w2 or not cell_le(w, w2):
+        incl = inclusions(eps)
+        back = {w: {v: u for u, v in m.items()} for w, m in incl.items()}
+
+        def between(w, w2):
+            return {u: back[w2][v] for u, v in incl[w].items()}
+
+        for w in incl:
+            for w2 in incl:
+                if w == w2 or w not in back[w2]:
                     continue
-                for w3 in cells:
-                    if w2 == w3 or not cell_le(w2, w3):
+                for w3 in incl:
+                    if w2 == w3 or w2 not in back[w3]:
                         continue
-                    lower = inclusion_between(w, w2)
-                    upper = inclusion_between(w2, w3)
-                    direct = inclusion_between(w, w3)
-                    assert {k: upper[v] for k, v in lower.items()} == direct
+                    lower, upper = between(w, w2), between(w2, w3)
+                    assert {k: upper[v] for k, v in lower.items()} == between(w, w3)
