@@ -350,9 +350,6 @@ class AutomatonCarrier(Carrier):
             accepting,
         )
 
-    def validate_object(self, A: RelAutomaton) -> None:
-        RelAutomaton(A.alphabet, A.states, A.edges, A.initial, A.accepting)
-
 
 AUT_CARRIER = AutomatonCarrier()
 
@@ -561,7 +558,7 @@ class ReplacementResult:
             mapping[(ST, name)] = (ST, v)
         for v, name in int_name.items():
             mapping[(ST, name)] = (ST, v)
-        return AUT_CARRIER.make_morphism(self.replacement, A, mapping, check=True)
+        return AUT_CARRIER.make_morphism(self.replacement, A, mapping)
 
     @cached_property
     def certificate(self) -> CofibCertificate:

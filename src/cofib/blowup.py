@@ -95,7 +95,7 @@ def blowup(P: RelPCS, n: int) -> BlowupResult:
                 key = tuple((u, f.mapping[v]) for u, v in incl.mapping.items())
                 j = index_of[sub][key]
                 faces[(cube_id(sub, j), g)].add(fid)
-    blown = relpcs(n, cubes, faces, close=True)
+    blown = relpcs(n, cubes, faces)
     beta = CellMorphism(blown, P, beta_map)
     return BlowupResult(blown, beta, provenance)
 

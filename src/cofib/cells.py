@@ -106,9 +106,6 @@ class GeneratorSet:
     nabla_name: str
     _nablas: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __iter__(self):
-        return iter(self.positive)
-
     def codiagonal(self, k: int) -> tuple[str, CellMorphism]:
         """The named codiagonal of the ``k``-th generator."""
         if k not in self._nablas:
@@ -231,10 +228,6 @@ class Carrier(ABC):
         ``images[k]``: sorts carried over, marks and relations united.
         Cells glued together share their sort."""
 
-    @abstractmethod
-    def validate_object(self, obj) -> None:
-        """Raise if the object violates the carrier's own laws."""
-
     def view(self, obj) -> Structure:
         if obj._view is None:
             obj._view = self.encode(obj)
@@ -263,12 +256,11 @@ class Carrier(ABC):
                     return f"relation {r} from {a!r} to {b!r} is not preserved"
         return None
 
-    def make_morphism(self, source, target, mapping: Mapping, check: bool = True) -> CellMorphism:
+    def make_morphism(self, source, target, mapping: Mapping) -> CellMorphism:
         """Wrap a cell map as a morphism, validating preservation conditions."""
-        if check:
-            reason = self._morphism_violation(source, target, mapping)
-            if reason is not None:
-                raise ValueError(reason)
+        reason = self._morphism_violation(source, target, mapping)
+        if reason is not None:
+            raise ValueError(reason)
         return CellMorphism(source, target, dict(mapping))
 
     def hom(

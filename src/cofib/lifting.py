@@ -254,8 +254,8 @@ def check_pushout_square(
     cocartesian one: the self-pushouts' comparison map to the new codomain
     is again a pushout."""
     b2, g, i2 = carrier.pushout(i1, f)
-    i2 = carrier.make_morphism(f.target, b2, i2.mapping, check=True)
-    g = carrier.make_morphism(i1.target, b2, g.mapping, check=True)
+    i2 = carrier.make_morphism(f.target, b2, i2.mapping)
+    g = carrier.make_morphism(i1.target, b2, g.mapping)
     nabla1 = codiagonal(carrier, i1)
     nabla2 = codiagonal(carrier, i2)
     top = induced_on_self_pushouts(carrier, i1, i2, f, g)
@@ -270,7 +270,7 @@ def check_pushout_square(
         if cls in mapping and mapping[cls] != nabla2.mapping[y]:
             return False
         mapping[cls] = nabla2.mapping[y]
-    comparison = carrier.make_morphism(pushed, b2, mapping, check=True)
+    comparison = carrier.make_morphism(pushed, b2, mapping)
     return carrier.is_isomorphism(comparison)
 
 

@@ -19,7 +19,7 @@ Morphisms are dimension-preserving cell maps that send faces to faces.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional
@@ -132,41 +132,36 @@ class RelPCS:
 def saturate(
     faces: Mapping[tuple[str, CubeWord], Iterable[str]]
 ) -> dict[tuple[str, CubeWord], set[str]]:
-    """Close a face table under composition of words (worklist closure)."""
-    rel: dict[tuple[str, CubeWord], set[str]] = defaultdict(set)
-    outgoing: dict[str, set[tuple[CubeWord, str]]] = defaultdict(set)
-    incoming: dict[str, set[tuple[str, CubeWord]]] = defaultdict(set)
-    queue: deque[tuple[str, CubeWord, str]] = deque()
-
-    def add(a: str, g: CubeWord, b: str) -> None:
-        if b in rel[(a, g)]:
-            return
-        rel[(a, g)].add(b)
-        outgoing[a].add((g, b))
-        incoming[b].add((a, g))
-        queue.append((a, g, b))
-
+    """Close a face table under composition of words, in one pass up the
+    dimensions: a cube's closed faces are its stored ``g``-faces ``b`` and
+    the closed faces of each ``b`` composed with ``g``.  A face has a lower
+    dimension than its cube, so ``b`` is closed first; a table where that
+    fails (an identity word, a misgraded face) raises ``ValueError``."""
+    stored: dict[str, list[tuple[CubeWord, Iterable[str]]]] = defaultdict(list)
     for (a, g), bs in faces.items():
-        for b in bs:
-            add(a, g, b)
-    while queue:
-        a, g, b = queue.popleft()
-        for g2, c in list(outgoing[b]):
-            add(a, compose_words(g2, g), c)
-        for x, g0 in list(incoming[a]):
-            add(x, compose_words(g, g0), b)
-    return dict(rel)
+        stored[a].append((g, bs))
+    closed: dict[str, dict[CubeWord, set[str]]] = {}
+    for a in sorted(stored, key=lambda c: stored[c][0][0].codomain_dim):
+        table: dict[CubeWord, set[str]] = defaultdict(set)
+        for g, bs in stored[a]:
+            table[g].update(bs)
+            for b in bs:
+                if g.is_identity or (b in stored and b not in closed):
+                    raise ValueError(f"face {b!r} of {a!r} at {g} is not of lower dimension")
+                for g2, cs in closed.get(b, {}).items():
+                    table[compose_words(g2, g)].update(cs)
+        closed[a] = table
+    return {(a, g): cs for a, table in closed.items() for g, cs in table.items() if cs}
 
 
 def relpcs(
     dim_bound: int,
     cubes: Mapping[int, Iterable[str]],
     faces: Mapping[tuple[str, CubeWord], Iterable[str]],
-    close: bool = True,
 ) -> RelPCS:
-    """Build a relational precubical set, saturating generator-only data."""
-    table = faces if not close else saturate(faces)
-    return RelPCS(dim_bound, cubes, table)
+    """Build a relational precubical set with its face table closed by
+    :func:`saturate`; ``RelPCS(...)`` keeps a table as given."""
+    return RelPCS(dim_bound, cubes, saturate(faces))
 
 
 class InvalidPCS(ValueError):
@@ -192,14 +187,14 @@ class ValidationReport:
 
 
 def validate(P: RelPCS) -> ValidationReport:
-    """Check grading and closure; report a witnessing triple on failure."""
+    """Check grading and closure; witness each missing composite once, in sorted order."""
     problems: list[dict] = []
     for d, cs in P.cubes.items():
         if d < 0 or d > P.dim_bound:
             problems.append({"kind": "grading", "detail": f"dimension {d} out of range"})
     seen: dict[str, int] = {}
     for d, cs in P.cubes.items():
-        for c in cs:
+        for c in sorted(cs):
             if c in seen and seen[c] != d:
                 problems.append({"kind": "grading", "detail": f"duplicate cube id {c!r}"})
             seen[c] = d
@@ -215,24 +210,21 @@ def validate(P: RelPCS) -> ValidationReport:
                 {"kind": "grading", "detail": f"word {g} does not match dim of {a!r}"}
             )
             continue
-        for b in bs:
+        for b in sorted(bs):
             if b not in P or P.dim(b) != g.domain_dim:
                 problems.append(
                     {"kind": "grading", "detail": f"face {b!r} of {a!r} at {g} misgraded"}
                 )
     if problems:
         return ValidationReport(problems)
+    missing: set[tuple[str, str, str]] = set()
     for (a, g), bs in P.faces.items():
         for b in bs:
             for g2, cs in P.face_entries(b):
                 comp = compose_words(g2, g)
-                for c in sorted(cs - P.faces_of(a, comp)):
-                    problems.append(
-                        {
-                            "kind": "closure",
-                            "witness": {"cube": a, "word": str(comp), "missing": c},
-                        }
-                    )
+                missing.update((a, str(comp), c) for c in cs - P.faces_of(a, comp))
+    for a, word, c in sorted(missing):
+        problems.append({"kind": "closure", "witness": {"cube": a, "word": word, "missing": c}})
     return ValidationReport(problems)
 
 
@@ -559,13 +551,8 @@ class PCSCarrier(Carrier):
         """Glued cubes, with the face table closed again: gluing can make
         new composites of faces."""
         glued, proj = super().quotient(obj, pairs)
-        closed = relpcs(glued.dim_bound, glued.cubes, glued.faces, close=True)
+        closed = relpcs(glued.dim_bound, glued.cubes, glued.faces)
         return closed, CellMorphism(obj, closed, proj.mapping)
-
-    def validate_object(self, obj: RelPCS) -> None:
-        report = validate(obj)
-        if not report.ok:
-            raise ValueError(f"invalid precubical set: {report.problems[0]}")
 
 
 PCS_CARRIER = PCSCarrier()

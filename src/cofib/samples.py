@@ -84,14 +84,13 @@ def open_square() -> RelPCS:
 
 def broken_closure_square() -> RelPCS:
     """A square whose edge has a vertex face missing from the composite."""
-    return relpcs(
+    return RelPCS(
         2,
         {0: ["v"], 1: ["e"], 2: ["c"]},
         {
             ("c", W("-0")): ["e"],
             ("e", W("-")): ["v"],
         },
-        close=False,
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict, deque
 
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from cofib.pcs import (
     tensor,
     upward,
 )
-from cofib.words import BrickIndex, CubeWord
+from cofib.words import BrickIndex, CubeWord, compose_words
 
 W = CubeWord.parse
 
@@ -120,7 +121,7 @@ def wedge(k: int) -> RelPCS:
 # edges around a central vertex.
 def interval_v0() -> RelPCS:
     return relpcs(
-        1, {0: ["s", "t"], 1: ["p0"]}, {("p0", W("-")): ["s"], ("p0", W("+")): ["t"]}, close=False
+        1, {0: ["s", "t"], 1: ["p0"]}, {("p0", W("-")): ["s"], ("p0", W("+")): ["t"]}
     )
 
 
@@ -134,7 +135,6 @@ def interval_v1() -> RelPCS:
             ("e+", W("-")): ["m"],
             ("e+", W("+")): ["t"],
         },
-        close=False,
     )
 
 
@@ -145,7 +145,7 @@ def brick_oracle(epsilon: BrickIndex) -> RelPCS:
     """The brick built the long way, as the oracle for ``pcs.brick``: the
     upward neighborhood of the central cell of the tensor product of
     intervals, each cell renamed by the letters of its central position."""
-    ambient = relpcs(0, {0: ["!"]}, {}, close=False)  # tensor unit
+    ambient = RelPCS(0, {0: ["!"]}, {})  # tensor unit
     for bit in epsilon.bits:
         ambient = tensor(ambient, interval_v1() if bit else interval_v0())
     center = ",".join(["!"] + ["m" if b else "p0" for b in epsilon.bits])
@@ -291,6 +291,60 @@ def relational_automata(draw, max_states: int, max_edges: int, min_initial: int 
     edges = draw(st.lists(st.tuples(st.sampled_from("ab"), subset, subset), max_size=max_edges))
     initial = draw(st.lists(st.sampled_from(states), unique=True, min_size=min_initial))
     return automaton("ab", states, edges, initial, draw(subset))
+
+
+# Face words of a cube of dimension 1 or 2 that are not the identity.
+FACE_WORDS = {
+    d: [CubeWord.parse(w) for w in words]
+    for d, words in {1: ("-", "+"), 2: ("-0", "+0", "0-", "0+", "--", "-+", "+-", "++")}.items()
+}
+
+
+@st.composite
+def relational_pcs(draw, max_cubes: int):
+    """A relational PCS of dimension at most 2, built by ``relpcs`` (closed
+    under composition) or by ``RelPCS`` (table as drawn); a face slot holds
+    zero, one or two cubes."""
+    dims = draw(st.lists(st.integers(0, 2), max_size=max_cubes))
+    cubes: dict = {}
+    for k, d in enumerate(dims):
+        cubes.setdefault(d, []).append(f"c{k}")
+    faces = {}
+    for d, names in cubes.items():
+        for name in names:
+            for word in FACE_WORDS.get(d, ()):
+                pool = cubes.get(word.domain_dim)
+                if pool:
+                    faces[(name, word)] = draw(st.lists(st.sampled_from(pool), max_size=2))
+    return draw(st.sampled_from([relpcs, RelPCS]))(2, cubes, faces)
+
+
+def worklist_saturate(faces) -> dict:
+    """The oracle of ``pcs.saturate``: a worklist closure that composes each
+    new triple with the stored faces below it and the cofaces above it,
+    until nothing new appears."""
+    rel: dict = defaultdict(set)
+    outgoing: dict = defaultdict(set)
+    incoming: dict = defaultdict(set)
+    queue: deque = deque()
+
+    def add(a, g, b) -> None:
+        if b not in rel[(a, g)]:
+            rel[(a, g)].add(b)
+            outgoing[a].add((g, b))
+            incoming[b].add((a, g))
+            queue.append((a, g, b))
+
+    for (a, g), bs in faces.items():
+        for b in bs:
+            add(a, g, b)
+    while queue:
+        a, g, b = queue.popleft()
+        for g2, c in list(outgoing[b]):
+            add(a, compose_words(g2, g), c)
+        for x, g0 in list(incoming[a]):
+            add(x, compose_words(g, g0), b)
+    return dict(rel)
 
 
 def eager_automata_generators(alphabet, max_in: int = 2, max_out: int = 2):

@@ -2,7 +2,6 @@
 certificates, the right adjoint to simple automata, and normalization."""
 
 import importlib
-import inspect
 import json
 import random
 from pathlib import Path
@@ -234,11 +233,11 @@ def test_generators_are_built_once_per_alphabet_and_arities():
     cab = automata_generators("cab")
     listed = automata_generators(["a", "b", "c", "a"])
     assert cab is not listed and len(cab.positive) == 92
-    assert [name for name, _f in cab] == [name for name, _f in listed]
-    assert all(f is g for (_name, f), (_same, g) in zip(cab, listed))
+    assert [name for name, _f in cab.positive] == [name for name, _f in listed.positive]
+    assert all(f is g for (_name, f), (_same, g) in zip(cab.positive, listed.positive))
     for arities in [(1, 1), (2, 1), (1, 2), (3, 2)]:
         other = automata_generators("abc", *arities)
-        assert not any(f is g for (_name, f), (_other, g) in zip(cab, other))
+        assert not any(f is g for (_name, f), (_other, g) in zip(cab.positive, other.positive))
         assert automata_generators("cba", *arities).positive == other.positive
 
 
@@ -352,21 +351,19 @@ def test_beta_is_built_once_and_matches_the_direct_map():
 
 
 def test_reading_beta_checks_the_morphism(monkeypatch):
-    real = AUT_CARRIER.make_morphism
+    real = AUT_CARRIER._morphism_violation
     checks = []
 
-    def spy(*args, **kwargs):
-        bound = inspect.signature(real).bind(*args, **kwargs)
-        bound.apply_defaults()
-        checks.append(bound.arguments["check"])
-        return real(*args, **kwargs)
+    def spy(source, target, mapping):
+        checks.append((source, target))
+        return real(source, target, mapping)
 
-    monkeypatch.setattr(AUT_CARRIER, "make_morphism", spy)
+    monkeypatch.setattr(AUT_CARRIER, "_morphism_violation", spy)
     result = cofibrant_replacement(samples.loop_ab())
     assert checks == []
     result.beta
     result.beta
-    assert checks == [True]
+    assert checks == [(result.replacement, result.source)]
     # a replacement the projection does not fit is caught on first read
     R = result.replacement
     swapped = {eid: Edge("b" if e.label == "a" else "a", e.sources, e.targets)
@@ -502,6 +499,11 @@ def test_conditions_fail_on_loop():
     ok, witness = check_conditions(samples.loop_ab())
     assert not ok
     assert witness[0] == "v"
+
+
+def test_conditions_fail_on_an_edge_out_of_an_accepting_state():
+    A = automaton("a", ["s", "t", "u"], [("a", ["s"], ["t"]), ("a", ["t"], ["u"])], ["s"], ["t"])
+    assert check_conditions(A) == (False, ("t", "e1"))
 
 
 def test_conditions_on_empty():

@@ -3,7 +3,7 @@ the core quotient against a union-find over every cell."""
 
 import random
 
-from corpus import cycle, pcs_corpus, random_automaton, relational_automata, wedge
+from corpus import cycle, pcs_corpus, random_automaton, relational_automata, relational_pcs, wedge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +11,8 @@ from cofib import samples
 from cofib.automata import AUT_CARRIER, automata_generators, cofibrant_replacement
 from cofib.blowup import blowup, brick_generators
 from cofib.cells import Carrier
-from cofib.pcs import PCS_CARRIER, brick, hom_enumerate, relpcs, tensor
-from cofib.words import BrickIndex, CubeWord
+from cofib.pcs import PCS_CARRIER, brick, hom_enumerate, tensor
+from cofib.words import BrickIndex
 
 
 def canonical_hom(carrier, X, Y, fixed=None, allowed=None, injective=False) -> list[dict]:
@@ -87,31 +87,6 @@ def test_automata_hom_order_matches_canonical_search():
         for Y in targets:
             found += _agree(AUT_CARRIER, X, Y)
     assert found > 500
-
-
-# Face words of a cube of dimension 1 or 2 that are not the identity.
-FACE_WORDS = {
-    d: [CubeWord.parse(w) for w in words]
-    for d, words in {1: ("-", "+"), 2: ("-0", "+0", "0-", "0+", "--", "-+", "+-", "++")}.items()
-}
-
-
-@st.composite
-def relational_pcs(draw, max_cubes: int):
-    """A relational PCS of dimension at most 2, closed under composition
-    or not; a face slot holds zero, one or two cubes."""
-    dims = draw(st.lists(st.integers(0, 2), max_size=max_cubes))
-    cubes: dict = {}
-    for k, d in enumerate(dims):
-        cubes.setdefault(d, []).append(f"c{k}")
-    faces = {}
-    for d, names in cubes.items():
-        for name in names:
-            for word in FACE_WORDS.get(d, ()):
-                pool = cubes.get(word.domain_dim)
-                if pool:
-                    faces[(name, word)] = draw(st.lists(st.sampled_from(pool), max_size=2))
-    return relpcs(2, cubes, faces, close=draw(st.booleans()))
 
 
 def _search_args(data, carrier, X, Y) -> dict:

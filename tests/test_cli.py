@@ -1,5 +1,6 @@
 """The batch front-end: exit codes, JSON outputs, figure exports."""
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -11,10 +12,13 @@ from pathlib import Path
 import pytest
 from corpus import cycle
 
-from cofib import pcs
+from cofib import cli, pcs, regex, samples
+from cofib.automata import automaton
 from cofib.automata import from_json_dict as aut_from_json
 from cofib.automata import to_json_dict as aut_to_json
-from cofib.cli import main
+from cofib.cli import main, pcs_to_dot
+from cofib.lifting import LiftReport
+from cofib.words import CubeWord
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -415,3 +419,65 @@ def test_aut_fixture_round_trip():
     for name in ("loop-ab", "relational-mess", "headless-edge", "two-start"):
         data = json.loads((FIXTURES / f"{name}.json").read_text())
         assert aut_to_json(aut_from_json(data)) == data
+
+
+def test_samples_equal_their_fixtures():
+    builders = {name: builder for name, (builder, _n) in samples.PCS_SAMPLES.items()}
+    builders["broken-closure"] = samples.broken_closure_square
+    for name, builder in builders.items():
+        data = json.loads((FIXTURES / f"{name}.json").read_text())
+        assert pcs.from_json_dict(data) == builder(), name
+    for name, builder in samples.AUT_SAMPLES.items():
+        data = json.loads((FIXTURES / f"{name}.json").read_text())
+        assert aut_from_json(data) == builder(), name
+    assert len(builders) + len(samples.AUT_SAMPLES) == len(list(FIXTURES.glob("*.json")))
+
+
+def test_dot_draws_a_face_with_two_targets_through_a_point_node():
+    P = pcs.relpcs(1, {0: ["v", "w"], 1: ["e"]}, {("e", CubeWord.parse("+")): ["v", "w"]})
+    lines = pcs_to_dot(P).splitlines()
+    for line in [
+        '  "rel0" [shape=point, label=""];',
+        '  "e" -> "rel0" [label="+", arrowhead=none];',
+        '  "rel0" -> "v";',
+        '  "rel0" -> "w";',
+    ]:
+        assert line in lines
+
+
+def test_verify_names_the_generator_where_lifting_failed(monkeypatch, capsys):
+    real = cli.verify_blowup
+
+    def failing(P, n):
+        report = real(P, n)
+        return dataclasses.replace(report, lifting=LiftReport(False, 3, None, 2, "i_11"))
+
+    monkeypatch.setattr(cli, "verify_blowup", failing)
+    code, data = run_json(capsys, "pcs", "verify", "-n", "2", str(FIXTURES / "one-square.json"))
+    assert code == 1
+    assert not data["ok"] and not data["unique_rlp"]
+    assert data["lifting_failure"] == {"generator": "i_11", "lift_count": 2}
+
+
+def test_rx_fuzz_reports_a_mismatch_witness(monkeypatch, capsys):
+    real = regex.compile_regex
+    monkeypatch.setattr(regex, "compile_regex", lambda r, alphabet: real(regex.Empty(), alphabet))
+    code = main(["rx", "fuzz", "--seed", "7", "--count", "5", "--depth", "2", "-L", "3"])
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert code == 1
+    assert data["regexes"] == 5 and data["mismatches"] > 0
+    assert f"{data['mismatches']} mismatches" in captured.err
+    for witness in data["witnesses"]:
+        expected = regex.regex_lang_upto(regex.parse(witness["regex"]), 3)
+        assert witness["compiled_only"] == []
+        assert witness["oracle_only"] == witness["words"] == sorted("".join(w) for w in expected)[:3]
+
+
+def test_aut_normalize_warns_without_an_initial_state(tmp_path, capsys):
+    path = tmp_path / "no-initial.json"
+    path.write_text(json.dumps(aut_to_json(automaton("a", ["s", "t"], [("a", ["s"], ["t"])], [], ["t"]))))
+    code, data = run_json(capsys, "aut", "normalize", str(path))
+    assert code == 0
+    assert data["warning"] == "no initial state; nothing to normalize"
+    assert data["automaton"] == json.loads(path.read_text())

@@ -2,14 +2,31 @@
 morphism enumeration, local embeddings, euclidean certification."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from corpus import brick_oracle, cycle, interval_v0, interval_v1, path, pcs_corpus, wedge
-from cofib import samples
-from cofib.blowup import blowup
+from corpus import (
+    brick_oracle,
+    cycle,
+    interval_v0,
+    interval_v1,
+    path,
+    pcs_corpus,
+    relational_pcs,
+    wedge,
+    worklist_saturate,
+)
+from cofib import pcs, samples
+from cofib.blowup import blowup, brick_generators
 from cofib.cells import CellMorphism
+from cofib.lifting import codiagonal
 from cofib.pcs import (
     PCS_CARRIER,
     brick,
@@ -24,6 +41,7 @@ from cofib.pcs import (
     min_cube,
     relpcs,
     RelPCS,
+    saturate,
     sub_bricks,
     tensor,
     to_json_dict,
@@ -50,7 +68,7 @@ def test_validate_reports_broken_closure():
 
 
 def test_validate_rejects_misgraded_face():
-    P = relpcs(2, {0: ["v"], 2: ["c"]}, {("c", W("-")): ["v"]}, close=False)
+    P = RelPCS(2, {0: ["v"], 2: ["c"]}, {("c", W("-")): ["v"]})
     report = validate(P)
     assert not report.ok
     assert report.problems[0]["kind"] == "grading"
@@ -60,6 +78,104 @@ def test_saturation_builds_closure():
     P = samples.one_square_torus()
     assert P.faces_of("c", W("--")) == frozenset({"v"})
     assert P.faces_of("c", W("+-")) == frozenset({"v"})
+
+
+def test_saturate_equals_the_worklist_closure(monkeypatch):
+    """Every table closed while building the corpus, its blowups at its own
+    dimension and at 1, 2, 3, and the codiagonals of the brick generators
+    up to dimension 4 (their glued tables) closes as the worklist does."""
+    real, tables = pcs.saturate, []
+
+    def spy(faces):
+        tables.append(dict(faces))
+        return real(faces)
+
+    monkeypatch.setattr(pcs, "saturate", spy)
+    built = 0  # the closures asked for below: one per blowup and per codiagonal
+    for _name, P, n in pcs_corpus():
+        tables.append(P.faces)
+        for m in sorted({n, 1, 2, 3}):
+            blowup(P, m)
+            built += 1
+    for n in range(1, 5):
+        for _name, f in brick_generators(n).positive:
+            codiagonal(PCS_CARRIER, f)
+            built += 1
+    monkeypatch.undo()
+    assert len(tables) >= len(pcs_corpus()) + built
+    for faces in tables:
+        assert saturate(faces) == worklist_saturate(faces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relational_pcs(max_cubes=8))
+def test_saturate_equals_the_worklist_closure_on_drawn_tables(P):
+    closed = saturate(P.faces)
+    assert closed == worklist_saturate(P.faces)
+    assert saturate(closed) == closed
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        {("e", W("0")): ["e"]},  # a stored identity word
+        {("e", W("0")): ["f"]},  # an identity word to a cube without faces
+        {("e", W("-")): ["c"], ("c", W("-0")): ["f"]},  # a face above its cube
+        {("e", W("-")): ["f"], ("f", W("+")): ["e"]},  # two edges, each a face of the other
+    ],
+)
+def test_saturate_rejects_a_face_not_of_lower_dimension(faces):
+    with pytest.raises(ValueError):
+        saturate(faces)
+
+
+@pytest.mark.parametrize(
+    "P, detail",
+    [
+        (RelPCS(1, {2: ["c"]}, {}), "dimension 2 out of range"),
+        (RelPCS(1, {0: ["v"], 1: ["v"]}, {}), "duplicate cube id 'v'"),
+        (RelPCS(1, {0: ["v"]}, {("x", W("-")): ["v"]}), "unknown cube 'x'"),
+        (RelPCS(1, {1: ["e"]}, {("e", W("0")): ["e"]}), "identity word stored for 'e'"),
+        (RelPCS(1, {0: ["v"], 1: ["e", "f"]}, {("e", W("-")): ["f"]}), "face 'f' of 'e' at - misgraded"),
+    ],
+)
+def test_validate_reports_each_grading_fault(P, detail):
+    assert validate(P).problems == [{"kind": "grading", "detail": detail}]
+
+
+def _fanned_square(edges: list[str], vertex) -> RelPCS:
+    """A square ``c`` whose ``-0`` face is every edge, each edge with the
+    ``-`` face ``vertex(edge)``, and no composite stored."""
+    vertices = sorted({vertex(e) for e in edges})
+    faces = {("c", W("-0")): edges}
+    faces.update({(e, W("-")): [vertex(e)] for e in edges})
+    return RelPCS(2, {0: vertices, 1: edges, 2: ["c"]}, faces)
+
+
+def test_validate_lists_a_missing_composite_once():
+    P = _fanned_square(["e", "f"], lambda e: "v")
+    witnesses = [p["witness"] for p in validate(P).problems]
+    assert witnesses == [{"cube": "c", "word": "--", "missing": "v"}]
+
+
+def test_pcs_validate_prints_the_same_bytes_under_any_hash_seed(tmp_path):
+    edges = ["e", "f", "g", "h"]
+    P = _fanned_square(edges, lambda e: "v" + e)
+    path = tmp_path / "four-problems.json"
+    path.write_text(json.dumps(to_json_dict(P)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "cofib", "pcs", "validate", str(path)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    witnesses = [p["witness"] for p in json.loads(outputs[0])["problems"]]
+    assert witnesses == [{"cube": "c", "word": "--", "missing": "v" + e} for e in edges]
 
 
 # -- tensor --------------------------------------------------------------------
