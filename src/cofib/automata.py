@@ -49,6 +49,12 @@ def _natural(eid: str) -> tuple[int, str]:
     return (len(eid), eid)
 
 
+def _natural_order(eids: Iterable[str]) -> list[str]:
+    """Edge ids in natural order, from two C-level sorts: by name, then
+    stably by length."""
+    return sorted(sorted(eids), key=len)
+
+
 class RelAutomaton:
     """A finite relational automaton over a fixed alphabet.
 
@@ -87,8 +93,7 @@ class RelAutomaton:
         """Edges in natural order, and per state its in- and out-edges in
         that order; built on first use."""
         if self._index is None:
-            # natural order from two C-level sorts: by name, then stably by length
-            order = tuple(sorted(sorted(self.edges), key=len))
+            order = tuple(_natural_order(self.edges))
             ins: dict[str, list[str]] = defaultdict(list)
             outs: dict[str, list[str]] = defaultdict(list)
             for eid in order:
@@ -365,9 +370,32 @@ def edge_map(m: CellMorphism) -> dict[str, str]:
 def canonical_rename(A: RelAutomaton) -> RelAutomaton:
     """States renamed ``q0, q1, ...`` in sorted order, edges ``e0, e1, ...``
     in natural order."""
-    image = {(ST, s): (ST, f"q{i}") for i, s in enumerate(sorted(A.states))}
-    image.update({(ED, e): (ED, f"e{i}") for i, e in enumerate(A.edge_ids())})
-    return AUT_CARRIER.build([A], [image])
+    return _numbered(A.alphabet, A.states, A.edges, A.initial, A.accepting)
+
+
+def _numbered(
+    alphabet: Iterable[str],
+    states: Iterable[str],
+    edges: Mapping[str, tuple[str, Iterable[str], Iterable[str]]],
+    initial: Iterable[str],
+    accepting: Iterable[str],
+) -> RelAutomaton:
+    """The automaton on the given cells, renamed as ``canonical_rename``
+    renames: states ``q0, q1, ...`` in sorted order of their names, edges
+    ``e0, e1, ...`` in natural order of theirs.  ``edges`` maps an edge
+    name to its label, sources and targets (state names), so that a
+    one-pass construction builds only the renamed result."""
+    name = {s: f"q{k}" for k, s in enumerate(sorted(states))}
+    rename = name.__getitem__
+    table: dict[str, Edge] = {}
+    for k, eid in enumerate(_natural_order(edges)):
+        label, sources, targets = edges[eid]
+        table[f"e{k}"] = _new_edge(
+            Edge, (label, frozenset(map(rename, sources)), frozenset(map(rename, targets)))
+        )
+    return RelAutomaton(
+        alphabet, name.values(), table, map(rename, initial), map(rename, accepting)
+    )
 
 
 # -- generating cofibrations --------------------------------------------------
@@ -698,33 +726,30 @@ def normalize(A: RelAutomaton) -> NormalizeResult:
 
     Written in one pass from the replacement ``R``, equal to
     ``canonical_rename(to_simple(Q))`` where ``Q`` glues ``R``'s initial
-    states into the least of them: states are numbered ``q0, q1, ...`` in
-    sorted order of their names in ``Q``, and every edge of ``R``, in
-    natural order, gives one edge ``e0, e1, ...`` per pair of a source and
-    a target, both in sorted order.
+    states into the least of them: every edge of ``R``, in natural order,
+    gives one edge ``d0, d1, ...`` per pair of a source and a target of
+    ``Q``, both in sorted order, as ``to_simple`` names them, and
+    ``_numbered`` renames the cells of ``Q`` as ``canonical_rename`` would.
     """
     if not A.initial:
         return NormalizeResult(A, warning="no initial state; nothing to normalize")
     R = cofibrant_replacement(A).replacement
     start = min(R.initial)
-    kept = sorted(R.states - R.initial | {start})
-    number = {s: k for k, s in enumerate(kept)}
-    number.update(dict.fromkeys(R.initial, number[start]))
-    single = [frozenset((f"q{k}",)) for k in range(len(kept))]
-    edges: dict[str, Edge] = {}
+    glued = dict.fromkeys(R.initial, start)
+    edges: dict[str, tuple] = {}
     for eid in R.edge_ids():
         e = R.edges[eid]
-        targets = sorted({number[v] for v in e.targets})
-        for u in sorted({number[v] for v in e.sources}):
+        targets = sorted(e.targets)  # no edge of R enters an initial state
+        for u in sorted({glued.get(v, v) for v in e.sources}):
             for v in targets:
-                edges[f"e{len(edges)}"] = _new_edge(Edge, (e.label, single[u], single[v]))
+                edges[f"d{len(edges)}"] = (e.label, (u,), (v,))
     return NormalizeResult(
-        RelAutomaton(
+        _numbered(
             R.alphabet,
-            (f"q{k}" for k in range(len(kept))),
+            R.states - R.initial | {start},
             edges,
-            single[number[start]],
-            {f"q{number[s]}" for s in R.accepting},
+            (start,),
+            {glued.get(s, s) for s in R.accepting},
         )
     )
 

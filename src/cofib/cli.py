@@ -64,6 +64,7 @@ def _count(text: str) -> int:
 
 MAX_AMBIENT_DIM = 7  # `pcs verify -n 7` on one square runs for half a minute
 MAX_FUZZ_DEPTH = 16  # random regex trees grow with depth: 4687 nodes at 24
+MAX_FUZZ_COUNT = 10_000  # `rx fuzz --depth 4 -L 8` checks 1000 regexes in 1.4 s
 # words up to length L number about |alphabet|^L: `rx compile '(a|b|c)*'
 # --alphabet abc -L 12` prints 15.5 MB in 4 s, and `aut lang -L 18` on a
 # two-letter loop 13 MB in 3 s
@@ -474,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_rx_compile)
     c = sub.add_parser("fuzz", help="compiler vs recursive semantics")
     c.add_argument("--seed", type=int, required=True)
-    c.add_argument("--count", type=_count, required=True)
+    c.add_argument("--count", type=_at_most(MAX_FUZZ_COUNT, "count"), required=True)
     c.add_argument("--depth", type=_at_most(MAX_FUZZ_DEPTH, "depth"), required=True)
     c.add_argument("-L", "--length", type=word_length, required=True)
     c.add_argument("--alphabet", default="ab")

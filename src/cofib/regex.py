@@ -25,6 +25,7 @@ from .automata import (
     ST,
     RelAutomaton,
     Word,
+    _numbered,
     automaton,
     canonical_rename,
     language_upto,
@@ -271,26 +272,38 @@ def _compile_node(r: Regex, args: list[RelAutomaton], ab: frozenset[str]) -> Rel
 
 def _concat(CA: RelAutomaton, CB: RelAutomaton) -> RelAutomaton:
     """Glue the accepting states of the left operand onto the right
-    operand's initial state, after normalizing both."""
+    operand's initial state, after normalizing both.
+
+    Written in one pass from the normal forms ``NA`` and ``NB``, equal to
+    ``canonical_rename`` of: the coproduct of ``NA`` without its accepting
+    marks and ``NB`` without its initial mark (cells ``0/x``, ``1/y``);
+    the quotient gluing the accepting non-initial states of ``NA`` to the
+    initial state of ``NB``, named by its least member; and, when ``NA``
+    accepts the empty word, a coproduct of that with ``CB`` itself.
+    """
     NA = normalize(CA).automaton
     NB = normalize(CB).automaton
-    i = min(NA.initial) if NA.initial else None
+    # if the left language contains the empty word, the right language
+    # itself must be recognized too
+    eps = bool(NA.initial) and min(NA.initial) in NA.accepting
+    tag = "0/" if eps else ""
+    parts = [(tag + "0/", NA), (tag + "1/", NB)] + ([("1/", CB)] if eps else [])
+    names = [{v: prefix + v for v in N.states} for prefix, N in parts]
     ends = sorted(NA.accepting - NA.initial)
-    left = RelAutomaton(NA.alphabet, NA.states, NA.edges, NA.initial, [])
-    right = RelAutomaton(NB.alphabet, NB.states, NB.edges, [], NB.accepting)
-    total, (in_left, in_right) = AUT_CARRIER.coproduct([left, right])
-    pairs = []
-    if NB.initial:
-        v = min(NB.initial)
-        pairs = [
-            (in_right.mapping[(ST, v)], in_left.mapping[(ST, x)]) for x in ends
-        ]
-    merged, _proj = AUT_CARRIER.quotient(total, pairs)
-    if i is not None and i in NA.accepting:
-        # the left language contains the empty word, so the right language
-        # itself must be recognized too
-        merged, _inj = AUT_CARRIER.coproduct([merged, CB])
-    return canonical_rename(merged)
+    if ends and NB.initial:
+        glued = names[0][ends[0]]
+        names[0].update(dict.fromkeys(ends, glued))
+        names[1][min(NB.initial)] = glued
+    marks = [(NA.initial, ()), ((), NB.accepting), (CB.initial, CB.accepting)]
+    states, initial, accepting, edges = set(), [], [], {}
+    for (prefix, N), name, (inits, accepts) in zip(parts, names, marks):
+        rename = name.__getitem__
+        states.update(name.values())
+        initial += map(rename, inits)
+        accepting += map(rename, accepts)
+        for eid, e in N.edges.items():
+            edges[prefix + eid] = (e.label, map(rename, e.sources), map(rename, e.targets))
+    return _numbered(NA.alphabet | NB.alphabet, states, edges, initial, accepting)
 
 
 def _star(CA: RelAutomaton) -> RelAutomaton:

@@ -38,6 +38,7 @@ from cofib.automata import (
 )
 from cofib.lifting import unique_rlp
 from cofib.pcs import FormatError
+from cofib.regex import _concat, compile_regex, parse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -592,12 +593,27 @@ def merge_initial_states(A: RelAutomaton):
     return AUT_CARRIER.quotient(A, pairs)
 
 
+def rename_by_build(A: RelAutomaton) -> RelAutomaton:
+    """The oracle for ``canonical_rename``: the same numbering, applied as
+    a cell map by the carrier's generic ``build``."""
+    image = {(ST, s): (ST, f"q{i}") for i, s in enumerate(sorted(A.states))}
+    image.update({(ED, e): (ED, f"e{i}") for i, e in enumerate(A.edge_ids())})
+    return AUT_CARRIER.build([A], [image])
+
+
+def test_canonical_rename_equals_the_build_on_the_corpus():
+    for A in automata_corpus(200):
+        got, want = canonical_rename(A), rename_by_build(A)
+        assert got == want
+        assert json.dumps(to_json_dict(got)) == json.dumps(to_json_dict(want))
+
+
 def normalize_by_composition(A: RelAutomaton) -> RelAutomaton:
     """The oracle for the one-pass ``normalize``: the replacement, its
     initial states glued, split into simple edges and renamed, one object
     per step."""
     merged, _proj = merge_initial_states(cofibrant_replacement(A).replacement)
-    return canonical_rename(to_simple(merged))
+    return rename_by_build(to_simple(merged))
 
 
 def test_merge_initial_states_unions_markers():
@@ -641,6 +657,73 @@ def test_normalize_builds_the_replacement_and_the_result_only(monkeypatch):
     monkeypatch.setattr(RelAutomaton, "__init__", spy)
     N = normalize(A).automaton
     assert len(built) == 2 and built[-1] is N
+
+
+def concat_by_composition(CA: RelAutomaton, CB: RelAutomaton) -> RelAutomaton:
+    """The oracle for the one-pass ``_concat``: both operands normalized,
+    re-marked copies, their coproduct, the quotient gluing the left
+    accepting states onto the right initial state, a second coproduct with
+    the raw right operand when the left one accepts the empty word, and the
+    renaming, one object per step."""
+    NA = normalize(CA).automaton
+    NB = normalize(CB).automaton
+    ends = sorted(NA.accepting - NA.initial)
+    left = RelAutomaton(NA.alphabet, NA.states, NA.edges, NA.initial, [])
+    right = RelAutomaton(NB.alphabet, NB.states, NB.edges, [], NB.accepting)
+    total, (in_left, in_right) = AUT_CARRIER.coproduct([left, right])
+    pairs = []
+    if NB.initial:
+        v = in_right.mapping[(ST, min(NB.initial))]
+        pairs = [(v, in_left.mapping[(ST, x)]) for x in ends]
+    merged, _proj = AUT_CARRIER.quotient(total, pairs)
+    if NA.initial and min(NA.initial) in NA.accepting:
+        merged, _inj = AUT_CARRIER.coproduct([merged, CB])
+    return rename_by_build(merged)
+
+
+def _concat_case(CA: RelAutomaton, CB: RelAutomaton) -> set[str]:
+    """The cases of ``_concat`` a pair of operands takes."""
+    NA, NB = normalize(CA).automaton, normalize(CB).automaton
+    cases = set()
+    if not CA.initial:
+        cases.add("left without initial state")
+    elif min(NA.initial) in NA.accepting:
+        cases.add("left accepts the empty word")
+    if not CB.initial:
+        cases.add("right without initial state")
+    if NB != CB:
+        cases.add("right not normal")
+    if min(len(NA.states), len(NB.states)) >= 10:
+        cases.add("both with at least 10 states")
+    return cases
+
+
+def _concat_agrees(CA: RelAutomaton, CB: RelAutomaton) -> None:
+    got, want = _concat(CA, CB), concat_by_composition(CA, CB)
+    assert got == want
+    assert json.dumps(to_json_dict(got)) == json.dumps(to_json_dict(want))
+
+
+def test_concat_equals_the_composition_on_the_corpus():
+    corpus = automata_corpus(200)
+    compiled = [
+        compile_regex(parse(text), "ab")
+        for text in ["(a|b)*abb", "(ab|ba)*(a|bb)*", "a(b|ε)a*(ba|∅)", "(aab|b*)(ba)*"]
+    ]
+    operands = corpus + compiled
+    pairs = list(zip(operands, operands[1:] + operands[:1]))
+    pairs += [(CA, CB) for CA in compiled for CB in compiled]
+    seen = set()
+    for CA, CB in pairs:
+        _concat_agrees(CA, CB)
+        seen |= _concat_case(CA, CB)
+    assert len(seen) == 5, seen
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(relational_automata(5, 6), relational_automata(5, 6))
+def test_concat_equals_the_composition(CA, CB):
+    _concat_agrees(CA, CB)
 
 
 # -- serialization -----------------------------------------------------------------------

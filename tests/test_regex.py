@@ -9,7 +9,7 @@ from functools import cache
 import pytest
 
 from cofib import samples
-from cofib.automata import AUT_CARRIER, check_conditions, language_upto, to_json_dict
+from cofib.automata import AUT_CARRIER, RelAutomaton, check_conditions, language_upto, to_json_dict
 from cofib.pcs import FormatError
 from cofib.regex import (
     Concat,
@@ -258,6 +258,23 @@ def test_compiled_bytes_are_pinned():
     assert digest.hexdigest() == (
         "86d8fe8276fcd761ebd25593f0a68e19e2dcbeb2b49cbddec723e76025952745"
     )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_compiling_a_chain_builds_five_automata_per_concatenation(monkeypatch, k):
+    # one per literal; per concatenation, the replacement and the normal
+    # form of each operand, and the result
+    built = []
+    init = RelAutomaton.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    r = parse("a" * k)
+    monkeypatch.setattr(RelAutomaton, "__init__", spy)
+    A = compile_regex(r, "ab")
+    assert len(built) == k + 5 * (k - 1) and built[-1] is A
 
 
 def test_compile_builds_no_projection(monkeypatch):
