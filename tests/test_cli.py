@@ -177,11 +177,11 @@ def test_negative_counts_exit_2(argv, capsys):
         (["pcs", "euclid", "-n", "8", "one-square.json"], 7),
         (["pcs", "verify", "-n", "8", "one-square.json"], 7),
         (["rx", "fuzz", "--seed", "1", "--count", "1", "--depth", "3000", "-L", "2"], 16),
-        (["rx", "fuzz", "--seed", "1", "--count", "1000000000", "--depth", "2", "-L", "2"], 10000),
         (["aut", "lang", "-L", "13", "loop-ab.json"], 12),
         (["aut", "verify", "-L", "40", "loop-ab.json"], 12),
         (["rx", "compile", "(a|b)*", "-L", "13"], 12),
         (["rx", "fuzz", "--seed", "1", "--count", "1", "--depth", "2", "-L", "99"], 12),
+        (["rx", "fuzz", "--seed", "1", "--count", "1000000000", "--depth", "2", "-L", "2"], 10000),
     ],
 )
 def test_oversized_requests_exit_2(argv, limit, capsys):
