@@ -29,7 +29,6 @@ from .pcs import (
     euclidean_check,
     hom_enumerate,
     min_cube,
-    relpcs,
     sub_bricks,
     validate,
 )
@@ -95,7 +94,7 @@ def blowup(P: RelPCS, n: int) -> BlowupResult:
                 key = tuple((u, f.mapping[v]) for u, v in incl.mapping.items())
                 j = index_of[sub][key]
                 faces[(cube_id(sub, j), g)].add(fid)
-    blown = relpcs(n, cubes, faces)
+    blown = RelPCS(n, cubes, faces)
     beta = CellMorphism(blown, P, beta_map)
     return BlowupResult(blown, beta, provenance)
 

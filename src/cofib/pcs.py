@@ -75,7 +75,7 @@ class RelPCS:
 
     def all_cubes(self) -> list[str]:
         """Cubes in canonical order: dimension descending, then identifier."""
-        return sorted(self._dim, key=lambda c: (-self._dim[c], c))
+        return list(PCS_CARRIER.cells(self))
 
     def n_cubes(self) -> int:
         return len(self._dim)
@@ -186,46 +186,46 @@ class ValidationReport:
         return self.ok
 
 
-def validate(P: RelPCS) -> ValidationReport:
-    """Check grading and closure; witness each missing composite once, in sorted order."""
-    problems: list[dict] = []
-    for d, cs in P.cubes.items():
-        if d < 0 or d > P.dim_bound:
-            problems.append({"kind": "grading", "detail": f"dimension {d} out of range"})
-    seen: dict[str, int] = {}
-    for d, cs in P.cubes.items():
+def _grading_problems(dim_bound: int, cubes: Mapping, faces: Mapping) -> list[dict]:
+    """The grading law, in one pass over raw cubes and faces: dimensions in
+    range, each cube id once, and every face entry naming known cubes along
+    a non-identity word that fits their dimensions."""
+    details: list[str] = []
+    dim: dict[str, int] = {}
+    for d, cs in cubes.items():
+        if not 0 <= d <= dim_bound:
+            details.append(f"dimension {d} out of range")
         for c in sorted(cs):
-            if c in seen and seen[c] != d:
-                problems.append({"kind": "grading", "detail": f"duplicate cube id {c!r}"})
-            seen[c] = d
-    for (a, g), bs in P.faces.items():
-        if a not in P:
-            problems.append({"kind": "grading", "detail": f"unknown cube {a!r}"})
-            continue
-        if g.is_identity:
-            problems.append({"kind": "grading", "detail": f"identity word stored for {a!r}"})
-            continue
-        if g.codomain_dim != P.dim(a):
-            problems.append(
-                {"kind": "grading", "detail": f"word {g} does not match dim of {a!r}"}
-            )
-            continue
-        for b in sorted(bs):
-            if b not in P or P.dim(b) != g.domain_dim:
-                problems.append(
-                    {"kind": "grading", "detail": f"face {b!r} of {a!r} at {g} misgraded"}
-                )
+            if c in dim:
+                details.append(f"duplicate cube id {c!r}")
+            dim[c] = d
+    for (a, g), bs in faces.items():
+        if a not in dim:
+            details.append(f"unknown cube {a!r}")
+        elif g.is_identity:
+            details.append(f"identity word stored for {a!r}")
+        elif g.codomain_dim != dim[a]:
+            details.append(f"word {g} does not match dim of {a!r}")
+        else:
+            for b in sorted(bs):
+                if b not in dim:
+                    details.append(f"unknown cube {b!r}")
+                elif dim[b] != g.domain_dim:
+                    details.append(f"face {b!r} of {a!r} at {g} misgraded")
+    return [{"kind": "grading", "detail": detail} for detail in details]
+
+
+def validate(P: RelPCS) -> ValidationReport:
+    """Check grading, then closure: each face that :func:`saturate` adds to
+    the stored table is a witness, listed once, in sorted order."""
+    problems = _grading_problems(P.dim_bound, P.cubes, P.faces)
     if problems:
         return ValidationReport(problems)
-    missing: set[tuple[str, str, str]] = set()
-    for (a, g), bs in P.faces.items():
-        for b in bs:
-            for g2, cs in P.face_entries(b):
-                comp = compose_words(g2, g)
-                missing.update((a, str(comp), c) for c in cs - P.faces_of(a, comp))
-    for a, word, c in sorted(missing):
-        problems.append({"kind": "closure", "witness": {"cube": a, "word": word, "missing": c}})
-    return ValidationReport(problems)
+    closed = saturate(P.faces)
+    missing = sorted((a, str(g), c) for (a, g), cs in closed.items() for c in cs - P.faces_of(a, g))
+    return ValidationReport(
+        [{"kind": "closure", "witness": {"cube": a, "word": w, "missing": c}} for a, w, c in missing]
+    )
 
 
 def empty_pcs(dim_bound: int = 0) -> RelPCS:
@@ -472,24 +472,17 @@ def from_json_dict(data: dict) -> RelPCS:
     if not isinstance(cubes_raw, dict):
         raise FormatError("'cubes' must map dimensions to identifier lists")
     cubes: dict[int, list[str]] = {}
-    declared: dict[str, int] = {}
     for k, ids in cubes_raw.items():
         try:
             d = int(k)
         except ValueError:
             raise FormatError(f"bad dimension key {k!r}")
-        if not 0 <= d <= dim_bound:
-            raise FormatError(f"dimension {k} lies outside 0..{dim_bound}")
         if d in cubes:
             raise FormatError(f"dimension {d} is given twice")
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
             raise FormatError(f"cube list for dimension {k} must be strings")
         if len(set(ids)) != len(ids):
             raise FormatError(f"duplicate cube ids in dimension {k}")
-        for c in ids:
-            if c in declared:
-                raise FormatError(f"cube {c!r} declared in dimensions {declared[c]} and {d}")
-            declared[c] = d
         cubes[d] = ids
     faces: dict[tuple[str, CubeWord], set[str]] = defaultdict(set)
     entries = data.get("faces", [])
@@ -510,18 +503,10 @@ def from_json_dict(data: dict) -> RelPCS:
             raise FormatError(f"bad word {word!r}")
         if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
             raise FormatError("face targets must be a list of strings")
-        for c in (a, *targets):
-            if c not in declared:
-                raise FormatError(f"face names undeclared cube {c!r}")
-        g = CubeWord.parse(word)
-        if g.is_identity:
-            raise FormatError(f"face word {word!r} of {a!r} is an identity")
-        if g.codomain_dim != declared[a]:
-            raise FormatError(f"face word {word!r} does not fit the dimension of {a!r}")
-        for t in targets:
-            if declared[t] != g.domain_dim:
-                raise FormatError(f"face {t!r} of {a!r} at {word!r} has the wrong dimension")
-        faces[(a, g)].update(targets)
+        faces[(a, CubeWord.parse(word))].update(targets)
+    problems = _grading_problems(dim_bound, cubes, faces)
+    if problems:
+        raise FormatError(problems[0]["detail"])
     return RelPCS(dim_bound, cubes, faces)
 
 

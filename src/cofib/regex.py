@@ -351,15 +351,17 @@ def _lang_node(node: Regex, args: list[frozenset[Word]], L: int) -> frozenset[Wo
                 out.add(u + v)
         return frozenset(out)
     if isinstance(node, Star):
-        base = args[0] - {()}
+        base = sorted(args[0] - {()}, key=len)
         words = {()}
         frontier = {()}
         while frontier:
             nxt = set()
             for u in frontier:
                 for v in base:
+                    if len(u) + len(v) > L:
+                        break
                     w = u + v
-                    if len(w) <= L and w not in words:
+                    if w not in words:
                         words.add(w)
                         nxt.add(w)
             frontier = nxt

@@ -120,12 +120,9 @@ def factor_through(u: CubeWord, g: CubeWord) -> Optional[CubeWord]:
     return CubeWord(tuple(kept))
 
 
-def all_words(codomain_dim: int, min_degree: int = 0) -> Iterator[CubeWord]:
+def all_words(codomain_dim: int) -> Iterator[CubeWord]:
     """All sign words with the given codomain dimension."""
-    for letters in product(_WORD_LETTERS, repeat=codomain_dim):
-        w = CubeWord(letters)
-        if w.degree >= min_degree:
-            yield w
+    return map(CubeWord, product(_WORD_LETTERS, repeat=codomain_dim))
 
 
 @dataclass(frozen=True, order=True)

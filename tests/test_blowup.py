@@ -6,7 +6,7 @@ import json
 import pytest
 
 from corpus import cycle, euclidean_expectations, pcs_corpus
-from cofib import samples
+from cofib import pcs, samples
 from cofib.blowup import (
     blowup,
     brick_colimit_check,
@@ -176,6 +176,22 @@ def test_blowup_face_table_is_already_closed():
     for name, P, n in cases:
         faces = blowup(P, n).blowup.faces
         assert saturate(faces) == faces, (name, n)
+
+
+def test_blowup_closes_only_its_input(monkeypatch):
+    """``blowup`` hands ``saturate`` the input's table, through ``validate``,
+    and never its own, which is closed as built."""
+    real, tables = pcs.saturate, []
+
+    def spy(faces):
+        tables.append(faces)
+        return real(faces)
+
+    monkeypatch.setattr(pcs, "saturate", spy)
+    for name, P, n in pcs_corpus():
+        tables.clear()
+        blowup(P, n)
+        assert tables == [P.faces], name
 
 
 def test_brick_colimit_examples():

@@ -70,6 +70,7 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         {"cube": ["e"], "word": "-", "targets": ["v"]},
         {"cube": "e", "word": "-", "targets": ["zz"]},
         {"cube": "zz", "word": "-", "targets": ["v"]},
+        {"cube": "zz", "word": "-", "targets": []},
     ):
         wrong.write_text(json.dumps(dict(square, faces=[face])))
         assert main(["pcs", "validate", str(wrong)]) == 2

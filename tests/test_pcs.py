@@ -91,11 +91,11 @@ def test_saturate_equals_the_worklist_closure(monkeypatch):
         return real(faces)
 
     monkeypatch.setattr(pcs, "saturate", spy)
-    built = 0  # the closures asked for below: one per blowup and per codiagonal
+    built = 0  # the closures asked for below: one per blowup (its input) and per codiagonal
     for _name, P, n in pcs_corpus():
         tables.append(P.faces)
         for m in sorted({n, 1, 2, 3}):
-            blowup(P, m)
+            tables.append(blowup(P, m).blowup.faces)
             built += 1
     for n in range(1, 5):
         for _name, f in brick_generators(n).positive:
@@ -156,6 +156,26 @@ def test_validate_lists_a_missing_composite_once():
     P = _fanned_square(["e", "f"], lambda e: "v")
     witnesses = [p["witness"] for p in validate(P).problems]
     assert witnesses == [{"cube": "c", "word": "--", "missing": "v"}]
+
+
+def test_validate_lists_every_composite_of_a_two_level_gap():
+    """``x -00-> y -0-> z --> w`` with no composite stored: the witnesses are
+    what closing the table adds, so the composite of both gaps is listed
+    too, and adding the witnesses gives a table that validates."""
+    P = RelPCS(
+        3,
+        {0: ["w"], 1: ["z"], 2: ["y"], 3: ["x"]},
+        {("x", W("-00")): ["y"], ("y", W("-0")): ["z"], ("z", W("-")): ["w"]},
+    )
+    witnesses = [p["witness"] for p in validate(P).problems]
+    assert witnesses == [
+        {"cube": "x", "word": "---", "missing": "w"},
+        {"cube": "x", "word": "--0", "missing": "z"},
+        {"cube": "y", "word": "--", "missing": "w"},
+    ]
+    faces = dict(P.faces)
+    faces.update({(p["cube"], W(p["word"])): [p["missing"]] for p in witnesses})
+    assert validate(RelPCS(3, P.cubes, faces)).ok
 
 
 def test_pcs_validate_prints_the_same_bytes_under_any_hash_seed(tmp_path):

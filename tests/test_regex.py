@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from dataclasses import fields, make_dataclass
 from functools import cache
 
@@ -140,6 +141,17 @@ def test_oracle_star_of_empty_is_epsilon():
 def test_oracle_length_pruning():
     lang = regex_lang_upto(parse("a*"), 3)
     assert words(lang) == ["", "a", "aa", "aaa"]
+
+
+def test_oracle_star_of_a_star_stops_at_the_length_limit():
+    """The outer star composes only words that fit within ``L``, instead of
+    pairing every word of the inner star with every other, which takes
+    seconds at L = 12."""
+    start = time.process_time()
+    lang = regex_lang_upto(parse("((a|b)*)*"), 12)
+    assert time.process_time() - start < 5.0
+    assert lang == regex_lang_upto(parse("(a|b)*"), 12)
+    assert len(lang) == 8191
 
 
 # -- compiler ------------------------------------------------------------------------
