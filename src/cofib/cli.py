@@ -126,8 +126,8 @@ def cmd_pcs_euclid(args) -> int:
     payload = {"ok": report.ok}
     if report.ok:
         payload["charts"] = {
-            cube: {"epsilon": str(eps), "chart": dict(sorted(phi.mapping.items()))}
-            for cube, (eps, phi) in report.charts.items()
+            cube: {"epsilon": str(eps), "chart": dict(sorted(pcs.chart_names(eps, f).items()))}
+            for cube, (eps, f) in report.charts.items()
         }
     else:
         payload["counterexample"] = report.counterexample

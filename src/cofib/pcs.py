@@ -399,7 +399,9 @@ def is_local_embedding(
     m: CellMorphism,
 ) -> tuple[bool, Optional[tuple[str, str, CubeWord, str]]]:
     """Distinct cubes sharing a face along the same word must stay distinct."""
-    cofaces_of = PCS_CARRIER.view(m.source).back
+    cofaces_of, image = PCS_CARRIER.view(m.source).back, m.mapping
+    if all(len({image[a] for a in cofaces}) == len(cofaces) for cofaces in cofaces_of.values()):
+        return True, None
     for (b, g), cofaces in sorted(cofaces_of.items(), key=lambda kv: (str(kv[0][1]), kv[0][0])):
         seen: dict[str, str] = {}
         for a in sorted(cofaces):
@@ -412,39 +414,53 @@ def is_local_embedding(
 
 @dataclass
 class EuclideanReport:
-    """Certificate (a chart per cube) or a counterexample cube."""
+    """Certificate (a chart per cube) or a counterexample cube with its reason and neighbourhood."""
 
     ok: bool
     charts: dict[str, tuple[BrickIndex, CellMorphism]]
     counterexample: Optional[str]
+    reason: object = None
+    neighbourhood: Optional[RelPCS] = None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
+@lru_cache(maxsize=None)
+def _min_words(epsilon: BrickIndex) -> tuple[tuple[str, CubeWord], ...]:
+    """Each brick cell in canonical order, with its word to the minimal cube."""
+    B, words = brick(epsilon), dict(brick(epsilon).cofaces(min_cube(epsilon)))
+    return tuple((b, words.get(b, CubeWord.identity(epsilon.min_dim))) for b in B.all_cubes())
+
+
+def chart_names(epsilon: BrickIndex, f: CellMorphism) -> dict[str, str]:
+    """A chart as the map onto the upward neighbourhood of its cube."""
+    return {b: _pair_id(f.mapping[b], w) for b, w in _min_words(epsilon)}
+
+
 def euclidean_check(P: RelPCS, n: int) -> EuclideanReport:
-    """Look for a chart at every cube: a surjective local embedding from a
-    brick of the matching shape onto the cube's upward neighborhood."""
+    """Look for a chart at every cube ``c``: a local embedding ``f`` from a brick,
+    ``f(min_cube) = c``, whose pairs ``(f(b), w_b)`` are the cells of ``upward(P, c)``."""
     charts: dict[str, tuple[BrickIndex, CellMorphism]] = {}
     for c in P.all_cubes():
-        nbhd, _proj = upward(P, c)
-        nbhd_cells = set(nbhd.all_cubes())
-        found = None
+        cover = {(c, CubeWord.identity(P.dim(c))), *P.cofaces(c)}
+        found = reason = None
         for eps in all_brick_indices(n):
-            if eps.min_dim != P.dim(c):
+            if found or eps.min_dim != P.dim(c):
                 continue
-            B = brick(eps)
-            for phi in hom_enumerate(B, nbhd):
-                if set(phi.mapping.values()) != nbhd_cells:
-                    continue
-                ok, _w = is_local_embedding(phi)
+            homs = hom_enumerate(brick(eps), P, fixed={min_cube(eps): c})
+            onto = [f for f in homs if {(f.mapping[b], w) for b, w in _min_words(eps)} == cover]
+            if len(onto) > 1:  # in the order a search into upward(P, c) finds them
+                onto.sort(key=lambda f: tuple(chart_names(eps, f).values()))
+            for f in onto:
+                ok, clash = is_local_embedding(f)
                 if ok:
-                    found = (eps, phi)
+                    found = (eps, f)
                     break
-            if found:
-                break
+                reason = reason or clash
         if found is None:
-            return EuclideanReport(False, charts, c)
+            reason = reason or "no surjective brick map"
+            return EuclideanReport(False, charts, c, reason, upward(P, c)[0])
         charts[c] = found
     return EuclideanReport(True, charts, None)
 
@@ -564,6 +580,7 @@ __all__ = [
     "hom_enumerate",
     "is_local_embedding",
     "EuclideanReport",
+    "chart_names",
     "euclidean_check",
     "to_json_dict",
     "from_json_dict",

@@ -14,12 +14,14 @@ from cofib.pcs import (
     RelPCS,
     brick,
     brick_boundary,
+    hom_enumerate,
+    is_local_embedding,
     relpcs,
     rename_cells,
     tensor,
     upward,
 )
-from cofib.words import BrickIndex, CubeWord, compose_words
+from cofib.words import BrickIndex, CubeWord, all_brick_indices, compose_words
 
 W = CubeWord.parse
 
@@ -155,6 +157,31 @@ def brick_oracle(epsilon: BrickIndex) -> RelPCS:
         comps = pid.rsplit("|", 1)[0].split(",")[1:]
         renaming[pid] = "".join(_CENTER_LETTER[c] for c in comps)
     return rename_cells(nbhd, renaming)
+
+
+def euclidean_by_neighbourhood(P: RelPCS, n: int) -> tuple[bool, dict, object]:
+    """The oracle of ``pcs.euclidean_check``: at every cube, build its
+    upward neighbourhood and search brick -> neighbourhood for a surjective
+    local embedding.  Returns ``(ok, charts, counterexample)``, each chart
+    as ``(eps, phi)`` with ``phi`` onto the neighbourhood."""
+    charts: dict = {}
+    for c in P.all_cubes():
+        nbhd, _proj = upward(P, c)
+        nbhd_cells = set(nbhd.all_cubes())
+        found = None
+        for eps in all_brick_indices(n):
+            if eps.min_dim != P.dim(c):
+                continue
+            for phi in hom_enumerate(brick(eps), nbhd):
+                if set(phi.mapping.values()) == nbhd_cells and is_local_embedding(phi)[0]:
+                    found = (eps, phi)
+                    break
+            if found:
+                break
+        if found is None:
+            return False, charts, c
+        charts[c] = found
+    return True, charts, None
 
 
 def _disjoint_circle_interval() -> RelPCS:

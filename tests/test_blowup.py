@@ -141,7 +141,7 @@ def tensor_power(k: int, n: int):
 LADDER = [(2, 3), (3, 3), (2, 4)]
 
 
-@pytest.mark.parametrize("k, n, squares", [(2, 3, 64), (3, 3, 216), (2, 4, 256)])
+@pytest.mark.parametrize("k, n, squares", [(2, 3, 64), (3, 3, 216), (2, 4, 256), (2, 5, 1024)])
 def test_verify_blowup_ambient_dimension_ladder(k, n, squares):
     """The n-fold tensor power of C_k at ambient dimension n: the
     generators' bricks grow with n, and every square still has one filler."""

@@ -58,6 +58,10 @@ def _agree(carrier, X, Y) -> int:
     assert got == want
     injective = [list(h.mapping.items()) for h in carrier.hom(X, Y, injective=True)]
     assert injective == [m for m in want if len({v for _c, v in m}) == len(m)]
+    for root in carrier.cells(X)[-1:]:  # one pinned cell: the search starts there
+        for v in carrier.cells(Y):
+            pinned = [list(h.mapping.items()) for h in carrier.hom(X, Y, fixed={root: v})]
+            assert pinned == [m for m in want if dict(m)[root] == v]
     return len(got)
 
 

@@ -10,11 +10,12 @@ from collections import defaultdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from corpus import (
     brick_oracle,
     cycle,
+    euclidean_by_neighbourhood,
     interval_v0,
     interval_v1,
     path,
@@ -31,6 +32,7 @@ from cofib.pcs import (
     PCS_CARRIER,
     brick,
     brick_boundary,
+    chart_names,
     delete_cube,
     empty_pcs,
     euclidean_check,
@@ -536,6 +538,76 @@ def test_euclidean_charts_cover_all_cubes():
     assert set(report.charts) == {"v", "e"}
     eps, phi = report.charts["v"]
     assert str(eps) == "1"
+
+
+def test_failing_charts_name_their_reason_and_neighbourhood():
+    report = euclidean_check(samples.y_graph(), 1)
+    assert (report.counterexample, report.reason) == ("a", "no surjective brick map")
+    assert report.neighbourhood.all_cubes() == ["e1|-", "a|"]
+    report = euclidean_check(samples.one_square_torus(), 2)
+    assert (report.counterexample, report.reason) == ("e", "no surjective brick map")
+    assert report.neighbourhood.all_cubes() == ["c|+0", "c|-0", "c|0+", "c|0-", "e|0"]
+    assert upward(samples.one_square_torus(), "e")[0] == report.neighbourhood
+    ok = euclidean_check(samples.circle(), 1)
+    assert (ok.reason, ok.neighbourhood) == (None, None)
+
+
+def _agrees_with_the_neighbourhood_oracle(P, n) -> None:
+    report = euclidean_check(P, n)
+    ok, charts, counterexample = euclidean_by_neighbourhood(P, n)
+    assert (report.ok, report.counterexample) == (ok, counterexample)
+    assert list(report.charts) == list(charts)
+    for c, (eps, phi) in charts.items():
+        assert report.charts[c][0] == eps
+        assert chart_names(*report.charts[c]) == phi.mapping
+
+
+def test_euclidean_check_matches_the_neighbourhood_oracle():
+    """Same verdict, counterexample, chart keys in order and chart names on
+    the corpus at n = 1, 2, 3 and its own dimension, on their blowups and
+    on C2^4."""
+    for name, P, n in pcs_corpus():
+        for m in sorted({n, 1, 2, 3}):
+            _agrees_with_the_neighbourhood_oracle(P, m)
+            _agrees_with_the_neighbourhood_oracle(blowup(P, m).blowup, m)
+    C2_4 = cycle(2)
+    for _ in range(3):
+        C2_4 = tensor(C2_4, cycle(2))
+    _agrees_with_the_neighbourhood_oracle(C2_4, 4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(relational_pcs(max_cubes=7), st.sampled_from([1, 2]))
+def test_euclidean_check_matches_the_neighbourhood_oracle_on_drawn_pcs(P, n):
+    _agrees_with_the_neighbourhood_oracle(P, n)
+
+
+def test_euclidean_check_searches_pinned_at_the_cube(monkeypatch):
+    """Each chart search is ``brick(eps) -> P`` with the minimal cube pinned
+    at the cube; the neighbourhood is built only for a counterexample."""
+    real_hom, real_upward, searches, upwards = pcs.hom_enumerate, pcs.upward, [], []
+
+    def hom_spy(X, Y, fixed=None, *args):
+        searches.append((X, Y, fixed))
+        return real_hom(X, Y, fixed, *args)
+
+    def upward_spy(P, c):
+        upwards.append(c)
+        return real_upward(P, c)
+
+    monkeypatch.setattr(pcs, "hom_enumerate", hom_spy)
+    monkeypatch.setattr(pcs, "upward", upward_spy)
+    for P, n, want in [(samples.circle(), 1, []), (samples.y_graph(), 1, ["a"])]:
+        searches.clear()
+        upwards.clear()
+        report = euclidean_check(P, n)
+        assert upwards == want
+        for X, Y, fixed in searches:
+            (eps,) = [e for e in all_brick_indices(n) if brick(e) is X]
+            (cube,) = fixed.values()
+            assert Y is P and fixed == {min_cube(eps): cube}
+        pinned = {cube for _X, _Y, fixed in searches for cube in fixed.values()}
+        assert pinned == set(report.charts) | set(upwards)
 
 
 def test_brick_boundaries_are_euclidean():
