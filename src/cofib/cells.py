@@ -6,16 +6,16 @@ which morphisms keep exactly, and a set of *marks*, which morphisms keep
 upward; cells are linked by stored binary *relations*.  Morphisms are
 exactly the cell maps that keep sorts, marks and every stored relation.
 
-Hom search, the morphism check, the isomorphism signature and the
-colimits (coproduct, quotient, pushout) are written once, here, against
-that view.  A carrier only encodes its objects into a :class:`Structure`
+Hom search, the morphism check, the isomorphism search and the colimits
+(coproduct, quotient, pushout) are written once, here, against that
+view.  A carrier only encodes its objects into a :class:`Structure`
 and builds an object from the images of the cells of others.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
@@ -363,26 +363,6 @@ class Carrier(ABC):
         rows.sort()
         return [CellMorphism(source, target, dict(zip(X.order, row))) for row in rows]
 
-    def iso_signature(self, obj) -> dict:
-        """Per-cell invariant kept by isomorphisms (pruning aid): sort,
-        marks, and the relations from and to the cell."""
-        S = self.view(obj)
-        out: dict = defaultdict(list)
-        into: dict = defaultdict(list)
-        for (a, r), bs in S.rel.items():
-            out[a].append((str(r), len(bs)))
-            for b in bs:
-                into[b].append(str(r))
-        return {
-            c: (
-                s,
-                tuple(sorted(S.marks.get(c, ()))),
-                tuple(sorted(out.get(c, ()))),
-                tuple(sorted(into.get(c, ()))),
-            )
-            for c, s in S.sort.items()
-        }
-
     def empty(self):
         """The object with no cells."""
         return self.build((), ())
@@ -415,10 +395,12 @@ class Carrier(ABC):
 
     def copair(self, injections: Sequence[CellMorphism], legs: Sequence[CellMorphism]) -> CellMorphism:
         """The morphism out of a colimit that restricts to ``legs[k]``
-        along ``injections[k]``."""
-        mapping = {
-            j.mapping[x]: y for j, leg in zip(injections, legs) for x, y in leg.mapping.items()
-        }
+        along ``injections[k]``; ``ValueError`` if legs disagree on a cell."""
+        mapping: dict = {}
+        for j, leg in zip(injections, legs):
+            for x, y in leg.mapping.items():
+                if mapping.setdefault(j.mapping[x], y) != y:
+                    raise ValueError(f"the legs send {j.mapping[x]!r} to two cells")
         return self.make_morphism(injections[0].target, legs[0].target, mapping)
 
     def quotient(self, obj, pairs: Iterable[tuple]) -> tuple[Any, CellMorphism]:
@@ -480,20 +462,28 @@ class Carrier(ABC):
             return False
         return self._morphism_violation(f.target, f.source, inverse) is None
 
+    def census(self, obj) -> Counter:
+        """Cells per ``(sort, marks)`` and stored pairs per relation (not
+        cached).  An injective morphism between objects with equal censuses
+        is onto each sort, mark and relation, so it is an isomorphism."""
+        S = self.view(obj)
+        census = Counter(("cells", s, S.marks.get(c, _NONE)) for c, s in S.sort.items())
+        for (_a, r), bs in S.rel.items():
+            census[("pairs", r)] += len(bs)
+        return census
+
     def find_isomorphism(self, X, Y) -> Optional[CellMorphism]:
-        """Some isomorphism ``X -> Y``, or ``None``."""
-        sig_x = self.iso_signature(X)
-        sig_y = self.iso_signature(Y)
-        if sorted(sig_x.values(), key=repr) != sorted(sig_y.values(), key=repr):
+        """Some isomorphism ``X -> Y``, or ``None``: with equal censuses, the
+        first injective map found pinning ``X``'s first cell to a cell of
+        ``Y``, tried in order, since every isomorphism sends it somewhere."""
+        if self.census(X) != self.census(Y):
             return None
-        by_sig: dict = {}
-        for cell, s in sig_y.items():
-            by_sig.setdefault(s, []).append(cell)
-        allowed = {cell: by_sig.get(s, []) for cell, s in sig_x.items()}
-        for candidate in self.hom(X, Y, allowed=allowed, injective=True):
-            if self.is_isomorphism(candidate):
-                return candidate
-        return None
+        SX, SY = self.view(X), self.view(Y)
+        if not SX.order:
+            return CellMorphism(X, Y, {})
+        x0, sort = SX.order[0], SX.sort[SX.order[0]]
+        pins = (self.hom(X, Y, fixed={x0: y}, injective=True) for y in SY.order if SY.sort[y] == sort)
+        return next((found[0] for found in pins if found), None)
 
 
 __all__ = [

@@ -401,3 +401,68 @@ def eager_automata_generators(alphabet, max_in: int = 2, max_out: int = 2):
                     name = f"internal({','.join(ins)}|{','.join(outs)})"
                     positive.append((name, gen_internal(letters, ins, outs)))
     return GeneratorSet(tuple(positive), lambda f: codiagonal(AUT_CARRIER, f), "nabla[{}]")
+
+
+def iso_signature(carrier, obj) -> dict:
+    """Per-cell invariant kept by isomorphisms: sort, marks, and the
+    relations from and to the cell."""
+    S = carrier.view(obj)
+    out: dict = defaultdict(list)
+    into: dict = defaultdict(list)
+    for (a, r), bs in S.rel.items():
+        out[a].append((str(r), len(bs)))
+        for b in bs:
+            into[b].append(str(r))
+    return {
+        c: (
+            s,
+            tuple(sorted(S.marks.get(c, ()))),
+            tuple(sorted(out.get(c, ()))),
+            tuple(sorted(into.get(c, ()))),
+        )
+        for c, s in S.sort.items()
+    }
+
+
+def shuffled(carrier, X, rng):
+    """An isomorphic copy of ``X`` with its cells renamed by a random
+    permutation within each sort, with that renaming."""
+    by_sort: dict = defaultdict(list)
+    for c in carrier.cells(X):
+        by_sort[carrier.view(X).sort[c]].append(c)
+    image: dict = {}
+    for cells in by_sort.values():
+        image.update(zip(cells, rng.sample(cells, len(cells))))
+    return carrier.build([X], [image]), image
+
+
+def signature_isomorphism(carrier, X, Y):
+    """The oracle of ``Carrier.find_isomorphism``: list every injective
+    map that keeps each cell's ``iso_signature``, then return the first
+    that ``is_isomorphism`` accepts, or ``None``."""
+    sig_x, sig_y = iso_signature(carrier, X), iso_signature(carrier, Y)
+    if sorted(sig_x.values(), key=repr) != sorted(sig_y.values(), key=repr):
+        return None
+    by_sig: dict = {}
+    for cell, s in sig_y.items():
+        by_sig.setdefault(s, []).append(cell)
+    allowed = {cell: by_sig.get(s, []) for cell, s in sig_x.items()}
+    for candidate in carrier.hom(X, Y, allowed=allowed, injective=True):
+        if carrier.is_isomorphism(candidate):
+            return candidate
+    return None
+
+
+def arrow_isomorphic_by_all_homs(carrier, f, g) -> bool:
+    """The oracle of ``lifting.arrow_isomorphic``: every pair of a hom of
+    domains and a hom of codomains, each tested as an isomorphism, then
+    the square compared."""
+    for phi in carrier.hom(f.source, g.source):
+        if not carrier.is_isomorphism(phi):
+            continue
+        for psi in carrier.hom(f.target, g.target):
+            if not carrier.is_isomorphism(psi):
+                continue
+            if f.then(psi).mapping == phi.then(g).mapping:
+                return True
+    return False

@@ -1,9 +1,20 @@
-"""The core hom search against a plain canonical-order backtracking, and
-the core quotient against a union-find over every cell."""
+"""The core hom search against a plain canonical-order backtracking, the
+isomorphism search against the signature search, and the core quotient
+against a union-find over every cell."""
 
 import random
 
-from corpus import cycle, pcs_corpus, random_automaton, relational_automata, relational_pcs, wedge
+from corpus import (
+    automata_corpus,
+    cycle,
+    pcs_corpus,
+    random_automaton,
+    relational_automata,
+    relational_pcs,
+    shuffled,
+    signature_isomorphism,
+    wedge,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,13 +135,81 @@ def test_automata_hom_matches_canonical_search_on_random_automata(X, Y, data):
     _agree_with_args(AUT_CARRIER, X, Y, _search_args(data, AUT_CARRIER, X, Y))
 
 
-def test_large_self_hom_and_isomorphism_do_not_recurse():
-    """1156 cells: a search that recursed once per cell hit the limit."""
+def test_large_self_hom_and_isomorphism_do_not_recurse(monkeypatch):
+    """1156 cells: a search that recursed once per cell hit the limit.  The
+    isomorphism is one search pinning the first cell, listing one map; the
+    signature search listed 289 before testing the first."""
     T = tensor(cycle(17), cycle(17))
     identity = PCS_CARRIER.identity(T)
     assert [h.mapping for h in hom_enumerate(T, T, fixed=identity.mapping)] == [identity.mapping]
+    listed = []
+    search = Carrier.hom
+
+    def spy(*args, **kwargs):
+        found = search(*args, **kwargs)
+        listed.append(len(found))
+        return found
+
+    monkeypatch.setattr(Carrier, "hom", spy)
     iso = PCS_CARRIER.find_isomorphism(T, T)
     assert iso is not None and PCS_CARRIER.is_isomorphism(iso)
+    assert listed == [1]
+
+
+def _isomorphism_agrees(carrier, X, Y) -> bool:
+    """``find_isomorphism`` finds a map exactly when the signature search
+    does, and the map it finds is an isomorphism ``X -> Y``."""
+    iso = carrier.find_isomorphism(X, Y)
+    assert (iso is None) == (signature_isomorphism(carrier, X, Y) is None)
+    if iso is not None:
+        assert iso.source is X and iso.target is Y and carrier.is_isomorphism(iso)
+    return iso is not None
+
+
+def test_find_isomorphism_matches_the_signature_search_on_corpus_automata():
+    rng = random.Random(1717)
+    corpus = automata_corpus()
+    replacements = [cofibrant_replacement(A).replacement for A in corpus]
+    found = tried = 0
+    for A, R in zip(corpus, replacements):
+        for X, Y in ((A, R), (R, A), (A, A), (A, shuffled(AUT_CARRIER, A, rng)[0]),
+                     (R, shuffled(AUT_CARRIER, R, rng)[0]), (A, rng.choice(corpus)),
+                     (R, rng.choice(replacements))):
+            found += _isomorphism_agrees(AUT_CARRIER, X, Y)
+            tried += 1
+    assert found > 600 and tried - found > 300
+
+
+def test_find_isomorphism_matches_the_signature_search_on_pcs_corpus_pairs():
+    rng = random.Random(1718)
+    corpus = [P for _name, P, _n in pcs_corpus()]
+    found = sum(_isomorphism_agrees(PCS_CARRIER, X, Y) for X in corpus for Y in corpus)
+    found += sum(_isomorphism_agrees(PCS_CARRIER, X, shuffled(PCS_CARRIER, X, rng)[0]) for X in corpus)
+    assert found > 2 * len(corpus)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(relational_automata(4, 4), relational_automata(4, 4), st.randoms(use_true_random=False))
+def test_find_isomorphism_matches_the_signature_search_on_random_automata(X, Y, rng):
+    _isomorphism_agrees(AUT_CARRIER, X, Y)
+    assert _isomorphism_agrees(AUT_CARRIER, X, shuffled(AUT_CARRIER, X, rng)[0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(relational_pcs(max_cubes=7), relational_pcs(max_cubes=7), st.randoms(use_true_random=False))
+def test_find_isomorphism_matches_the_signature_search_on_random_pcs(X, Y, rng):
+    _isomorphism_agrees(PCS_CARRIER, X, Y)
+    assert _isomorphism_agrees(PCS_CARRIER, X, shuffled(PCS_CARRIER, X, rng)[0])
+
+
+def test_equal_censuses_without_an_isomorphism():
+    """Same cells of each kind and pairs of each relation, not isomorphic:
+    every pin of the first cell fails."""
+    three = cycle(3)
+    for X, Y in ((tensor(cycle(12), cycle(12)), tensor(cycle(6), cycle(24))),
+                 (cycle(6), PCS_CARRIER.coproduct([three, three])[0])):
+        assert PCS_CARRIER.census(X) == PCS_CARRIER.census(Y)
+        assert not _isomorphism_agrees(PCS_CARRIER, X, Y)
 
 
 def test_empty_source_has_exactly_the_empty_morphism():

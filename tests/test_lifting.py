@@ -3,7 +3,13 @@
 import random
 
 import pytest
-from corpus import eager_automata_generators, relational_automata
+from corpus import (
+    arrow_isomorphic_by_all_homs,
+    eager_automata_generators,
+    pcs_corpus,
+    relational_automata,
+    shuffled,
+)
 from hypothesis import given, settings
 
 from cofib import samples
@@ -17,10 +23,12 @@ from cofib.automata import (
     gen_source,
 )
 from cofib.blowup import blowup, brick_generators
-from cofib.cells import LiftingProblem
+from cofib.cells import CellMorphism, LiftingProblem
+from cofib.cli import _appendix_aut_inputs, _appendix_pcs_inputs
 from cofib.lifting import (
     LiftReport,
     appendix_identity_suite,
+    arrow_isomorphic,
     check_composition_identity,
     check_double_codiagonal_iso,
     check_pushout_square,
@@ -35,7 +43,7 @@ from cofib.lifting import (
     unique_rlp,
     unique_rlp_single,
 )
-from cofib.pcs import PCS_CARRIER, brick, brick_boundary, hom_enumerate, tensor
+from cofib.pcs import PCS_CARRIER, brick, brick_boundary, hom_enumerate, relpcs, tensor
 from cofib.words import BrickIndex
 
 E = BrickIndex.parse
@@ -230,6 +238,86 @@ def test_appendix_suite_counts():
     assert report.ok
     assert report.double_codiagonal_iso == len(sample)
     assert report.sum_identity == len(sample) - 1
+
+
+def test_copair_rejects_legs_that_disagree():
+    """The two legs send the glued vertex to different cells, so no map out
+    of the pushout restricts to both."""
+    point = relpcs(0, {0: ["v"]}, {})
+    two = relpcs(0, {0: ["v", "w"]}, {})
+    incl = PCS_CARRIER.make_morphism(point, two, {"v": "v"})
+    swap = PCS_CARRIER.make_morphism(two, two, {"v": "w", "w": "v"})
+    _pushout, j1, j2 = PCS_CARRIER.pushout(incl, incl)
+    with pytest.raises(ValueError, match="legs send"):
+        PCS_CARRIER.copair([j1, j2], [PCS_CARRIER.identity(two), swap])
+    fold = PCS_CARRIER.copair([j1, j2], [swap, swap])
+    assert j1.then(fold).mapping == swap.mapping == j2.then(fold).mapping
+
+
+def _arrow_isomorphic_agrees(carrier, f, g) -> bool:
+    want = arrow_isomorphic_by_all_homs(carrier, f, g)
+    assert arrow_isomorphic(carrier, f, g) == want
+    return want
+
+
+def shuffled_arrow(carrier, f, rng) -> CellMorphism:
+    """An arrow isomorphic to ``f``: both ends shuffled copies."""
+    dom, on_dom = shuffled(carrier, f.source, rng)
+    cod, on_cod = shuffled(carrier, f.target, rng)
+    return CellMorphism(dom, cod, {on_dom[a]: on_cod[b] for a, b in f.mapping.items()})
+
+
+def test_arrow_isomorphic_matches_the_oracle_on_the_appendix_sums():
+    """``nabla(f1 + f2)`` against ``nabla f1 + nabla f2`` and against
+    ``nabla f2 + nabla f1``, over every pair of the appendix sample: all
+    isomorphic, the second through the swap of summands."""
+    found = tried = 0
+    for carrier, sample, _composable, _spans in (_appendix_pcs_inputs(), _appendix_aut_inputs()):
+        maps = [f for _name, f in sample]
+        for f1 in maps:
+            for f2 in maps:
+                nabla_sum = codiagonal(carrier, carrier.sum([f1, f2])[0])
+                for parts in ([f1, f2], [f2, f1]):
+                    sum_nabla = carrier.sum([codiagonal(carrier, f) for f in parts])[0]
+                    found += _arrow_isomorphic_agrees(carrier, nabla_sum, sum_nabla)
+                    found += _arrow_isomorphic_agrees(carrier, sum_nabla, nabla_sum)
+                    tried += 2
+    assert found == tried == 4 * (3 * 3 + 12 * 12)
+
+
+def test_arrow_isomorphic_matches_the_oracle_on_generator_pairs():
+    """Generators and codiagonals are pairwise non-isomorphic arrows; each
+    is isomorphic to its shuffled copy."""
+    rng = random.Random(1719)
+    found = 0
+    for carrier, gens in ((AUT_CARRIER, automata_generators("ab", 1, 1)),
+                          (PCS_CARRIER, brick_generators(2))):
+        maps = [f for _name, f in gens.positive + gens.codiagonals]
+        for f in maps:
+            for g in maps:
+                found += _arrow_isomorphic_agrees(carrier, f, g)
+            assert _arrow_isomorphic_agrees(carrier, f, shuffled_arrow(carrier, f, rng))
+    assert found == 24 + 8
+
+
+def test_arrow_isomorphic_matches_the_oracle_on_maps_with_the_same_ends():
+    """Every pair of maps between the same two small objects: the ends are
+    isomorphic, so the square alone decides."""
+    found = tried = 0
+    for carrier, sources, targets in (
+        (PCS_CARRIER, [brick(E(e)) for e in ("0", "1", "01")],
+         [P for _name, P, _n in pcs_corpus() if P.n_cubes() <= 9]),
+        (AUT_CARRIER, [f.target for _name, f in automata_generators("ab", 1, 1).positive],
+         [builder() for builder in samples.AUT_SAMPLES.values()]),
+    ):
+        for X in sources:
+            for Y in targets:
+                maps = carrier.hom(X, Y)
+                for f in maps:
+                    for g in maps:
+                        found += _arrow_isomorphic_agrees(carrier, f, g)
+                        tried += 1
+    assert found > 100 and tried - found > 100, (found, tried)
 
 
 # -- universal property of automata colimits ---------------------------------------------

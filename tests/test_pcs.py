@@ -215,10 +215,8 @@ def test_tensor_of_subdivided_intervals():
     assert validate(T).ok
     nbhd, _ = upward(T, "m,m")
     assert nbhd.cube_counts() == {0: 1, 1: 4, 2: 4}
-    sig = sorted(PCS_CARRIER.iso_signature(nbhd).values(), key=repr)
-    sig_brick = sorted(PCS_CARRIER.iso_signature(brick(E("11"))).values(), key=repr)
+    assert PCS_CARRIER.census(nbhd) == PCS_CARRIER.census(brick(E("11")))
     assert PCS_CARRIER.find_isomorphism(nbhd, brick(E("11"))) is not None
-    assert sig == sig_brick
 
 
 def test_tensor_with_empty_is_empty():
