@@ -37,16 +37,24 @@ from .words import BrickIndex, all_brick_indices
 
 @dataclass
 class BlowupResult:
-    """The blowup, its map to the original, and per-cube provenance."""
+    """The blowup, its map to the original, and the probes: per shape
+    ``eps``, every map ``brick(eps) -> P`` in hom order, the ``k``-th
+    being the cube ``f"{eps}:{k}"``."""
 
     blowup: RelPCS
     beta: CellMorphism
-    provenance: dict[str, tuple[BrickIndex, CellMorphism]]
+    probes: dict[BrickIndex, list[CellMorphism]]
+
+    @property
+    def provenance(self) -> dict[str, tuple[BrickIndex, CellMorphism]]:
+        """Each cube's shape and probe."""
+        return {f"{eps.name}:{k}": (eps, f) for eps, homs in self.probes.items() for k, f in enumerate(homs)}
 
     def provenance_json(self) -> list[dict]:
+        provenance = self.provenance
         out = []
         for cube in self.blowup.all_cubes():
-            eps, chart = self.provenance[cube]
+            eps, chart = provenance[cube]
             out.append(
                 {
                     "cube": cube,
@@ -57,6 +65,17 @@ class BlowupResult:
         return out
 
 
+def _row(eps: BrickIndex, f: CellMorphism) -> tuple:
+    """A probe's values over the brick's cells in canonical order, the
+    rows hom sorts by."""
+    return tuple(map(f.mapping.__getitem__, PCS_CARRIER.cells(brick(eps))))
+
+
+def _row_index(probes: dict[BrickIndex, list[CellMorphism]]) -> dict[BrickIndex, dict[tuple, str]]:
+    """Per shape, its probes' cube ids by value row."""
+    return {eps: {_row(eps, f): f"{eps.name}:{k}" for k, f in enumerate(homs)} for eps, homs in probes.items()}
+
+
 def blowup(P: RelPCS, n: int) -> BlowupResult:
     """All brick probes into ``P``, glued along sub-brick inclusions.
 
@@ -64,39 +83,25 @@ def blowup(P: RelPCS, n: int) -> BlowupResult:
     report = validate(P)
     if not report.ok:
         raise InvalidPCS(report)
-    probes: dict[BrickIndex, list[CellMorphism]] = {}
-    index_of: dict[BrickIndex, dict[tuple, int]] = {}
-    for eps in all_brick_indices(n):
-        homs = hom_enumerate(brick(eps), P)
-        probes[eps] = homs
-        index_of[eps] = {h.key(): k for k, h in enumerate(homs)}
-
-    def cube_id(eps: BrickIndex, k: int) -> str:
-        return f"{eps}:{k}"
-
+    probes = {eps: hom_enumerate(brick(eps), P) for eps in all_brick_indices(n)}
+    index_of = _row_index(probes)
     cubes: dict[int, set[str]] = defaultdict(set)
-    provenance: dict[str, tuple[BrickIndex, CellMorphism]] = {}
+    faces: dict = defaultdict(set)
     beta_map: dict[str, str] = {}
     for eps, homs in probes.items():
-        for k, f in enumerate(homs):
-            cid = cube_id(eps, k)
-            cubes[eps.min_dim].add(cid)
-            provenance[cid] = (eps, f)
-            beta_map[cid] = f.mapping[min_cube(eps)]
-
-    faces: dict = defaultdict(set)
-    for eps, homs in probes.items():
-        subs = sub_bricks(eps)
-        for k, f in enumerate(homs):
-            fid = cube_id(eps, k)
-            for _w, sub, incl, g in subs:
-                # incl.mapping runs in cell-name order, which f.key() also sorts by
-                key = tuple((u, f.mapping[v]) for u, v in incl.mapping.items())
-                j = index_of[sub][key]
-                faces[(cube_id(sub, j), g)].add(fid)
+        bottom, ids = min_cube(eps), list(index_of[eps].values())
+        cubes[eps.min_dim].update(ids)
+        # per sub-brick: its probes by row, its word, and its cells' places in brick(eps)
+        subs = [
+            (index_of[sub], g, tuple(map(incl.mapping.__getitem__, PCS_CARRIER.cells(incl.source))))
+            for _w, sub, incl, g in sub_bricks(eps)
+        ]
+        for f, fid in zip(homs, ids):
+            beta_map[fid] = f.mapping[bottom]
+            for index, g, placed in subs:
+                faces[(index[tuple(map(f.mapping.__getitem__, placed))], g)].add(fid)
     blown = RelPCS(n, cubes, faces)
-    beta = CellMorphism(blown, P, beta_map)
-    return BlowupResult(blown, beta, provenance)
+    return BlowupResult(blown, CellMorphism(blown, P, beta_map), probes)
 
 
 @lru_cache(maxsize=None)
@@ -153,14 +158,22 @@ class BlowupReport:
 
 
 def verify_blowup(P: RelPCS, n: int, result: Optional[BlowupResult] = None) -> BlowupReport:
+    """The theorem checks on ``result``, which must be ``blowup(P, n)``
+    (computed when not given).  Its probes are the bottom legs of the
+    squares against the brick generators and the candidate charts of ``P``."""
     if result is None:
         result = blowup(P, n)
-    lifting, codiagonal_lifting = lifting_reports(PCS_CARRIER, result.beta, brick_generators(n))
+    elif result.beta.target is not P or result.blowup.dim_bound != n:
+        raise ValueError(f"result is not the blowup of this input at n = {n}")
+    bottoms = [result.probes[eps] for eps in all_brick_indices(n)]
+    lifting, codiagonal_lifting = lifting_reports(
+        PCS_CARRIER, result.beta, brick_generators(n), bottoms=bottoms
+    )
     return BlowupReport(
         euclidean=euclidean_check(result.blowup, n),
         lifting=lifting,
         codiagonal_lifting=codiagonal_lifting,
-        input_euclidean=euclidean_check(P, n),
+        input_euclidean=euclidean_check(P, n, result.probes),
         beta_iso=PCS_CARRIER.is_isomorphism(result.beta),
     )
 
@@ -169,12 +182,8 @@ def induced_map(
     source: BlowupResult, target: BlowupResult, alpha: CellMorphism
 ) -> CellMorphism:
     """Map of blowups sending a probe to its postcomposite with ``alpha``."""
-    index_of: dict[BrickIndex, dict[tuple, str]] = defaultdict(dict)
-    for cid, (eps, f) in target.provenance.items():
-        index_of[eps][f.key()] = cid
-    mapping = {}
-    for cid, (eps, f) in source.provenance.items():
-        mapping[cid] = index_of[eps][f.then(alpha).key()]
+    index_of = _row_index(target.probes)
+    mapping = {cid: index_of[eps][_row(eps, f.then(alpha))] for cid, (eps, f) in source.provenance.items()}
     return PCS_CARRIER.make_morphism(source.blowup, target.blowup, mapping)
 
 

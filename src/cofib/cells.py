@@ -50,10 +50,6 @@ class CellMorphism:
             {c: other.mapping[v] for c, v in self.mapping.items()},
         )
 
-    def key(self) -> tuple:
-        """Canonical hashable key for the cell map (dedup, ordering)."""
-        return tuple(sorted(self.mapping.items(), key=repr))
-
     def is_injective(self) -> bool:
         values = list(self.mapping.values())
         return len(values) == len(set(values))

@@ -168,17 +168,20 @@ def lifting_reports(
     p: CellMorphism,
     generators: GeneratorSet,
     codiagonals: bool = True,
+    bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
 ) -> tuple[LiftReport, LiftReport]:
     """``unique_rlp`` against the positive generators and ``rlp`` against
     their codiagonals (skipped, and reported as vacuous, unless
-    ``codiagonals``), from one bottom-leg search per generator.
+    ``codiagonals``), from one bottom-leg search per generator, or from
+    ``bottoms`` as for :func:`rlp`.
 
     A codiagonal ``nabla f`` has ``f``'s codomain, so its squares have
     exactly ``f``'s bottom legs.  A generator without a bottom leg has no
     square against either map, and its codiagonal is never requested.
     The reports are those of the two checks run on their own.
     """
-    bottoms = [carrier.hom(f.target, p.target) for _name, f in generators.positive]
+    if bottoms is None:
+        bottoms = [carrier.hom(f.target, p.target) for _name, f in generators.positive]
     unique = unique_rlp(carrier, p, generators, bottoms)
     if not codiagonals:
         return unique, LiftReport(True, 0)

@@ -327,7 +327,7 @@ def brick(epsilon: BrickIndex) -> RelPCS:
 def min_cube(epsilon: BrickIndex) -> str:
     """The brick's bottom-dimensional cube: ``1`` where the shape subdivides
     a direction, ``0`` where it leaves it open."""
-    return str(epsilon)
+    return epsilon.name
 
 
 @lru_cache(maxsize=None)
@@ -438,9 +438,16 @@ def chart_names(epsilon: BrickIndex, f: CellMorphism) -> dict[str, str]:
     return {b: _pair_id(f.mapping[b], w) for b, w in _min_words(epsilon)}
 
 
-def euclidean_check(P: RelPCS, n: int) -> EuclideanReport:
+def euclidean_check(P: RelPCS, n: int, probes: Optional[Mapping[BrickIndex, list]] = None) -> EuclideanReport:
     """Look for a chart at every cube ``c``: a local embedding ``f`` from a brick,
-    ``f(min_cube) = c``, whose pairs ``(f(b), w_b)`` are the cells of ``upward(P, c)``."""
+    ``f(min_cube) = c``, whose pairs ``(f(b), w_b)`` are the cells of ``upward(P, c)``.
+    The candidates come from a search with ``f(min_cube) = c`` pinned, or from
+    ``probes``, every map ``brick(eps) -> P`` per shape in hom order (a blowup's
+    table), with no search: the same maps in the same order."""
+    pinned: dict[tuple[BrickIndex, str], list[CellMorphism]] = defaultdict(list)
+    for eps, homs in (probes or {}).items():
+        for f in homs:
+            pinned[(eps, f.mapping[min_cube(eps)])].append(f)
     charts: dict[str, tuple[BrickIndex, CellMorphism]] = {}
     for c in P.all_cubes():
         cover = {(c, CubeWord.identity(P.dim(c))), *P.cofaces(c)}
@@ -448,7 +455,10 @@ def euclidean_check(P: RelPCS, n: int) -> EuclideanReport:
         for eps in all_brick_indices(n):
             if found or eps.min_dim != P.dim(c):
                 continue
-            homs = hom_enumerate(brick(eps), P, fixed={min_cube(eps): c})
+            if probes is None:
+                homs = hom_enumerate(brick(eps), P, fixed={min_cube(eps): c})
+            else:
+                homs = pinned[(eps, c)]
             onto = [f for f in homs if {(f.mapping[b], w) for b, w in _min_words(eps)} == cover]
             if len(onto) > 1:  # in the order a search into upward(P, c) finds them
                 onto.sort(key=lambda f: tuple(chart_names(eps, f).values()))

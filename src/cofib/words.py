@@ -9,7 +9,6 @@ letters mark the coordinates coming from the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from itertools import product
 from typing import Iterator, Optional
@@ -23,43 +22,54 @@ _WORD_LETTERS = (MINUS, PLUS, ZERO)
 
 
 @total_ordering
-class CubeWord:
-    """Normal form of a cube-category morphism as a sign word.
+class _Interned:
+    """An immutable value interned by the tuple in its first slot: there is
+    one object per key, so equality and hashing go by identity (in C),
+    while ordering goes by the key.  Copies and unpickled values are the
+    interned object itself.  A subclass keeps its own ``_interned`` table,
+    and ``_slots(key)`` gives its slot values in order."""
 
-    Words are interned: there is one object per letter tuple, so equality
-    and hashing go by identity (in C), while ordering goes by the letters.
-    Copies and unpickled words are the interned object itself.
-    ``domain_dim`` is stored with the letters.
-    """
+    __slots__ = ()
 
-    __slots__ = ("letters", "domain_dim")
-    _interned: dict[tuple[str, ...], "CubeWord"] = {}
-
-    def __new__(cls, letters: tuple[str, ...]) -> "CubeWord":
-        letters = tuple(letters)
-        word = cls._interned.get(letters)
-        if word is None:
-            for c in letters:
-                if c not in _WORD_LETTERS:
-                    raise ValueError(f"bad word letter {c!r}")
-            word = object.__new__(cls)
-            object.__setattr__(word, "letters", letters)
-            object.__setattr__(word, "domain_dim", letters.count(ZERO))
-            word = cls._interned.setdefault(letters, word)
-        return word
+    def __new__(cls, key):
+        key = tuple(key)
+        value = cls._interned.get(key)
+        if value is None:
+            value = object.__new__(cls)
+            for name, slot in zip(cls.__slots__, cls._slots(key)):
+                object.__setattr__(value, name, slot)
+            value = cls._interned.setdefault(key, value)
+        return value
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"CubeWord is immutable; cannot set {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"CubeWord is immutable; cannot delete {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         # copy, deepcopy and pickle all rebuild through the interning table
-        return (CubeWord, (self.letters,))
+        return (type(self), (getattr(self, self.__slots__[0]),))
 
     def __lt__(self, other):
-        return self.letters < other.letters if isinstance(other, CubeWord) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return getattr(self, self.__slots__[0]) < getattr(other, self.__slots__[0])
+
+
+class CubeWord(_Interned):
+    """Normal form of a cube-category morphism as a sign word, interned by
+    its letters, with ``domain_dim`` and its ``text`` stored on it."""
+
+    __slots__ = ("letters", "domain_dim", "text")
+    _interned: dict = {}
+
+    @staticmethod
+    def _slots(letters: tuple[str, ...]) -> tuple:
+        for c in letters:
+            if c not in _WORD_LETTERS:
+                raise ValueError(f"bad word letter {c!r}")
+        return letters, letters.count(ZERO), "".join(letters)
 
     @classmethod
     def identity(cls, m: int) -> "CubeWord":
@@ -82,10 +92,10 @@ class CubeWord:
         return self.domain_dim == len(self.letters)
 
     def __str__(self) -> str:
-        return "".join(self.letters)
+        return self.text
 
     def __repr__(self) -> str:
-        return f"CubeWord({''.join(self.letters)!r})"
+        return f"CubeWord({self.text!r})"
 
 
 def compose_words(u: CubeWord, v: CubeWord) -> CubeWord:
@@ -125,48 +135,39 @@ def all_words(codomain_dim: int) -> Iterator[CubeWord]:
     return map(CubeWord, product(_WORD_LETTERS, repeat=codomain_dim))
 
 
-@dataclass(frozen=True, order=True)
-class BrickIndex:
-    """Shape of a euclidean brick: one bit per ambient direction.
+class BrickIndex(_Interned):
+    """Shape of a euclidean brick: one bit per ambient direction, interned
+    by its bits, with its ``name`` and ``min_dim`` stored on it.
 
     Bit 1 means the direction is subdivided (the brick is centered on a
-    vertex there), bit 0 means it is a whole open direction.  The
-    codimension is the number of subdivided directions.
+    vertex there), bit 0 means it is a whole open direction.
     """
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits", "name", "min_dim")
+    _interned: dict = {}
 
-    def __post_init__(self):
-        for b in self.bits:
+    @staticmethod
+    def _slots(bits: tuple[int, ...]) -> tuple:
+        for b in bits:
             if b not in (0, 1):
                 raise ValueError(f"bad brick bit {b!r}")
+        return bits, "".join(map(str, bits)), bits.count(0)
 
     @classmethod
     def parse(cls, text: str) -> "BrickIndex":
         return cls(tuple(int(c) for c in text))
 
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    @property
-    def codim(self) -> int:
-        return sum(self.bits)
-
-    @property
-    def min_dim(self) -> int:
-        return self.n - self.codim
-
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return self.name
 
     def __repr__(self) -> str:
-        return f"BrickIndex({str(self)!r})"
+        return f"BrickIndex({self.name!r})"
 
 
-def all_brick_indices(n: int) -> Iterator[BrickIndex]:
-    for bits in product((0, 1), repeat=n):
-        yield BrickIndex(bits)
+@lru_cache(maxsize=None)
+def all_brick_indices(n: int) -> tuple[BrickIndex, ...]:
+    """Every brick shape in ambient dimension ``n``, in bit order."""
+    return tuple(map(BrickIndex, product((0, 1), repeat=n)))
 
 
 __all__ = [

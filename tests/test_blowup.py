@@ -4,8 +4,9 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corpus import cycle, euclidean_expectations, pcs_corpus
+from corpus import cycle, euclidean_expectations, pcs_corpus, relational_pcs
 from cofib import pcs, samples
 from cofib.blowup import (
     blowup,
@@ -16,6 +17,7 @@ from cofib.blowup import (
 )
 from cofib.pcs import (
     PCS_CARRIER,
+    euclidean_check,
     hom_enumerate,
     relpcs,
     saturate,
@@ -60,9 +62,10 @@ def test_blowup_of_circle_is_isomorphic_to_it():
 
 
 def test_blowup_of_y_graph():
-    result = blowup(samples.y_graph(), 1)
+    Y = samples.y_graph()
+    result = blowup(Y, 1)
     assert result.blowup.cube_counts() == {0: 2, 1: 3}
-    report = verify_blowup(samples.y_graph(), 1, result)
+    report = verify_blowup(Y, 1, result)
     assert report.euclidean.ok and report.lifting.ok
     assert not report.input_euclidean.ok
 
@@ -130,6 +133,53 @@ def test_verify_blowup_on_corpus_matches_expectations():
         assert report.input_euclidean.ok == expect[name], name
 
 
+def assert_same_verdict(got, want, label):
+    """Two euclidean reports agree on the verdict, the counterexample and
+    its reason, and on every chart, in order."""
+    assert (got.ok, got.counterexample, got.reason) == (want.ok, want.counterexample, want.reason), label
+    assert list(got.charts) == list(want.charts), label
+    for c, (eps, f) in want.charts.items():
+        assert got.charts[c][0] is eps and got.charts[c][1].mapping == f.mapping, (label, c)
+
+
+def test_verify_blowup_reads_the_input_charts_off_the_blowup(monkeypatch):
+    """The input's verdict in ``verify_blowup`` is the one ``euclidean_check``
+    reaches by its own pinned searches, and it comes with no search into
+    the input at all: charts and bottom legs are the blowup's probes."""
+    real, targets = pcs.hom_enumerate, []
+
+    def spy(X, Y, *args, **kwargs):
+        targets.append(Y)
+        return real(X, Y, *args, **kwargs)
+
+    for name, P, n in pcs_corpus():
+        for m in sorted({n, 1, 2, 3}):
+            result = blowup(P, m)
+            monkeypatch.setattr(pcs, "hom_enumerate", spy)
+            targets.clear()
+            report = verify_blowup(P, m, result)
+            monkeypatch.setattr(pcs, "hom_enumerate", real)
+            assert not any(Y is P for Y in targets), (name, m)
+            assert_same_verdict(report.input_euclidean, euclidean_check(P, m), (name, m))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(relational_pcs(max_cubes=7), st.sampled_from([1, 2]))
+def test_verify_blowup_input_verdict_on_drawn_pcs(P, n):
+    P = relpcs(P.dim_bound, P.cubes, P.faces)
+    assert_same_verdict(verify_blowup(P, n).input_euclidean, euclidean_check(P, n), n)
+
+
+def test_verify_blowup_rejects_a_result_of_another_input():
+    P = samples.circle()
+    result = blowup(P, 1)
+    with pytest.raises(ValueError):
+        verify_blowup(samples.circle(), 1, result)
+    with pytest.raises(ValueError):
+        verify_blowup(P, 2, result)
+    assert verify_blowup(P, 1, result).ok
+
+
 def tensor_power(k: int, n: int):
     """C_k tensored with itself n times."""
     X = cycle(k)
@@ -149,6 +199,7 @@ def test_verify_blowup_ambient_dimension_ladder(k, n, squares):
     report = verify_blowup(X, n)
     assert report.ok
     assert (report.lifting.checked, report.codiagonal_lifting.checked) == (squares, squares)
+    assert_same_verdict(report.input_euclidean, euclidean_check(X, n), (k, n))
 
 
 @pytest.mark.parametrize(

@@ -128,7 +128,7 @@ def test_equal_letters_give_one_word():
     for w in all_words(3):
         assert CubeWord(tuple(w.letters)) is w
         assert CubeWord(list(w.letters)) is w
-        assert W(str(w)) is w
+        assert W(str(w)) is w and str(w) is w.text
     assert compose_words(W("+"), W("0-")) is W("+-")
     assert CubeWord.identity(2) is W("00")
 
@@ -171,6 +171,38 @@ def test_bad_letters_raise():
             W(bad)
     with pytest.raises(ValueError):
         CubeWord(("+", 0))
+
+
+def test_brick_shapes_are_interned():
+    """One ``BrickIndex`` per bit tuple, also through copies and pickles,
+    ordered by its bits, with its name and minimal dimension stored."""
+    shapes = [eps for n in range(4) for eps in all_brick_indices(n)]
+    for eps in shapes:
+        assert BrickIndex(eps.bits) is eps and BrickIndex(list(eps.bits)) is eps and E(str(eps)) is eps
+        assert copy.copy(eps) is eps and copy.deepcopy(eps) is eps
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(eps, protocol)) is eps
+        assert (eps.name, eps.min_dim) == ("".join(map(str, eps.bits)), eps.bits.count(0))
+    assert sorted(shapes) == sorted(shapes, key=lambda eps: eps.bits)
+    for u, v in itertools.product(shapes[:20], repeat=2):
+        assert (u < v, u <= v, u > v, u >= v, u == v) == (
+            u.bits < v.bits, u.bits <= v.bits, u.bits > v.bits, u.bits >= v.bits, u.bits == v.bits
+        )
+    with pytest.raises(TypeError):
+        E("1") < W("+")
+    for bad in ((2,), (0, -1), ("1",)):
+        with pytest.raises(ValueError):
+            BrickIndex(bad)
+    with pytest.raises(AttributeError):
+        E("1").bits = (0,)
+
+
+def test_all_brick_indices_is_one_tuple_in_bit_order():
+    for n in range(5):
+        shapes = all_brick_indices(n)
+        assert shapes is all_brick_indices(n)
+        assert shapes == tuple(BrickIndex(bits) for bits in itertools.product((0, 1), repeat=n))
+    assert [str(eps) for eps in all_brick_indices(2)] == ["00", "01", "10", "11"]
 
 
 # -- brick cells and their sub-brick inclusions --------------------------------
