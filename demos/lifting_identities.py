@@ -19,6 +19,7 @@ from cofib.lifting import (
     check_double_codiagonal_iso,
     check_sum_identity,
     codiagonal,
+    filler_table,
     lifting_problems,
     rlp_with_codiagonal,
     solve_lifts,
@@ -41,8 +42,10 @@ X = one_square_torus()
 result = blowup(X, 2)
 gens = dict(brick_generators(2).positive)
 i = gens["i_11"]
+# every map cod(i) -> blowup fills one square: one search gives every square's fillers
+table = filler_table(PCS_CARRIER, i, result.beta, PCS_CARRIER.hom(i.target, result.blowup))
 for problem in lifting_problems(PCS_CARRIER, i, result.beta):
-    lifts = solve_lifts(PCS_CARRIER, problem)
+    lifts = solve_lifts(PCS_CARRIER, problem, table)
     print(f"  square against i_11: {len(lifts)} filler(s)")
 print()
 

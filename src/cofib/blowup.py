@@ -160,17 +160,25 @@ class BlowupReport:
 def verify_blowup(P: RelPCS, n: int, result: Optional[BlowupResult] = None) -> BlowupReport:
     """The theorem checks on ``result``, which must be ``blowup(P, n)``
     (computed when not given).  Its probes are the bottom legs of the
-    squares against the brick generators and the candidate charts of ``P``."""
+    squares against the brick generators and the candidate charts of ``P``.
+    One search ``brick(eps) -> RX`` per shape into the blowup ``RX`` gives
+    the squares' fillers and the candidate charts of ``RX``."""
     if result is None:
         result = blowup(P, n)
     elif result.beta.target is not P or result.blowup.dim_bound != n:
         raise ValueError(f"result is not the blowup of this input at n = {n}")
-    bottoms = [result.probes[eps] for eps in all_brick_indices(n)]
+    shapes = all_brick_indices(n)
+    RX = result.blowup
+    maps = {eps: hom_enumerate(brick(eps), RX) for eps in shapes}
     lifting, codiagonal_lifting = lifting_reports(
-        PCS_CARRIER, result.beta, brick_generators(n), bottoms=bottoms
+        PCS_CARRIER,
+        result.beta,
+        brick_generators(n),
+        bottoms=[result.probes[eps] for eps in shapes],
+        fillers=[maps[eps] for eps in shapes],
     )
     return BlowupReport(
-        euclidean=euclidean_check(result.blowup, n),
+        euclidean=euclidean_check(RX, n, maps),
         lifting=lifting,
         codiagonal_lifting=codiagonal_lifting,
         input_euclidean=euclidean_check(P, n, result.probes),

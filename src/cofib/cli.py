@@ -135,14 +135,28 @@ def cmd_pcs_euclid(args) -> int:
     return 0 if report.ok else 1
 
 
+def _cell_name(cell) -> str:
+    """A cell as JSON text: a cube's name, or ``kind:name`` for an
+    automaton's ``(kind, name)`` cell."""
+    return cell if isinstance(cell, str) else ":".join(cell)
+
+
+def _leg(f) -> dict:
+    return dict(sorted((_cell_name(a), _cell_name(b)) for a, b in f.mapping.items()))
+
+
 def _emit_verdict(report) -> int:
-    """A theorem-check summary, naming the generator where lifting failed."""
+    """A theorem-check summary with, for each failed lifting check, the
+    generator, the failing square's legs and its filler count."""
     payload = report.summary()
-    if not report.lifting.ok:
-        payload["lifting_failure"] = {
-            "generator": report.lifting.generator,
-            "lift_count": report.lifting.lift_count,
-        }
+    for key, lift in (("lifting_failure", report.lifting), ("codiagonal_failure", report.codiagonal_lifting)):
+        if not lift.ok:
+            payload[key] = {
+                "generator": lift.generator,
+                "lift_count": lift.lift_count,
+                "top": _leg(lift.failure.top),
+                "bottom": _leg(lift.failure.bottom),
+            }
     _emit(payload)
     return 0 if report.ok else 1
 

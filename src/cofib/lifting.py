@@ -7,12 +7,20 @@ it is equivalent to ordinary lifting against the generator together with
 its codiagonal (the fold out of the generator's self-pushout); both sides
 of that equivalence are implemented so the equivalence itself can be
 tested.
+
+Fillers are counted from one search per generator ``i: A -> B``, not one
+per square: every map ``h: B -> E`` fills exactly one square of
+``p: E -> X``, the square ``(h . i, p . h)``, so grouping ``hom(B, E)`` by
+those two restrictions (:func:`filler_table`) gives every square its
+fillers at once.  A generator and its codiagonal share ``B``, hence those
+maps.  Squares are still found from the bottom legs ``B -> X`` and the top
+legs over each, since a square with no filler appears in no group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cells import Carrier, CellMorphism, GeneratorSet, LiftingProblem
 
@@ -39,29 +47,42 @@ def induced_on_self_pushouts(
     return carrier.copair([a1, b1], [on_cod.then(a2), on_cod.then(b2)])
 
 
-def solve_lifts(carrier: Carrier, problem: LiftingProblem) -> list[CellMorphism]:
-    """All diagonal fillers of a lifting problem.
+def filler_table(
+    carrier: Carrier, i: CellMorphism, p: CellMorphism, rows: Sequence[CellMorphism]
+) -> dict[tuple, list[CellMorphism]]:
+    """The maps ``rows`` (all of ``hom(cod(i), dom(p))``, in hom order)
+    grouped by the square each fills: the key of ``h`` is the pair of value
+    rows of ``h . i`` over ``dom(i)`` and of ``p . h`` over ``cod(i)``, cells
+    in canonical order.  Each group keeps hom order."""
+    placed = [i.mapping[a] for a in carrier.cells(i.source)]
+    cells, down = carrier.cells(i.target), p.mapping
+    table: dict = {}
+    for h in rows:
+        at = h.mapping.__getitem__
+        key = (tuple(map(at, placed)), tuple(down[at(b)] for b in cells))
+        table.setdefault(key, []).append(h)
+    return table
 
-    Cells in the image of ``i`` are pinned by the top leg; the rest range
-    over the fibre of ``p`` above their image under the bottom leg, read
-    from ``p.fibres``, built once per map.
-    """
-    i, p, top, bottom = problem.i, problem.p, problem.top, problem.bottom
-    fixed: dict = {}
-    for a, v in top.mapping.items():
-        if fixed.setdefault(i.mapping[a], v) != v:
-            return []  # i glues two cells that the top leg keeps apart
-    fibres = p.fibres
-    allowed = {
-        b: fibres.get(bottom.mapping[b], ())
-        for b in carrier.cells(i.target)
-        if b not in fixed
-    }
-    out = []
-    for h in carrier.hom(i.target, p.source, fixed=fixed, allowed=allowed):
-        if all(p.mapping[h.mapping[b]] == bottom.mapping[b] for b in h.mapping):
-            out.append(h)
-    return out
+
+def solve_lifts(
+    carrier: Carrier, problem: LiftingProblem, table: Optional[dict] = None
+) -> list[CellMorphism]:
+    """All diagonal fillers of a lifting problem, in hom order: its entry
+    in ``table``, the :func:`filler_table` of ``problem.i`` against
+    ``problem.p``, built from one search ``cod(i) -> dom(p)`` when not given
+    (shared with the table; do not mutate).  The entry's key is the value
+    rows of the top leg over ``dom(i)`` and of the bottom leg over
+    ``cod(i)``; a top leg that ``i`` cannot factor through (it keeps apart
+    cells ``i`` glues) has none."""
+    i, p = problem.i, problem.p
+    if table is None:
+        table = filler_table(carrier, i, p, carrier.hom(i.target, p.source))
+    top, bottom = problem.top.mapping, problem.bottom.mapping
+    key = (
+        tuple(map(top.__getitem__, carrier.cells(i.source))),
+        tuple(map(bottom.__getitem__, carrier.cells(i.target))),
+    )
+    return table.get(key, [])
 
 
 def lifting_problems(
@@ -123,15 +144,21 @@ def _lift_check(
     morphisms: Iterable[tuple[str, CellMorphism]],
     unique: bool,
     bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
+    fillers: Optional[Sequence[Sequence[CellMorphism]]] = None,
 ) -> LiftReport:
     """Count the fillers of every square; stop at the first square with
-    none, or with other than one when ``unique``."""
+    none, or with other than one when ``unique``.  A morphism's fillers are
+    searched (or read from ``fillers``) at its first square, once."""
     checked = 0
     for k, (name, i) in enumerate(morphisms):
         legs = None if bottoms is None else bottoms[k]
+        table = None
         for problem in lifting_problems(carrier, i, p, legs):
+            if table is None:
+                rows = carrier.hom(i.target, p.source) if fillers is None else fillers[k]
+                table = filler_table(carrier, i, p, rows)
             checked += 1
-            n = len(solve_lifts(carrier, problem))
+            n = len(solve_lifts(carrier, problem, table))
             if n == 0 or (unique and n > 1):
                 return LiftReport(False, checked, problem, n, name)
     return LiftReport(True, checked)
@@ -142,13 +169,15 @@ def rlp(
     p: CellMorphism,
     morphisms: Iterable[tuple[str, CellMorphism]],
     bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
+    fillers: Optional[Sequence[Sequence[CellMorphism]]] = None,
 ) -> LiftReport:
     """Ordinary right lifting property: every square has at least one filler.
 
-    ``bottoms``, when given, holds for each morphism ``i`` in turn its
-    bottom legs ``cod(i) -> cod(p)`` in hom order, searched elsewhere.
+    ``bottoms`` and ``fillers``, when given, hold for each morphism ``i`` in
+    turn its bottom legs ``cod(i) -> cod(p)`` and every map ``cod(i) ->
+    dom(p)``, each in hom order, searched elsewhere.
     """
-    return _lift_check(carrier, p, morphisms, unique=False, bottoms=bottoms)
+    return _lift_check(carrier, p, morphisms, False, bottoms, fillers)
 
 
 def unique_rlp(
@@ -156,11 +185,22 @@ def unique_rlp(
     p: CellMorphism,
     generators: GeneratorSet,
     bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
+    fillers: Optional[Sequence[Sequence[CellMorphism]]] = None,
 ) -> LiftReport:
     """Unique right lifting property against the positive generators:
-    every square must have exactly one filler.  ``bottoms`` as for
-    :func:`rlp`."""
-    return _lift_check(carrier, p, generators.positive, unique=True, bottoms=bottoms)
+    every square must have exactly one filler.  ``bottoms`` and ``fillers``
+    as for :func:`rlp`."""
+    return _lift_check(carrier, p, generators.positive, True, bottoms, fillers)
+
+
+@dataclass(frozen=True)
+class _Lazy:
+    """A sequence whose ``k``-th item is ``read(k)``, read when asked for."""
+
+    read: Callable[[int], Sequence[CellMorphism]]
+
+    def __getitem__(self, k: int) -> Sequence[CellMorphism]:
+        return self.read(k)
 
 
 def lifting_reports(
@@ -169,25 +209,41 @@ def lifting_reports(
     generators: GeneratorSet,
     codiagonals: bool = True,
     bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
+    fillers: Optional[Sequence[Sequence[CellMorphism]]] = None,
 ) -> tuple[LiftReport, LiftReport]:
     """``unique_rlp`` against the positive generators and ``rlp`` against
     their codiagonals (skipped, and reported as vacuous, unless
-    ``codiagonals``), from one bottom-leg search per generator, or from
-    ``bottoms`` as for :func:`rlp`.
+    ``codiagonals``), from one bottom-leg search and at most one filler
+    search per generator, or from ``bottoms`` and ``fillers`` as for
+    :func:`rlp`.
 
     A codiagonal ``nabla f`` has ``f``'s codomain, so its squares have
-    exactly ``f``'s bottom legs.  A generator without a bottom leg has no
-    square against either map, and its codiagonal is never requested.
+    exactly ``f``'s bottom legs and its fillers are ``f``'s.  A generator
+    without a bottom leg has no square against either map, and its
+    codiagonal is never requested; one without a square (and so none
+    against its codiagonal) has no filler search.  A generator's fillers
+    are kept from its first square until its codiagonal's check reads them.
     The reports are those of the two checks run on their own.
     """
     if bottoms is None:
         bottoms = [carrier.hom(f.target, p.target) for _name, f in generators.positive]
-    unique = unique_rlp(carrier, p, generators, bottoms)
+    kept: dict = {}
+
+    def search(k: int, keep: bool = True) -> Sequence[CellMorphism]:
+        if fillers is not None:
+            return fillers[k]
+        rows = kept.pop(k) if k in kept else carrier.hom(generators.positive[k][1].target, p.source)
+        if keep:
+            kept[k] = rows
+        return rows
+
+    unique = unique_rlp(carrier, p, generators, bottoms, _Lazy(search))
     if not codiagonals:
         return unique, LiftReport(True, 0)
     squared = [k for k, legs in enumerate(bottoms) if legs]
     nablas = map(generators.codiagonal, squared)
-    return unique, rlp(carrier, p, nablas, [bottoms[k] for k in squared])
+    handed = _Lazy(lambda j: search(squared[j], keep=False))
+    return unique, rlp(carrier, p, nablas, [bottoms[k] for k in squared], handed)
 
 
 def unique_rlp_single(
@@ -353,6 +409,7 @@ def appendix_identity_suite(
 __all__ = [
     "codiagonal",
     "induced_on_self_pushouts",
+    "filler_table",
     "solve_lifts",
     "lifting_problems",
     "LiftReport",

@@ -466,3 +466,26 @@ def arrow_isomorphic_by_all_homs(carrier, f, g) -> bool:
             if f.then(psi).mapping == phi.then(g).mapping:
                 return True
     return False
+
+
+def pinned_solve_lifts(carrier, problem) -> list:
+    """The oracle of ``lifting.solve_lifts``: one search per square, with
+    the cells in the image of ``i`` pinned by the top leg and the rest
+    confined to the fibre of ``p`` over their image under the bottom leg."""
+    i, p, top, bottom = problem.i, problem.p, problem.top, problem.bottom
+    fixed: dict = {}
+    for a, v in top.mapping.items():
+        if fixed.setdefault(i.mapping[a], v) != v:
+            return []  # i glues two cells that the top leg keeps apart
+    fibres = p.fibres
+    allowed = {
+        b: fibres.get(bottom.mapping[b], ())
+        for b in carrier.cells(i.target)
+        if b not in fixed
+    }
+    out = []
+    for h in carrier.hom(i.target, p.source, fixed=fixed, allowed=allowed):
+        if all(p.mapping[h.mapping[b]] == bottom.mapping[b] for b in h.mapping):
+            out.append(h)
+    return out
+

@@ -1,6 +1,7 @@
 """Blowup computation and the theorem checks on the fixture corpus."""
 
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from cofib.blowup import (
 )
 from cofib.pcs import (
     PCS_CARRIER,
+    brick,
     euclidean_check,
     hom_enumerate,
     relpcs,
@@ -161,6 +163,34 @@ def test_verify_blowup_reads_the_input_charts_off_the_blowup(monkeypatch):
             monkeypatch.setattr(pcs, "hom_enumerate", real)
             assert not any(Y is P for Y in targets), (name, m)
             assert_same_verdict(report.input_euclidean, euclidean_check(P, m), (name, m))
+
+
+def test_verify_blowup_searches_the_blowup_once_per_shape(monkeypatch):
+    """Into the blowup ``RX``, ``verify_blowup`` makes one unpinned search
+    ``brick(eps) -> RX`` per shape; its lists are the squares' fillers and
+    ``RX``'s chart candidates.  Its only other searches are the top legs
+    into ``RX``, confined to fibres, and none pins a cell: no chart search
+    and no filler search per square.  ``RX``'s verdict and charts are those
+    of its pinned searches."""
+    real, calls = pcs.hom_enumerate, []
+
+    def spy(X, Y, fixed=None, allowed=None, injective=False):
+        calls.append((X, Y, fixed, allowed))
+        return real(X, Y, fixed, allowed, injective)
+
+    module = importlib.import_module("cofib.blowup")
+    for name, P, n in pcs_corpus() + [("C2^3", tensor_power(2, 3), 3)]:
+        result = blowup(P, n)
+        RX = result.blowup
+        with monkeypatch.context() as m:
+            m.setattr(pcs, "hom_enumerate", spy)
+            m.setattr(module, "hom_enumerate", spy)
+            calls.clear()
+            report = verify_blowup(P, n, result)
+        assert all(Y is RX and fixed is None for _X, Y, fixed, _allowed in calls), name
+        unpinned = [X for X, _Y, _fixed, allowed in calls if allowed is None]
+        assert unpinned == [brick(eps) for eps in all_brick_indices(n)], name
+        assert_same_verdict(report.euclidean, euclidean_check(RX, n), name)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

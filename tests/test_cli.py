@@ -12,12 +12,14 @@ from pathlib import Path
 import pytest
 from corpus import cycle
 
+from cofib import automata as aut
 from cofib import cli, pcs, regex, samples
-from cofib.automata import automaton
+from cofib.automata import AUT_CARRIER, automata_generators, automaton
 from cofib.automata import from_json_dict as aut_from_json
 from cofib.automata import to_json_dict as aut_to_json
 from cofib.cli import main, pcs_to_dot
-from cofib.lifting import LiftReport
+from cofib.blowup import brick_generators
+from cofib.lifting import lifting_reports, unique_rlp
 from cofib.words import CubeWord
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -447,18 +449,54 @@ def test_dot_draws_a_face_with_two_targets_through_a_point_node():
         assert line in lines
 
 
-def test_verify_names_the_generator_where_lifting_failed(monkeypatch, capsys):
+def _fold_reports():
+    """Both lifting reports of the fold of two circles onto one: two
+    fillers for a square against ``i_0``, none for one against its
+    codiagonal."""
+    carrier, circle = pcs.PCS_CARRIER, samples.circle()
+    _two, legs = carrier.coproduct([circle, circle])
+    fold = carrier.copair(legs, [carrier.identity(circle)] * 2)
+    return lifting_reports(carrier, fold, brick_generators(1))
+
+
+def _verify_with(monkeypatch, capsys, **reports):
     real = cli.verify_blowup
+    monkeypatch.setattr(cli, "verify_blowup", lambda P, n: dataclasses.replace(real(P, n), **reports))
+    return run_json(capsys, "pcs", "verify", "-n", "2", str(FIXTURES / "one-square.json"))
 
-    def failing(P, n):
-        report = real(P, n)
-        return dataclasses.replace(report, lifting=LiftReport(False, 3, None, 2, "i_11"))
 
-    monkeypatch.setattr(cli, "verify_blowup", failing)
-    code, data = run_json(capsys, "pcs", "verify", "-n", "2", str(FIXTURES / "one-square.json"))
+def test_verify_names_the_generator_where_lifting_failed(monkeypatch, capsys):
+    unique, _codiag = _fold_reports()
+    code, data = _verify_with(monkeypatch, capsys, lifting=unique)
     assert code == 1
-    assert not data["ok"] and not data["unique_rlp"]
-    assert data["lifting_failure"] == {"generator": "i_11", "lift_count": 2}
+    assert not data["ok"] and not data["unique_rlp"] and "codiagonal_failure" not in data
+    assert data["lifting_failure"] == {"generator": "i_0", "lift_count": 2, "top": {}, "bottom": {"0": "e"}}
+
+
+def test_verify_names_the_square_where_codiagonal_lifting_failed(monkeypatch, capsys):
+    _unique, codiag = _fold_reports()
+    code, data = _verify_with(monkeypatch, capsys, codiagonal_lifting=codiag)
+    assert code == 1
+    assert not data["ok"] and data["unique_rlp"] and not data["codiagonal_rlp"]
+    assert "lifting_failure" not in data
+    assert data["codiagonal_failure"] == {
+        "generator": "nabla_i_0",
+        "lift_count": 0,
+        "top": {"0/0": "0/e", "1/0": "1/e"},
+        "bottom": {"0": "e"},
+    }
+
+
+def test_aut_verify_writes_automaton_cells_as_kind_and_name(monkeypatch, capsys):
+    loop = samples.loop_a()
+    forgetful = automaton("a", ["x"], [], ["x"], ["x"])
+    p = AUT_CARRIER.make_morphism(forgetful, loop, {("st", "x"): ("st", "v")})
+    failed = unique_rlp(AUT_CARRIER, p, automata_generators("a"))
+    real = aut.verify_replacement
+    monkeypatch.setattr(aut, "verify_replacement", lambda A, **kw: dataclasses.replace(real(A, **kw), lifting=failed))
+    code, data = run_json(capsys, "aut", "verify", "-L", "3", str(FIXTURES / "loop-ab.json"))
+    assert code == 1
+    assert data["lifting_failure"] == {"generator": "edge(a)", "lift_count": 0, "top": {}, "bottom": {"ed:e": "ed:e0"}}
 
 
 def test_rx_fuzz_reports_a_mismatch_witness(monkeypatch, capsys):

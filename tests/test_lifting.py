@@ -1,16 +1,21 @@
 """Codiagonals, lifting solvers, unique-lifting equivalence, colimit identities."""
 
 import random
+from functools import partial
 
 import pytest
 from corpus import (
     arrow_isomorphic_by_all_homs,
+    automata_corpus,
     eager_automata_generators,
     pcs_corpus,
+    pinned_solve_lifts,
     relational_automata,
+    relational_pcs,
     shuffled,
 )
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cofib import samples
 from cofib.automata import (
@@ -22,8 +27,8 @@ from cofib.automata import (
     gen_edge,
     gen_source,
 )
-from cofib.blowup import blowup, brick_generators
-from cofib.cells import CellMorphism, LiftingProblem
+from cofib.blowup import blowup, brick_generators, verify_blowup
+from cofib.cells import CellMorphism, GeneratorSet, LiftingProblem
 from cofib.cli import _appendix_aut_inputs, _appendix_pcs_inputs
 from cofib.lifting import (
     LiftReport,
@@ -35,6 +40,7 @@ from cofib.lifting import (
     check_retract_identity,
     check_sum_identity,
     codiagonal,
+    filler_table,
     lifting_problems,
     lifting_reports,
     rlp,
@@ -402,7 +408,7 @@ def tops_first_check(carrier, p, morphisms, unique):
         for top, bottom in tops_first_squares(carrier, i, p):
             problem = LiftingProblem(i, p, top, bottom)
             checked += 1
-            n = len(solve_lifts(carrier, problem))
+            n = len(pinned_solve_lifts(carrier, problem))
             if n == 0 or (unique and n > 1):
                 return LiftReport(False, checked, problem, n, name)
     return LiftReport(True, checked)
@@ -479,8 +485,9 @@ def test_bottom_first_squares_match_tops_first_oracle():
 
 
 def test_lift_check_makes_two_hom_calls_per_square(monkeypatch):
-    """One search for the bottom legs of each generator, then per square
-    one for its top legs and one for its fillers."""
+    """Per generator one search for its bottom legs and, at its first
+    square, one for its fillers; per bottom leg one for its top legs.  So
+    at most two calls per generator and one per square."""
     from corpus import cycle
 
     maps = [(AUT_CARRIER, p, gens) for p, gens in random_replacements()]
@@ -500,10 +507,150 @@ def test_lift_check_makes_two_hom_calls_per_square(monkeypatch):
             m.setattr(type(carrier), "hom", counted)
             calls = 0
             report = unique_rlp(carrier, p, gens)
-            assert report.ok and calls <= len(gens.positive) + 2 * report.checked
+            assert report.ok and calls <= 2 * len(gens.positive) + report.checked
             calls = 0
             report = rlp(carrier, p, gens.codiagonals)
-            assert report.ok and calls <= len(gens.codiagonals) + 2 * report.checked
+            assert report.ok and calls <= 2 * len(gens.codiagonals) + report.checked
+
+
+def test_codiagonal_check_makes_no_filler_search_of_its_own(monkeypatch):
+    """``lifting_reports`` searches ``hom(cod f, dom p)`` once for each
+    generator ``f`` with a square, and its codiagonal's check reads those
+    rows: searching them again would double the count."""
+    from corpus import cycle
+
+    circle = samples.circle()
+    _two, legs = PCS_CARRIER.coproduct([circle, circle])
+    fold = PCS_CARRIER.copair(legs, [PCS_CARRIER.identity(circle)] * 2)
+    maps = [(AUT_CARRIER, p, gens) for p, gens in random_replacements(15)]
+    maps += [(PCS_CARRIER, blowup(tensor(cycle(2), cycle(3)), 2).beta, brick_generators(2))]
+    maps += [(PCS_CARRIER, fold, brick_generators(1))]
+    searched = 0
+    for carrier, p, gens in maps:
+        cods = [f.target for _name, f in gens.positive]
+        squared = sum(any(True for _ in lifting_problems(carrier, f, p)) for _name, f in gens.positive)
+        fillers = []
+        original = type(carrier).hom
+
+        def spy(self, source, target, *args, **kwargs):
+            if target is p.source and any(source is cod for cod in cods):
+                fillers.append(source)
+            return original(self, source, target, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(type(carrier), "hom", spy)
+            unique, codiag = lifting_reports(carrier, p, gens)
+        if unique.ok:
+            assert len(fillers) == squared
+        else:  # the failing generator ends the first check; the second reads on demand
+            assert len(fillers) <= squared
+        searched += len(fillers)
+    assert searched > 100
+
+
+# -- fillers from one table per generator, against one pinned search per square ------
+
+
+def assert_fillers_match_the_pinned_oracle(carrier, p, gens, name, alone=True):
+    """Every square's filler list, from a table given or built by
+    ``solve_lifts``, is the pinned search's (same maps, same order).  The
+    reports of ``lifting_reports`` (and, when ``alone``, of both checks on
+    their own) equal those the pinned counts give, failing square
+    included.  Returns those reports."""
+    want = []
+    for morphisms, unique in ((gens.positive, True), (gens.codiagonals, False)):
+        report = LiftReport(True, 0)
+        for iname, i in morphisms:
+            table = None
+            for problem in lifting_problems(carrier, i, p):
+                fillers = pinned_solve_lifts(carrier, problem)
+                if table is None:
+                    assert solve_lifts(carrier, problem) == fillers, name
+                    table = filler_table(carrier, i, p, carrier.hom(i.target, p.source))
+                assert solve_lifts(carrier, problem, table) == fillers, name
+                if report.ok:
+                    n = len(fillers)
+                    report.checked += 1
+                    if n == 0 or (unique and n > 1):
+                        report = LiftReport(False, report.checked, problem, n, iname)
+        want.append(report)
+    want = tuple(want)
+    if alone:
+        assert (unique_rlp(carrier, p, gens), rlp(carrier, p, gens.codiagonals)) == want, name
+    assert lifting_reports(carrier, p, gens) == want, name
+    return want
+
+
+def assert_blowup_fillers_match(P, n, name):
+    """The pinned oracle on the blowup map, and ``verify_blowup``'s
+    reports, from the blowup's own probe table, equal to it."""
+    result = blowup(P, n)
+    want = assert_fillers_match_the_pinned_oracle(PCS_CARRIER, result.beta, brick_generators(n), name)
+    report = verify_blowup(P, n, result)
+    assert (report.lifting, report.codiagonal_lifting) == want, name
+    return want
+
+
+def test_fillers_match_the_pinned_oracle_on_corpus_blowups():
+    squares = 0
+    for name, P, _n in pcs_corpus():
+        for n in (1, 2, 3):
+            squares += sum(r.checked for r in assert_blowup_fillers_match(P, n, f"{name} at {n}"))
+    assert squares > 200
+
+
+def test_fillers_match_the_pinned_oracle_on_the_automata_corpus():
+    # the first half of the corpus: all 200 take about 9 s
+    for k, A in enumerate(automata_corpus(100)):
+        res = cofibrant_replacement(A)
+        gens = automata_generators(A.alphabet | res.replacement.alphabet)
+        assert_fillers_match_the_pinned_oracle(AUT_CARRIER, res.beta, gens, k, alone=False)
+
+
+def test_fillers_match_the_pinned_oracle_on_maps_that_fail():
+    """The fold of two circles (two fillers per square), a generator
+    ``i`` that glues two points, and a ``p`` with an empty fibre."""
+    circle = samples.circle()
+    _two, legs = PCS_CARRIER.coproduct([circle, circle])
+    fold = PCS_CARRIER.copair(legs, [PCS_CARRIER.identity(circle)] * 2)
+    unique, codiag = assert_fillers_match_the_pinned_oracle(PCS_CARRIER, fold, brick_generators(1), "fold")
+    assert unique.lift_count == 2 and not codiag.ok
+
+    def alone(name, i):
+        return GeneratorSet(((name, i),), partial(codiagonal, PCS_CARRIER), "nabla_{}")
+
+    point, two = relpcs(0, {0: ["x"]}, {}), relpcs(0, {0: ["v", "w"]}, {})
+    glue = PCS_CARRIER.make_morphism(two, point, {"v": "x", "w": "x"})
+    # tops by their values over (v, w): (v, v) has one filler, (v, w) none
+    unique, _codiag = assert_fillers_match_the_pinned_oracle(PCS_CARRIER, glue, alone("glue", glue), "glue")
+    assert (unique.checked, unique.lift_count, unique.failure.top.mapping) == (2, 0, {"v": "v", "w": "w"})
+
+    into = PCS_CARRIER.make_morphism(point, two, {"x": "v"})  # nothing over w
+    start = alone("start", PCS_CARRIER.initial_morphism(point))
+    unique, _codiag = assert_fillers_match_the_pinned_oracle(PCS_CARRIER, into, start, "start")
+    assert (unique.checked, unique.lift_count, unique.failure.bottom.mapping) == (2, 0, {"x": "w"})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(relational_automata(4, 5))
+def test_fillers_match_the_pinned_oracle_on_generated_automata(A):
+    gens = automata_generators("ab")
+    assert_fillers_match_the_pinned_oracle(AUT_CARRIER, cofibrant_replacement(A).beta, gens, "beta")
+    states = sorted(c for c in AUT_CARRIER.cells(A) if c[0] == "st")
+    if len(states) >= 2:
+        _quotient, fold = AUT_CARRIER.quotient(A, [tuple(states[:2])])
+        assert_fillers_match_the_pinned_oracle(AUT_CARRIER, fold, gens, "fold")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(relational_pcs(max_cubes=6), st.sampled_from([1, 2]))
+def test_fillers_match_the_pinned_oracle_on_drawn_pcs(P, n):
+    P = relpcs(P.dim_bound, P.cubes, P.faces)
+    assert_blowup_fillers_match(P, n, "beta")
+    vertices = sorted(P.cubes.get(0, ()))
+    if len(vertices) >= 2:  # a quotient map, which some squares fail against
+        _quotient, glue = PCS_CARRIER.quotient(P, [tuple(vertices[:2])])
+        assert_fillers_match_the_pinned_oracle(PCS_CARRIER, glue, brick_generators(n), "glue")
 
 
 # -- one bottom-leg search per generator, codiagonals on demand ------------------------
