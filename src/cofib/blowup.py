@@ -27,8 +27,8 @@ from .pcs import (
     brick,
     brick_boundary,
     euclidean_check,
-    hom_enumerate,
     min_cube,
+    probe_table,
     sub_bricks,
     validate,
 )
@@ -83,7 +83,7 @@ def blowup(P: RelPCS, n: int) -> BlowupResult:
     report = validate(P)
     if not report.ok:
         raise InvalidPCS(report)
-    probes = {eps: hom_enumerate(brick(eps), P) for eps in all_brick_indices(n)}
+    probes = probe_table(P, n)
     index_of = _row_index(probes)
     cubes: dict[int, set[str]] = defaultdict(set)
     faces: dict = defaultdict(set)
@@ -169,7 +169,7 @@ def verify_blowup(P: RelPCS, n: int, result: Optional[BlowupResult] = None) -> B
         raise ValueError(f"result is not the blowup of this input at n = {n}")
     shapes = all_brick_indices(n)
     RX = result.blowup
-    maps = {eps: hom_enumerate(brick(eps), RX) for eps in shapes}
+    maps = probe_table(RX, n)
     lifting, codiagonal_lifting = lifting_reports(
         PCS_CARRIER,
         result.beta,

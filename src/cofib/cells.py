@@ -123,8 +123,8 @@ class Structure:
     to their marks; colimits read only these.  ``rel`` is the forward index
     ``(cell, relation) -> related cells`` of the stored relations.  It and
     all a hom search reads are built on first use and kept with the object:
-    as a source, ``order`` and the search ``plan`` (and ``rooted`` plans); as
-    a target, the ``candidates`` per kind and, for backward links, ``back``.
+    as a source, ``order`` and the search ``plan``; as a target, the
+    ``candidates`` per kind and, for backward links, ``back``.
     """
 
     sort: Mapping
@@ -143,23 +143,14 @@ class Structure:
 
     @cached_property
     def plan(self) -> tuple:
-        """How a hom search from this object runs: see :meth:`plan_from`."""
-        return self.plan_from(None)
-
-    @cached_property
-    def rooted(self) -> dict:
-        """``cell -> plan_from(cell)``, for each cell a search pinned alone."""
-        return {}
-
-    def plan_from(self, root) -> tuple:
         """How a hom search from this object runs: ``(cells, kinds, slots,
-        links, backward)``.  ``cells`` is the search order: ``root`` first if
-        it is a cell, then the cell related to the most cells placed, ties and
-        the first cell of each connected part going by ``order``.  Per step,
-        ``kinds`` holds the cell's ``(sort, marks)`` (marks ``None`` for
-        none), ``slots`` its place in ``order``, ``links`` a ``(step, relation,
-        forward)`` triple per related cell at a later step, ``forward`` when
-        stored from this step's cell; ``backward``: some link is not forward."""
+        links, backward)``.  ``cells`` is the search order: the cell related
+        to the most cells placed, ties and the first cell of each connected
+        part going by ``order``.  Per step, ``kinds`` holds the cell's
+        ``(sort, marks)`` (marks ``None`` for none), ``slots`` its place in
+        ``order``, ``links`` a ``(step, relation, forward)`` triple per
+        related cell at a later step, ``forward`` when stored from this
+        step's cell; ``backward``: some link is not forward."""
         slot = {c: k for k, c in enumerate(self.order)}
         neighbours: dict = defaultdict(set)
         for (a, _r), bs in self.rel.items():
@@ -168,7 +159,7 @@ class Structure:
                 neighbours[b].add(a)
         step: dict = {}  # cell -> its step, once placed
         placed_links: dict = defaultdict(int)  # cell -> its neighbours placed so far
-        for start in (root, *self.order) if root in self.sort else self.order:
+        for start in self.order:
             heap = [(0, slot[start], start)]
             while heap:
                 minus_links, _k, c = heappop(heap)
@@ -278,8 +269,7 @@ class Carrier(ABC):
         """All morphisms ``source -> target``, ordered by their values over
         the source's cells in canonical order.
 
-        One loop walks the source's ``plan``, rooted at the pinned cell when
-        ``fixed`` pins one, with an explicit stack, trying
+        One loop walks the source's ``plan`` with an explicit stack, trying
         each step's candidates (the target's cached ``candidates`` of its
         kind) in set order.  Choosing an image narrows the candidates of
         every later cell linked to it (forward checking), on a trail undone
@@ -289,11 +279,7 @@ class Carrier(ABC):
         ``injective`` forbids repeated images.
         """
         X, Y = self.view(source), self.view(target)
-        plan = X.plan
-        if fixed and len(fixed) == 1:
-            (root,) = fixed
-            plan = X.rooted.get(root) or X.rooted.setdefault(root, X.plan_from(root))
-        cells, kinds, slots, links, backward = plan
+        cells, kinds, slots, links, backward = X.plan
         if not cells:
             return [CellMorphism(source, target, {})]
         cache, domains = Y.candidates, []

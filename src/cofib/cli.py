@@ -1,7 +1,7 @@
 """Batch front-end: load JSON fixtures, run the pipelines, emit reports.
 
 Exit codes: 0 on success, 1 when a check fails (the report carries the
-witness), 2 on malformed input.
+witness), 2 on malformed input or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -38,9 +38,11 @@ def _emit(data) -> None:
 
 def _load_json(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -115,7 +117,10 @@ def cmd_pcs_blowup(args) -> int:
     if args.provenance:
         payload["provenance"] = result.provenance_json()
     if args.output:
-        Path(args.output).write_text(json.dumps(blown, indent=2, sort_keys=True))
+        try:
+            Path(args.output).write_text(json.dumps(blown, indent=2, sort_keys=True))
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}")
     _emit(payload)
     return 0
 

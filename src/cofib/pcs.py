@@ -438,36 +438,35 @@ def chart_names(epsilon: BrickIndex, f: CellMorphism) -> dict[str, str]:
     return {b: _pair_id(f.mapping[b], w) for b, w in _min_words(epsilon)}
 
 
+def probe_table(X: RelPCS, n: int) -> dict[BrickIndex, list[CellMorphism]]:
+    """Per shape ``eps`` of :func:`all_brick_indices`, every probe
+    ``brick(eps) -> X``, in hom order."""
+    return {eps: hom_enumerate(brick(eps), X) for eps in all_brick_indices(n)}
+
+
 def euclidean_check(P: RelPCS, n: int, probes: Optional[Mapping[BrickIndex, list]] = None) -> EuclideanReport:
     """Look for a chart at every cube ``c``: a local embedding ``f`` from a brick,
     ``f(min_cube) = c``, whose pairs ``(f(b), w_b)`` are the cells of ``upward(P, c)``.
-    The candidates come from a search with ``f(min_cube) = c`` pinned, or from
-    ``probes``, every map ``brick(eps) -> P`` per shape in hom order (a blowup's
-    table), with no search: the same maps in the same order."""
-    pinned: dict[tuple[BrickIndex, str], list[CellMorphism]] = defaultdict(list)
-    for eps, homs in (probes or {}).items():
+    The candidates are ``probes``, ``probe_table(P, n)`` unless given (a blowup's
+    table), grouped by shape and the image of the minimal cube, in hom order."""
+    at: dict[tuple[BrickIndex, str], list[CellMorphism]] = defaultdict(list)
+    for eps, homs in (probe_table(P, n) if probes is None else probes).items():
         for f in homs:
-            pinned[(eps, f.mapping[min_cube(eps)])].append(f)
+            at[(eps, f.mapping[min_cube(eps)])].append(f)
     charts: dict[str, tuple[BrickIndex, CellMorphism]] = {}
     for c in P.all_cubes():
         cover = {(c, CubeWord.identity(P.dim(c))), *P.cofaces(c)}
         found = reason = None
         for eps in all_brick_indices(n):
-            if found or eps.min_dim != P.dim(c):
-                continue
-            if probes is None:
-                homs = hom_enumerate(brick(eps), P, fixed={min_cube(eps): c})
-            else:
-                homs = pinned[(eps, c)]
-            onto = [f for f in homs if {(f.mapping[b], w) for b, w in _min_words(eps)} == cover]
-            if len(onto) > 1:  # in the order a search into upward(P, c) finds them
-                onto.sort(key=lambda f: tuple(chart_names(eps, f).values()))
-            for f in onto:
-                ok, clash = is_local_embedding(f)
-                if ok:
-                    found = (eps, f)
-                    break
-                reason = reason or clash
+            for f in at.get((eps, c), ()):
+                if {(f.mapping[b], w) for b, w in _min_words(eps)} == cover:
+                    ok, clash = is_local_embedding(f)
+                    if ok:
+                        found = (eps, f)
+                        break
+                    reason = reason or clash
+            if found:
+                break
         if found is None:
             reason = reason or "no surjective brick map"
             return EuclideanReport(False, charts, c, reason, upward(P, c)[0])
@@ -589,6 +588,7 @@ __all__ = [
     "is_pcs_morphism",
     "hom_enumerate",
     "is_local_embedding",
+    "probe_table",
     "EuclideanReport",
     "chart_names",
     "euclidean_check",

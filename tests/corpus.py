@@ -11,11 +11,14 @@ from cofib import samples
 from cofib.automata import RelAutomaton, automaton
 from cofib.pcs import (
     PCS_CARRIER,
+    EuclideanReport,
     RelPCS,
     brick,
     brick_boundary,
+    chart_names,
     hom_enumerate,
     is_local_embedding,
+    min_cube,
     relpcs,
     rename_cells,
     tensor,
@@ -182,6 +185,47 @@ def euclidean_by_neighbourhood(P: RelPCS, n: int) -> tuple[bool, dict, object]:
             return False, charts, c
         charts[c] = found
     return True, charts, None
+
+
+def pinned_euclidean_check(P: RelPCS, n: int) -> EuclideanReport:
+    """The oracle of ``pcs.euclidean_check``'s candidates: at every cube
+    ``c`` and shape ``eps``, one search ``brick(eps) -> P`` with
+    ``min_cube(eps)`` pinned at ``c``.  Maps whose pairs ``(f(b), w_b)``
+    cover ``c``'s neighbourhood are tried in chart-name order, the order a
+    search into ``upward(P, c)`` finds them; the first local embedding is
+    the chart, else the first clash is the reason."""
+    charts: dict = {}
+    for c in P.all_cubes():
+        cover = {(c, CubeWord.identity(P.dim(c))), *P.cofaces(c)}
+        found = reason = None
+        for eps in all_brick_indices(n):
+            if found or eps.min_dim != P.dim(c):
+                continue
+            bottom = min_cube(eps)
+            words = {**dict(brick(eps).cofaces(bottom)), bottom: CubeWord.identity(eps.min_dim)}
+            onto = [
+                f for f in hom_enumerate(brick(eps), P, fixed={bottom: c})
+                if {(f.mapping[b], w) for b, w in words.items()} == cover
+            ]
+            for f in sorted(onto, key=lambda f: tuple(chart_names(eps, f).values())):
+                ok, clash = is_local_embedding(f)
+                if ok:
+                    found = (eps, f)
+                    break
+                reason = reason or clash
+        if found is None:
+            return EuclideanReport(False, charts, c, reason or "no surjective brick map", upward(P, c)[0])
+        charts[c] = found
+    return EuclideanReport(True, charts, None)
+
+
+def assert_same_verdict(got, want, label):
+    """Two euclidean reports agree on the verdict, the counterexample and
+    its reason, and on every chart, in order."""
+    assert (got.ok, got.counterexample, got.reason) == (want.ok, want.counterexample, want.reason), label
+    assert list(got.charts) == list(want.charts), label
+    for c, (eps, f) in want.charts.items():
+        assert got.charts[c][0] is eps and got.charts[c][1].mapping == f.mapping, (label, c)
 
 
 def _disjoint_circle_interval() -> RelPCS:

@@ -1,13 +1,19 @@
 """Blowup computation and the theorem checks on the fixture corpus."""
 
 import hashlib
-import importlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import cycle, euclidean_expectations, pcs_corpus, relational_pcs
+from corpus import (
+    assert_same_verdict,
+    cycle,
+    euclidean_expectations,
+    pcs_corpus,
+    pinned_euclidean_check,
+    relational_pcs,
+)
 from cofib import pcs, samples
 from cofib.blowup import (
     blowup,
@@ -135,19 +141,10 @@ def test_verify_blowup_on_corpus_matches_expectations():
         assert report.input_euclidean.ok == expect[name], name
 
 
-def assert_same_verdict(got, want, label):
-    """Two euclidean reports agree on the verdict, the counterexample and
-    its reason, and on every chart, in order."""
-    assert (got.ok, got.counterexample, got.reason) == (want.ok, want.counterexample, want.reason), label
-    assert list(got.charts) == list(want.charts), label
-    for c, (eps, f) in want.charts.items():
-        assert got.charts[c][0] is eps and got.charts[c][1].mapping == f.mapping, (label, c)
-
-
 def test_verify_blowup_reads_the_input_charts_off_the_blowup(monkeypatch):
-    """The input's verdict in ``verify_blowup`` is the one ``euclidean_check``
-    reaches by its own pinned searches, and it comes with no search into
-    the input at all: charts and bottom legs are the blowup's probes."""
+    """The input's verdict in ``verify_blowup`` is the one that pinned
+    searches reach (``pinned_euclidean_check``), and it comes with no search
+    into the input at all: charts and bottom legs are the blowup's probes."""
     real, targets = pcs.hom_enumerate, []
 
     def spy(X, Y, *args, **kwargs):
@@ -162,7 +159,7 @@ def test_verify_blowup_reads_the_input_charts_off_the_blowup(monkeypatch):
             report = verify_blowup(P, m, result)
             monkeypatch.setattr(pcs, "hom_enumerate", real)
             assert not any(Y is P for Y in targets), (name, m)
-            assert_same_verdict(report.input_euclidean, euclidean_check(P, m), (name, m))
+            assert_same_verdict(report.input_euclidean, pinned_euclidean_check(P, m), (name, m))
 
 
 def test_verify_blowup_searches_the_blowup_once_per_shape(monkeypatch):
@@ -171,33 +168,31 @@ def test_verify_blowup_searches_the_blowup_once_per_shape(monkeypatch):
     ``RX``'s chart candidates.  Its only other searches are the top legs
     into ``RX``, confined to fibres, and none pins a cell: no chart search
     and no filler search per square.  ``RX``'s verdict and charts are those
-    of its pinned searches."""
+    that pinned searches reach."""
     real, calls = pcs.hom_enumerate, []
 
     def spy(X, Y, fixed=None, allowed=None, injective=False):
         calls.append((X, Y, fixed, allowed))
         return real(X, Y, fixed, allowed, injective)
 
-    module = importlib.import_module("cofib.blowup")
     for name, P, n in pcs_corpus() + [("C2^3", tensor_power(2, 3), 3)]:
         result = blowup(P, n)
         RX = result.blowup
         with monkeypatch.context() as m:
             m.setattr(pcs, "hom_enumerate", spy)
-            m.setattr(module, "hom_enumerate", spy)
             calls.clear()
             report = verify_blowup(P, n, result)
         assert all(Y is RX and fixed is None for _X, Y, fixed, _allowed in calls), name
         unpinned = [X for X, _Y, _fixed, allowed in calls if allowed is None]
         assert unpinned == [brick(eps) for eps in all_brick_indices(n)], name
-        assert_same_verdict(report.euclidean, euclidean_check(RX, n), name)
+        assert_same_verdict(report.euclidean, pinned_euclidean_check(RX, n), name)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(relational_pcs(max_cubes=7), st.sampled_from([1, 2]))
 def test_verify_blowup_input_verdict_on_drawn_pcs(P, n):
     P = relpcs(P.dim_bound, P.cubes, P.faces)
-    assert_same_verdict(verify_blowup(P, n).input_euclidean, euclidean_check(P, n), n)
+    assert_same_verdict(verify_blowup(P, n).input_euclidean, pinned_euclidean_check(P, n), n)
 
 
 def test_verify_blowup_rejects_a_result_of_another_input():

@@ -69,10 +69,11 @@ def _agree(carrier, X, Y) -> int:
     assert got == want
     injective = [list(h.mapping.items()) for h in carrier.hom(X, Y, injective=True)]
     assert injective == [m for m in want if len({v for _c, v in m}) == len(m)]
-    for root in carrier.cells(X)[-1:]:  # one pinned cell: the search starts there
+    cells = carrier.cells(X)
+    for pin in dict.fromkeys(cells[:1] + cells[-1:]):  # one pinned cell: the first step's, or the last cell
         for v in carrier.cells(Y):
-            pinned = [list(h.mapping.items()) for h in carrier.hom(X, Y, fixed={root: v})]
-            assert pinned == [m for m in want if dict(m)[root] == v]
+            pinned = [list(h.mapping.items()) for h in carrier.hom(X, Y, fixed={pin: v})]
+            assert pinned == [m for m in want if dict(m)[pin] == v]
     return len(got)
 
 

@@ -104,6 +104,23 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "duplicate state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["pcs", "euclid", "-n", "1"], ["aut", "conditions"]])
+def test_input_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert main([*argv, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {bad} is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_path_exits_2(where, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    assert main(["pcs", "blowup", "-n", "1", "-o", str(out), str(FIXTURES / "circle.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+
+
 @pytest.mark.parametrize("command", ["blowup", "verify"])
 @pytest.mark.parametrize("fixture", ["circle.json", "broken-closure.json"])
 def test_blowup_commands_validate_once(command, fixture, monkeypatch, capsys):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import (
+    assert_same_verdict,
     brick_oracle,
     cycle,
     euclidean_by_neighbourhood,
@@ -20,6 +21,7 @@ from corpus import (
     interval_v1,
     path,
     pcs_corpus,
+    pinned_euclidean_check,
     relational_pcs,
     wedge,
     worklist_saturate,
@@ -41,6 +43,7 @@ from cofib.pcs import (
     is_local_embedding,
     is_pcs_morphism,
     min_cube,
+    probe_table,
     relpcs,
     RelPCS,
     saturate,
@@ -562,18 +565,23 @@ def _agrees_with_the_neighbourhood_oracle(P, n) -> None:
         assert chart_names(*report.charts[c]) == phi.mapping
 
 
-def test_euclidean_check_matches_the_neighbourhood_oracle():
-    """Same verdict, counterexample, chart keys in order and chart names on
-    the corpus at n = 1, 2, 3 and its own dimension, on their blowups and
-    on C2^4."""
-    for name, P, n in pcs_corpus():
+def _euclid_inputs():
+    """The corpus at n = 1, 2, 3 and its own dimension, their blowups, and
+    C2^4 at n = 4."""
+    for _name, P, n in pcs_corpus():
         for m in sorted({n, 1, 2, 3}):
-            _agrees_with_the_neighbourhood_oracle(P, m)
-            _agrees_with_the_neighbourhood_oracle(blowup(P, m).blowup, m)
+            yield P, m
+            yield blowup(P, m).blowup, m
     C2_4 = cycle(2)
     for _ in range(3):
         C2_4 = tensor(C2_4, cycle(2))
-    _agrees_with_the_neighbourhood_oracle(C2_4, 4)
+    yield C2_4, 4
+
+
+def test_euclidean_check_matches_the_neighbourhood_oracle():
+    """Same verdict, counterexample, chart keys in order and chart names."""
+    for P, n in _euclid_inputs():
+        _agrees_with_the_neighbourhood_oracle(P, n)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -582,14 +590,29 @@ def test_euclidean_check_matches_the_neighbourhood_oracle_on_drawn_pcs(P, n):
     _agrees_with_the_neighbourhood_oracle(P, n)
 
 
-def test_euclidean_check_searches_pinned_at_the_cube(monkeypatch):
-    """Each chart search is ``brick(eps) -> P`` with the minimal cube pinned
-    at the cube; the neighbourhood is built only for a counterexample."""
+def test_euclidean_check_matches_the_pinned_oracle():
+    """Grouping one table per shape by the image of the minimal cube gives
+    the maps that one pinned search per cube and shape finds: same verdict,
+    counterexample, reason, and charts in order."""
+    for P, n in _euclid_inputs():
+        assert_same_verdict(euclidean_check(P, n), pinned_euclidean_check(P, n), n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(relational_pcs(max_cubes=7), st.sampled_from([1, 2]))
+def test_euclidean_check_matches_the_pinned_oracle_on_drawn_pcs(P, n):
+    assert_same_verdict(euclidean_check(P, n), pinned_euclidean_check(P, n), n)
+
+
+def test_euclidean_check_searches_each_shape_once(monkeypatch):
+    """``euclidean_check(P, n)`` makes one unpinned search ``brick(eps) -> P``
+    per shape, in shape order, and none when given the table; the
+    neighbourhood is built only for a counterexample."""
     real_hom, real_upward, searches, upwards = pcs.hom_enumerate, pcs.upward, [], []
 
-    def hom_spy(X, Y, fixed=None, *args):
-        searches.append((X, Y, fixed))
-        return real_hom(X, Y, fixed, *args)
+    def hom_spy(X, Y, *args, **kwargs):
+        searches.append((X, Y, args, kwargs))
+        return real_hom(X, Y, *args, **kwargs)
 
     def upward_spy(P, c):
         upwards.append(c)
@@ -597,17 +620,25 @@ def test_euclidean_check_searches_pinned_at_the_cube(monkeypatch):
 
     monkeypatch.setattr(pcs, "hom_enumerate", hom_spy)
     monkeypatch.setattr(pcs, "upward", upward_spy)
-    for P, n, want in [(samples.circle(), 1, []), (samples.y_graph(), 1, ["a"])]:
+    cases = [
+        (samples.circle(), 1, []),
+        (samples.y_graph(), 1, ["a"]),
+        (samples.one_square_torus(), 2, ["e"]),
+        (samples.closed_square(), 2, ["b"]),
+    ]
+    for P, n, want in cases:
         searches.clear()
         upwards.clear()
         report = euclidean_check(P, n)
-        assert upwards == want
-        for X, Y, fixed in searches:
-            (eps,) = [e for e in all_brick_indices(n) if brick(e) is X]
-            (cube,) = fixed.values()
-            assert Y is P and fixed == {min_cube(eps): cube}
-        pinned = {cube for _X, _Y, fixed in searches for cube in fixed.values()}
-        assert pinned == set(report.charts) | set(upwards)
+        assert upwards == want and report.ok == (not want)
+        shapes = all_brick_indices(n)
+        assert len(searches) == len(shapes)
+        for (X, Y, args, kwargs), eps in zip(searches, shapes):
+            assert X is brick(eps) and Y is P and (args, kwargs) == ((), {})
+        table = probe_table(P, n)
+        searches.clear()
+        assert_same_verdict(euclidean_check(P, n, table), report, n)
+        assert searches == []
 
 
 def test_brick_boundaries_are_euclidean():
