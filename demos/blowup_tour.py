@@ -71,5 +71,5 @@ ry = euclidean_check(Y, 1)
 print(f"  euclidean: {ry.ok}, first cube without a chart: {ry.counterexample}")
 rby = blowup(Y, 1)
 print(f"  its blowup separates the branches: {rby.blowup.cube_counts()}")
-lift = unique_rlp(PCS_CARRIER, rby.beta, brick_generators(1))
+lift = unique_rlp(PCS_CARRIER, rby.beta, brick_generators(1).positive)
 print(f"  unique lifting against the generators still holds: {lift.ok}")

@@ -21,9 +21,9 @@ from cofib.lifting import (
     codiagonal,
     filler_table,
     lifting_problems,
-    rlp_with_codiagonal,
+    rlp,
     solve_lifts,
-    unique_rlp_single,
+    unique_rlp,
 )
 from cofib.pcs import PCS_CARRIER
 from cofib.samples import loop_ab, one_square_torus
@@ -53,8 +53,9 @@ print("The unique-lifting equivalence, checked by counting")
 A = loop_ab()
 beta = cofibrant_replacement(A).beta
 for name, i in automata_generators("ab", 1, 1).positive[:6]:
-    left = unique_rlp_single(AUT_CARRIER, beta, i)
-    right = rlp_with_codiagonal(AUT_CARRIER, beta, i)
+    left = unique_rlp(AUT_CARRIER, beta, [(name, i)]).ok
+    nabla = codiagonal(AUT_CARRIER, i)
+    right = rlp(AUT_CARRIER, beta, [(name, i), (f"nabla[{name}]", nabla)]).ok
     print(f"  {name}: exactly-one-filler={left}  filler-for-i-and-nabla={right}")
 print()
 

@@ -8,7 +8,7 @@ enumerating lifting problems and counting fillers.
 """
 
 from .words import BrickIndex, CubeWord, compose_words
-from .cells import Carrier, CellMorphism, GeneratorSet, LiftingProblem
+from .cells import Carrier, CellMorphism, LiftingProblem
 from .pcs import (
     PCS_CARRIER,
     RelPCS,
@@ -22,7 +22,7 @@ from .pcs import (
     validate,
 )
 from .blowup import blowup, brick_colimit_check, brick_generators, verify_blowup
-from .lifting import codiagonal, rlp, solve_lifts, unique_rlp
+from .lifting import GeneratorSet, codiagonal, rlp, solve_lifts, unique_rlp
 from .automata import (
     AUT_CARRIER,
     RelAutomaton,

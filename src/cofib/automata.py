@@ -22,8 +22,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .cells import Carrier, CellMorphism, GeneratorSet, Structure
-from .lifting import LiftReport, codiagonal, lifting_reports
+from .cells import Carrier, CellMorphism, Structure
+from .lifting import GeneratorSet, LiftReport, lifting_reports
 from .pcs import FormatError
 
 ST = "st"
@@ -457,7 +457,7 @@ def automata_generators(
     (1,1), (1,2) or (2,1).
     """
     positive = _positive_generators(tuple(sorted(set(alphabet))), max_in, max_out)
-    return GeneratorSet(positive, lambda f: codiagonal(AUT_CARRIER, f), "nabla[{}]")
+    return GeneratorSet(positive, AUT_CARRIER, "nabla[{}]")
 
 
 @lru_cache(maxsize=64)  # bounded: unlike brick dimensions, alphabets are unbounded

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .cells import CellMorphism, GeneratorSet
-from .lifting import LiftReport, codiagonal, lifting_reports
+from .cells import CellMorphism
+from .lifting import GeneratorSet, LiftReport, lifting_reports
 from .pcs import (
     PCS_CARRIER,
     EuclideanReport,
@@ -116,7 +116,7 @@ def brick_generators(n: int) -> GeneratorSet:
             boundary, brick(eps), {c: c for c in boundary.all_cubes()}
         )
         positive.append((f"i_{eps}" if eps.bits else "i_", incl))
-    gens = GeneratorSet(tuple(positive), lambda f: codiagonal(PCS_CARRIER, f), "nabla_{}")
+    gens = GeneratorSet(tuple(positive), PCS_CARRIER, "nabla_{}")
     gens.codiagonals  # built now, and kept with the cached set
     return gens
 
@@ -175,7 +175,7 @@ def verify_blowup(P: RelPCS, n: int, result: Optional[BlowupResult] = None) -> B
         result.beta,
         brick_generators(n),
         bottoms=[result.probes[eps] for eps in shapes],
-        fillers=[maps[eps] for eps in shapes],
+        fillers=lambda k: maps[shapes[k]],
     )
     return BlowupReport(
         euclidean=euclidean_check(RX, n, maps),

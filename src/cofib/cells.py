@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -84,35 +84,6 @@ class LiftingProblem:
             raise ValueError("bottom leg does not fit the square")
         if self.i.then(self.bottom).mapping != self.top.then(self.p).mapping:
             raise ValueError("square does not commute")
-
-
-@dataclass(frozen=True, eq=False)
-class GeneratorSet:
-    """Named generating cofibrations together with their codiagonals.
-
-    A codiagonal is always computed from its generator by ``fold`` (a
-    self-pushout and fold, never written by hand), on first request, and
-    kept; ``nabla_name`` formats its name from the generator's.  A
-    codiagonal has its generator's codomain, hence its bottom legs, so a
-    check that finds no bottom leg for a generator never requests it.
-    """
-
-    positive: tuple[tuple[str, CellMorphism], ...]
-    fold: Callable[[CellMorphism], CellMorphism]
-    nabla_name: str
-    _nablas: dict = field(default_factory=dict, init=False, repr=False)
-
-    def codiagonal(self, k: int) -> tuple[str, CellMorphism]:
-        """The named codiagonal of the ``k``-th generator."""
-        if k not in self._nablas:
-            name, f = self.positive[k]
-            self._nablas[k] = (self.nabla_name.format(name), self.fold(f))
-        return self._nablas[k]
-
-    @property
-    def codiagonals(self) -> tuple[tuple[str, CellMorphism], ...]:
-        """Every codiagonal, in generator order."""
-        return tuple(map(self.codiagonal, range(len(self.positive))))
 
 
 @dataclass(eq=False)
@@ -471,7 +442,6 @@ class Carrier(ABC):
 __all__ = [
     "CellMorphism",
     "LiftingProblem",
-    "GeneratorSet",
     "Structure",
     "Carrier",
 ]

@@ -19,12 +19,7 @@ from . import regex as rx
 from . import samples
 from .blowup import blowup as compute_blowup
 from .blowup import brick_generators, verify_blowup
-from .lifting import (
-    appendix_identity_suite,
-    rlp_with_codiagonal,
-    unique_rlp,
-    unique_rlp_single,
-)
+from .lifting import appendix_identity_suite, codiagonal, rlp, unique_rlp
 from .words import BrickIndex
 
 
@@ -285,7 +280,7 @@ def cmd_aut_cofrep(args) -> int:
     A = _load_automaton(args.file)
     result = aut.cofibrant_replacement(A)
     gens = aut.automata_generators(A.alphabet)
-    lift = unique_rlp(aut.AUT_CARRIER, result.beta, gens)
+    lift = unique_rlp(aut.AUT_CARRIER, result.beta, gens.positive)
     payload = {
         "replacement": aut.to_json_dict(result.replacement),
         "beta_states": dict(sorted(aut.state_map(result.beta).items())),
@@ -406,7 +401,8 @@ def cmd_toolkit_appendix(args) -> int:
         for gname, i in sample[:4]:
             p = carrier.identity(i.target)
             lemma_checked += 1
-            if unique_rlp_single(carrier, p, i) != rlp_with_codiagonal(carrier, p, i):
+            nabla = codiagonal(carrier, i)
+            if unique_rlp(carrier, p, [("i", i)]).ok != rlp(carrier, p, [("i", i), ("nabla", nabla)]).ok:
                 lemma_ok = False
         results[name] = {
             "sum_identity": report.sum_identity,

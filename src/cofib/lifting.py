@@ -4,9 +4,9 @@ A map has the *unique* right lifting property against a generator when
 every commuting square against it has exactly one diagonal filler.  That
 single counting condition is what certifies trivial fibrations here, and
 it is equivalent to ordinary lifting against the generator together with
-its codiagonal (the fold out of the generator's self-pushout); both sides
-of that equivalence are implemented so the equivalence itself can be
-tested.
+its codiagonal (the fold out of the generator's self-pushout).  Both
+checks take the same list of named maps, so each side of that
+equivalence is one call and the equivalence itself can be tested.
 
 Fillers are counted from one search per generator ``i: A -> B``, not one
 per square: every map ``h: B -> E`` fills exactly one square of
@@ -19,10 +19,13 @@ legs over each, since a square with no filler appears in no group.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .cells import Carrier, CellMorphism, GeneratorSet, LiftingProblem
+from .cells import Carrier, CellMorphism, LiftingProblem
+
+Fillers = Callable[[int], Sequence[CellMorphism]]
 
 
 def codiagonal(carrier: Carrier, f: CellMorphism) -> CellMorphism:
@@ -144,7 +147,7 @@ def _lift_check(
     morphisms: Iterable[tuple[str, CellMorphism]],
     unique: bool,
     bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
-    fillers: Optional[Sequence[Sequence[CellMorphism]]] = None,
+    fillers: Optional[Fillers] = None,
 ) -> LiftReport:
     """Count the fillers of every square; stop at the first square with
     none, or with other than one when ``unique``.  A morphism's fillers are
@@ -155,7 +158,7 @@ def _lift_check(
         table = None
         for problem in lifting_problems(carrier, i, p, legs):
             if table is None:
-                rows = carrier.hom(i.target, p.source) if fillers is None else fillers[k]
+                rows = carrier.hom(i.target, p.source) if fillers is None else fillers(k)
                 table = filler_table(carrier, i, p, rows)
             checked += 1
             n = len(solve_lifts(carrier, problem, table))
@@ -169,13 +172,14 @@ def rlp(
     p: CellMorphism,
     morphisms: Iterable[tuple[str, CellMorphism]],
     bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
-    fillers: Optional[Sequence[Sequence[CellMorphism]]] = None,
+    fillers: Optional[Fillers] = None,
 ) -> LiftReport:
     """Ordinary right lifting property: every square has at least one filler.
 
-    ``bottoms`` and ``fillers``, when given, hold for each morphism ``i`` in
-    turn its bottom legs ``cod(i) -> cod(p)`` and every map ``cod(i) ->
-    dom(p)``, each in hom order, searched elsewhere.
+    ``bottoms[k]``, when given, holds the bottom legs ``cod(i) -> cod(p)``
+    of the ``k``-th morphism ``i``, and ``fillers(k)`` every map ``cod(i)
+    -> dom(p)``, each in hom order, searched elsewhere; ``fillers`` is
+    called at most once per morphism, at its first square.
     """
     return _lift_check(carrier, p, morphisms, False, bottoms, fillers)
 
@@ -183,24 +187,43 @@ def rlp(
 def unique_rlp(
     carrier: Carrier,
     p: CellMorphism,
-    generators: GeneratorSet,
+    morphisms: Iterable[tuple[str, CellMorphism]],
     bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
-    fillers: Optional[Sequence[Sequence[CellMorphism]]] = None,
+    fillers: Optional[Fillers] = None,
 ) -> LiftReport:
-    """Unique right lifting property against the positive generators:
-    every square must have exactly one filler.  ``bottoms`` and ``fillers``
-    as for :func:`rlp`."""
-    return _lift_check(carrier, p, generators.positive, True, bottoms, fillers)
+    """Unique right lifting property: every square has exactly one
+    filler.  ``bottoms`` and ``fillers`` as for :func:`rlp`."""
+    return _lift_check(carrier, p, morphisms, True, bottoms, fillers)
 
 
-@dataclass(frozen=True)
-class _Lazy:
-    """A sequence whose ``k``-th item is ``read(k)``, read when asked for."""
+@dataclass(frozen=True, eq=False)
+class GeneratorSet:
+    """Named generating cofibrations over ``carrier``, with their codiagonals.
 
-    read: Callable[[int], Sequence[CellMorphism]]
+    A codiagonal is always computed from its generator by
+    :func:`codiagonal` (a self-pushout and fold, never written by hand), on
+    first request, and kept; ``nabla_name`` formats its name from the
+    generator's.  A codiagonal has its generator's codomain, hence its
+    bottom legs, so a check that finds no bottom leg for a generator never
+    requests it.
+    """
 
-    def __getitem__(self, k: int) -> Sequence[CellMorphism]:
-        return self.read(k)
+    positive: tuple[tuple[str, CellMorphism], ...]
+    carrier: Carrier
+    nabla_name: str
+    _nablas: dict = field(default_factory=dict, init=False, repr=False)
+
+    def codiagonal(self, k: int) -> tuple[str, CellMorphism]:
+        """The named codiagonal of the ``k``-th generator."""
+        if k not in self._nablas:
+            name, f = self.positive[k]
+            self._nablas[k] = (self.nabla_name.format(name), codiagonal(self.carrier, f))
+        return self._nablas[k]
+
+    @property
+    def codiagonals(self) -> tuple[tuple[str, CellMorphism], ...]:
+        """Every codiagonal, in generator order."""
+        return tuple(map(self.codiagonal, range(len(self.positive))))
 
 
 def lifting_reports(
@@ -209,56 +232,35 @@ def lifting_reports(
     generators: GeneratorSet,
     codiagonals: bool = True,
     bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
-    fillers: Optional[Sequence[Sequence[CellMorphism]]] = None,
+    fillers: Optional[Fillers] = None,
 ) -> tuple[LiftReport, LiftReport]:
     """``unique_rlp`` against the positive generators and ``rlp`` against
     their codiagonals (skipped, and reported as vacuous, unless
     ``codiagonals``), from one bottom-leg search and at most one filler
     search per generator, or from ``bottoms`` and ``fillers`` as for
-    :func:`rlp`.
+    :func:`rlp`, indexed by generator.
 
     A codiagonal ``nabla f`` has ``f``'s codomain, so its squares have
     exactly ``f``'s bottom legs and its fillers are ``f``'s.  A generator
     without a bottom leg has no square against either map, and its
     codiagonal is never requested; one without a square (and so none
     against its codiagonal) has no filler search.  A generator's fillers
-    are kept from its first square until its codiagonal's check reads them.
-    The reports are those of the two checks run on their own.
+    are searched at the first square of either check and cached until
+    this returns.  The reports are those of the two checks run on their
+    own.
     """
+    positive = generators.positive
     if bottoms is None:
-        bottoms = [carrier.hom(f.target, p.target) for _name, f in generators.positive]
-    kept: dict = {}
-
-    def search(k: int, keep: bool = True) -> Sequence[CellMorphism]:
-        if fillers is not None:
-            return fillers[k]
-        rows = kept.pop(k) if k in kept else carrier.hom(generators.positive[k][1].target, p.source)
-        if keep:
-            kept[k] = rows
-        return rows
-
-    unique = unique_rlp(carrier, p, generators, bottoms, _Lazy(search))
+        bottoms = [carrier.hom(f.target, p.target) for _name, f in positive]
+    if fillers is None:
+        fillers = functools.cache(lambda k: carrier.hom(positive[k][1].target, p.source))
+    unique = unique_rlp(carrier, p, positive, bottoms, fillers)
     if not codiagonals:
         return unique, LiftReport(True, 0)
     squared = [k for k, legs in enumerate(bottoms) if legs]
-    nablas = map(generators.codiagonal, squared)
-    handed = _Lazy(lambda j: search(squared[j], keep=False))
-    return unique, rlp(carrier, p, nablas, [bottoms[k] for k in squared], handed)
-
-
-def unique_rlp_single(
-    carrier: Carrier, p: CellMorphism, i: CellMorphism
-) -> bool:
-    return _lift_check(carrier, p, [("i", i)], unique=True).ok
-
-
-def rlp_with_codiagonal(
-    carrier: Carrier, p: CellMorphism, i: CellMorphism
-) -> bool:
-    """RLP against ``i`` and its codiagonal (the other side of the
-    unique-lifting equivalence)."""
-    nabla = codiagonal(carrier, i)
-    return rlp(carrier, p, [("i", i), ("nabla", nabla)]).ok
+    nablas = map(generators.codiagonal, squared)  # lazy: a failing check stops building them
+    legs = [bottoms[k] for k in squared]
+    return unique, rlp(carrier, p, nablas, legs, lambda j: fillers(squared[j]))
 
 
 def arrow_isomorphic(
@@ -415,9 +417,8 @@ __all__ = [
     "LiftReport",
     "rlp",
     "unique_rlp",
+    "GeneratorSet",
     "lifting_reports",
-    "unique_rlp_single",
-    "rlp_with_codiagonal",
     "arrow_isomorphic",
     "AppendixReport",
     "check_sum_identity",

@@ -187,10 +187,11 @@ class ValidationReport:
 
 
 def _grading_problems(dim_bound: int, cubes: Mapping, faces: Mapping) -> list[dict]:
-    """The grading law, in one pass over raw cubes and faces: dimensions in
-    range, each cube id once, and every face entry naming known cubes along
-    a non-identity word that fits their dimensions."""
-    details: list[str] = []
+    """The grading law, in one pass over raw cubes and faces: a bound that
+    is not negative, dimensions in range, each cube id once, and every face
+    entry naming known cubes along a non-identity word that fits their
+    dimensions."""
+    details = [] if dim_bound >= 0 else [f"negative dimension bound {dim_bound}"]
     dim: dict[str, int] = {}
     for d, cs in cubes.items():
         if not 0 <= d <= dim_bound:

@@ -15,6 +15,7 @@ from corpus import (
     aut_sample_maps,
     automata_corpus,
     euclidean_expectations,
+    lemma_sides,
     pcs_corpus,
     pcs_sample_maps,
     random_automaton,
@@ -41,9 +42,7 @@ from cofib.lifting import (
     check_pushout_square,
     check_retract_identity,
     check_sum_identity,
-    rlp_with_codiagonal,
     unique_rlp,
-    unique_rlp_single,
 )
 from cofib.pcs import PCS_CARRIER, euclidean_check, hom_enumerate
 from cofib.regex import compile_regex, kleene_fuzz, parse
@@ -96,7 +95,7 @@ def test_criterion_02_blowup_theorem_suite(capsys):
     failures = []
     for name, P, n in corpus:
         result = blowup(P, n)
-        lift = unique_rlp(PCS_CARRIER, result.beta, brick_generators(n))
+        lift = unique_rlp(PCS_CARRIER, result.beta, brick_generators(n).positive)
         eu = euclidean_check(result.blowup, n)
         if not (lift.ok and eu.ok):
             failures.append(name)
@@ -151,9 +150,8 @@ def test_criterion_05_unique_lift_equivalence(capsys):
     for pname, p in pcs_sample_maps():
         for iname, i in pcs_gens:
             checked += 1
-            if unique_rlp_single(PCS_CARRIER, p, i) != rlp_with_codiagonal(
-                PCS_CARRIER, p, i
-            ):
+            left, right = lemma_sides(PCS_CARRIER, p, i)
+            if left != right:
                 failures.append(("pcs", pname, iname))
     counts["pcs"] = checked
     checked = 0
@@ -161,9 +159,8 @@ def test_criterion_05_unique_lift_equivalence(capsys):
     for pname, p in aut_sample_maps():
         for iname, i in aut_gens:
             checked += 1
-            if unique_rlp_single(AUT_CARRIER, p, i) != rlp_with_codiagonal(
-                AUT_CARRIER, p, i
-            ):
+            left, right = lemma_sides(AUT_CARRIER, p, i)
+            if left != right:
                 failures.append(("automata", pname, iname))
     counts["automata"] = checked
     ok = not failures and all(c >= 100 for c in counts.values())

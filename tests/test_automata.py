@@ -1,7 +1,6 @@
 """Relational automata: language, edge index, generators, replacement,
 certificates, the right adjoint to simple automata, and normalization."""
 
-import importlib
 import json
 import random
 from pathlib import Path
@@ -11,6 +10,7 @@ import pytest
 from corpus import automata_corpus, eager_automata_generators, random_automaton, relational_automata
 from hypothesis import given, settings
 from cofib import automata as automata_module
+from cofib import lifting as lifting_module
 from cofib import samples
 from cofib.automata import (
     AUT_CARRIER,
@@ -36,7 +36,7 @@ from cofib.automata import (
     to_simple,
     verify_replacement,
 )
-from cofib.lifting import unique_rlp
+from cofib.lifting import lifting_problems, lifting_reports, unique_rlp
 from cofib.pcs import FormatError
 from cofib.regex import _concat, compile_regex, parse
 
@@ -184,17 +184,15 @@ def test_generator_family_for_one_letter():
 
 def spy_codiagonals(monkeypatch) -> list:
     """The generators whose codiagonal gets built, in order, seen where
-    the lifting and automata layers call ``codiagonal``."""
-    modules = [importlib.import_module(f"cofib.{name}") for name in ("lifting", "automata")]
+    ``GeneratorSet`` calls ``codiagonal``."""
     built = []
-    original = modules[0].codiagonal
+    original = lifting_module.codiagonal
 
     def spy(carrier, f):
         built.append(f)
         return original(carrier, f)
 
-    for module in modules:
-        monkeypatch.setattr(module, "codiagonal", spy)
+    monkeypatch.setattr(lifting_module, "codiagonal", spy)
     return built
 
 
@@ -209,6 +207,49 @@ def test_codiagonals_are_built_on_first_request_and_kept(monkeypatch):
     assert [name for name, _f in gens.codiagonals] == [
         f"nabla[{name}]" for name, _f in gens.positive
     ]
+
+
+def test_lifting_reports_build_and_search_nothing_past_where_the_checks_stop(monkeypatch):
+    """On maps that fail, ``lifting_reports`` builds the codiagonals of the
+    generators with a bottom leg only up to the one its failing ``rlp``
+    report names, and searches ``hom(cod f, dom p)`` once for each
+    generator ``f`` that either check reaches with a square, for no other.
+    The maps: each of the first 60 corpus automata with two states glued."""
+    built = spy_codiagonals(monkeypatch)
+    searches = []
+    original = type(AUT_CARRIER).hom
+
+    def spy(self, source, target, *args, **kwargs):
+        if not args and not kwargs:
+            searches.append((source, target))
+        return original(self, source, target, *args, **kwargs)
+
+    monkeypatch.setattr(type(AUT_CARRIER), "hom", spy)
+    folds = short = 0
+    for A in automata_corpus(60):
+        states = sorted(c for c in AUT_CARRIER.cells(A) if c[0] == "st")
+        if len(states) < 2:
+            continue
+        _quotient, p = AUT_CARRIER.quotient(A, [tuple(states[:2])])
+        gens = automata_generators(A.alphabet)
+        built.clear()
+        searches.clear()
+        unique, codiag = lifting_reports(AUT_CARRIER, p, gens)
+        made = [id(f) for f in built]
+        filled = sorted(id(source) for source, target in searches if target is p.source)
+        positive, names = gens.positive, [name for name, _f in gens.positive]
+        squared = [k for k, (_name, f) in enumerate(positive) if AUT_CARRIER.hom(f.target, p.target)]
+        nablas = [gens.codiagonal(k)[0] for k in squared]
+        stop = len(squared) if codiag.ok else nablas.index(codiag.generator) + 1
+        assert made == [id(positive[k][1]) for k in squared[:stop]], names
+        last = len(positive) if unique.ok else names.index(unique.generator) + 1
+        squares = lambda i: any(True for _ in lifting_problems(AUT_CARRIER, i, p))
+        reached = {k for k in range(last) if squares(positive[k][1])}
+        reached |= {k for k in squared[:stop] if squares(gens.codiagonal(k)[1])}
+        assert filled == sorted(id(positive[k][1].target) for k in reached), names
+        folds += 1
+        short += stop < len(squared)
+    assert (folds, short) == (49, 12)  # 12 maps stop before their last codiagonal
 
 
 def test_generator_labels_expand_over_alphabet():
@@ -282,7 +323,7 @@ def test_replacement_of_two_loops():
     assert sorted(R.states) == ["acc(e0,v)", "acc(e1,v)", "init(v)", "int(v)"]
     assert len(R.edges) == 2
     assert language_upto(R, 5) == language_upto(A, 5)
-    assert unique_rlp(AUT_CARRIER, result.beta, automata_generators("ab")).ok
+    assert unique_rlp(AUT_CARRIER, result.beta, automata_generators("ab").positive).ok
 
 
 def test_replacement_of_path_is_isomorphic_to_it():
@@ -480,8 +521,8 @@ def test_internal_star_arity_two_verdicts_match_arity_three():
         if proj is not None:
             candidates.append(proj)
         for p in candidates:
-            r2 = unique_rlp(AUT_CARRIER, p, gens2)
-            r3 = unique_rlp(AUT_CARRIER, p, gens3)
+            r2 = unique_rlp(AUT_CARRIER, p, gens2.positive)
+            r3 = unique_rlp(AUT_CARRIER, p, gens3.positive)
             assert r2.ok == r3.ok
             compared += 1
     assert compared >= 20

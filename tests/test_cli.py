@@ -104,6 +104,15 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "duplicate state" in capsys.readouterr().err
 
 
+def test_a_negative_dimension_bound_exits_2(tmp_path, capsys):
+    """An empty input with bound -1 is malformed, not a valid empty object."""
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"dim_bound": -1, "cubes": {}}))
+    for argv in (["pcs", "validate"], ["pcs", "verify", "-n", "1"], ["pcs", "blowup", "-n", "1"]):
+        assert main([*argv, str(path)]) == 2
+        assert "negative dimension bound -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["pcs", "euclid", "-n", "1"], ["aut", "conditions"]])
 def test_input_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -508,7 +517,7 @@ def test_aut_verify_writes_automaton_cells_as_kind_and_name(monkeypatch, capsys)
     loop = samples.loop_a()
     forgetful = automaton("a", ["x"], [], ["x"], ["x"])
     p = AUT_CARRIER.make_morphism(forgetful, loop, {("st", "x"): ("st", "v")})
-    failed = unique_rlp(AUT_CARRIER, p, automata_generators("a"))
+    failed = unique_rlp(AUT_CARRIER, p, automata_generators("a").positive)
     real = aut.verify_replacement
     monkeypatch.setattr(aut, "verify_replacement", lambda A, **kw: dataclasses.replace(real(A, **kw), lifting=failed))
     code, data = run_json(capsys, "aut", "verify", "-L", "3", str(FIXTURES / "loop-ab.json"))

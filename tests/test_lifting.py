@@ -1,13 +1,13 @@
 """Codiagonals, lifting solvers, unique-lifting equivalence, colimit identities."""
 
 import random
-from functools import partial
 
 import pytest
 from corpus import (
     arrow_isomorphic_by_all_homs,
     automata_corpus,
     eager_automata_generators,
+    lemma_sides,
     pcs_corpus,
     pinned_solve_lifts,
     relational_automata,
@@ -28,9 +28,10 @@ from cofib.automata import (
     gen_source,
 )
 from cofib.blowup import blowup, brick_generators, verify_blowup
-from cofib.cells import CellMorphism, GeneratorSet, LiftingProblem
+from cofib.cells import CellMorphism, LiftingProblem
 from cofib.cli import _appendix_aut_inputs, _appendix_pcs_inputs
 from cofib.lifting import (
+    GeneratorSet,
     LiftReport,
     appendix_identity_suite,
     arrow_isomorphic,
@@ -44,10 +45,8 @@ from cofib.lifting import (
     lifting_problems,
     lifting_reports,
     rlp,
-    rlp_with_codiagonal,
     solve_lifts,
     unique_rlp,
-    unique_rlp_single,
 )
 from cofib.pcs import PCS_CARRIER, brick, brick_boundary, hom_enumerate, relpcs, tensor
 from cofib.words import BrickIndex
@@ -121,7 +120,7 @@ def test_unique_rlp_of_identity_holds_even_on_loops():
     # The only filler of a square against an identity is its bottom leg, so
     # identities have the unique lifting property against everything.
     A = samples.loop_a()
-    report = unique_rlp(AUT_CARRIER, AUT_CARRIER.identity(A), automata_generators("a"))
+    report = unique_rlp(AUT_CARRIER, AUT_CARRIER.identity(A), automata_generators("a").positive)
     assert report.ok
 
 
@@ -134,7 +133,7 @@ def test_unique_rlp_failure_produces_witness():
     p = AUT_CARRIER.make_morphism(
         forgetful, loop, {("st", "x"): ("st", "v")}
     )
-    report = unique_rlp(AUT_CARRIER, p, automata_generators("a"))
+    report = unique_rlp(AUT_CARRIER, p, automata_generators("a").positive)
     assert not report.ok
     assert report.lift_count == 0
     assert report.generator == "edge(a)"
@@ -150,9 +149,8 @@ def test_unique_lift_equivalence_pcs():
     checked = 0
     for _pname, p in _pcs_sample_maps():
         for _iname, i in gens:
-            assert unique_rlp_single(PCS_CARRIER, p, i) == rlp_with_codiagonal(
-                PCS_CARRIER, p, i
-            )
+            left, right = lemma_sides(PCS_CARRIER, p, i)
+            assert left == right
             checked += 1
     assert checked >= 100
 
@@ -164,11 +162,21 @@ def test_unique_lift_equivalence_automata():
     checked = 0
     for _pname, p in _aut_sample_maps():
         for _iname, i in gens:
-            assert unique_rlp_single(AUT_CARRIER, p, i) == rlp_with_codiagonal(
-                AUT_CARRIER, p, i
-            )
+            left, right = lemma_sides(AUT_CARRIER, p, i)
+            assert left == right
             checked += 1
     assert checked >= 100
+
+
+def test_unique_lifting_against_the_codiagonals_agrees_with_lifting_on_passing_maps():
+    """A map with unique lifting against the generators has it against
+    their codiagonals too, so there both checks give one report."""
+    cases = [(AUT_CARRIER, p, gens) for p, gens in random_replacements(5)]
+    cases.append((PCS_CARRIER, blowup(samples.one_square_torus(), 2).beta, brick_generators(2)))
+    for carrier, p, gens in cases:
+        assert unique_rlp(carrier, p, gens.positive).ok
+        report = unique_rlp(carrier, p, gens.codiagonals)
+        assert report.ok and report.checked > 0 and report == rlp(carrier, p, gens.codiagonals)
 
 
 # -- two-out-of-three (sampled) ------------------------------------------------------
@@ -178,7 +186,7 @@ def test_two_out_of_three_for_unique_lifting():
     gens = automata_generators("ab", 2, 2)
 
     def is_we(p):
-        return unique_rlp(AUT_CARRIER, p, gens).ok
+        return unique_rlp(AUT_CARRIER, p, gens.positive).ok
 
     A = samples.loop_ab()
     res = cofibrant_replacement(A)
@@ -473,7 +481,7 @@ def test_bottom_first_squares_match_tops_first_oracle():
             assert got == want, name
             squares += len(got)
             glued += len(got) if not i.is_injective() else 0
-        reports = [unique_rlp(carrier, p, gens), rlp(carrier, p, gens.codiagonals)]
+        reports = [unique_rlp(carrier, p, gens.positive), rlp(carrier, p, gens.codiagonals)]
         want = [
             tops_first_check(carrier, p, gens.positive, True),
             tops_first_check(carrier, p, gens.codiagonals, False),
@@ -506,7 +514,7 @@ def test_lift_check_makes_two_hom_calls_per_square(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(type(carrier), "hom", counted)
             calls = 0
-            report = unique_rlp(carrier, p, gens)
+            report = unique_rlp(carrier, p, gens.positive)
             assert report.ok and calls <= 2 * len(gens.positive) + report.checked
             calls = 0
             report = rlp(carrier, p, gens.codiagonals)
@@ -576,7 +584,7 @@ def assert_fillers_match_the_pinned_oracle(carrier, p, gens, name, alone=True):
         want.append(report)
     want = tuple(want)
     if alone:
-        assert (unique_rlp(carrier, p, gens), rlp(carrier, p, gens.codiagonals)) == want, name
+        assert (unique_rlp(carrier, p, gens.positive), rlp(carrier, p, gens.codiagonals)) == want, name
     assert lifting_reports(carrier, p, gens) == want, name
     return want
 
@@ -617,7 +625,7 @@ def test_fillers_match_the_pinned_oracle_on_maps_that_fail():
     assert unique.lift_count == 2 and not codiag.ok
 
     def alone(name, i):
-        return GeneratorSet(((name, i),), partial(codiagonal, PCS_CARRIER), "nabla_{}")
+        return GeneratorSet(((name, i),), PCS_CARRIER, "nabla_{}")
 
     point, two = relpcs(0, {0: ["x"]}, {}), relpcs(0, {0: ["v", "w"]}, {})
     glue = PCS_CARRIER.make_morphism(two, point, {"v": "x", "w": "x"})
@@ -660,7 +668,7 @@ def eager_reports(carrier, p, gens):
     """The oracle of ``lifting_reports``: each check searches its own bottom
     legs, and every codiagonal is built up front."""
     nablas = [(gens.nabla_name.format(n), codiagonal(carrier, f)) for n, f in gens.positive]
-    return unique_rlp(carrier, p, gens), rlp(carrier, p, nablas)
+    return unique_rlp(carrier, p, gens.positive), rlp(carrier, p, nablas)
 
 
 def assert_same_reports(carrier, p, gens, name, oracle=None):

@@ -142,6 +142,7 @@ def test_saturate_rejects_a_face_not_of_lower_dimension(faces):
         (RelPCS(1, {0: ["v"]}, {("x", W("-")): ["v"]}), "unknown cube 'x'"),
         (RelPCS(1, {1: ["e"]}, {("e", W("0")): ["e"]}), "identity word stored for 'e'"),
         (RelPCS(1, {0: ["v"], 1: ["e", "f"]}, {("e", W("-")): ["f"]}), "face 'f' of 'e' at - misgraded"),
+        (RelPCS(-1, {}, {}), "negative dimension bound -1"),
     ],
 )
 def test_validate_reports_each_grading_fault(P, detail):
