@@ -798,8 +798,12 @@ def verify_replacement(
     language_bound: int = 5,
     check_codiagonals: bool = True,
 ) -> ReplacementReport:
+    """The replacement checks on ``result``, which must be
+    ``cofibrant_replacement(A)`` (computed when not given)."""
     if result is None:
         result = cofibrant_replacement(A)
+    elif result.source is not A:
+        raise ValueError("result is not the cofibrant replacement of this automaton")
     R = result.replacement
     expected_states = (
         len(A.initial)

@@ -18,8 +18,8 @@ from . import pcs
 from . import regex as rx
 from . import samples
 from .blowup import blowup as compute_blowup
-from .blowup import brick_generators, verify_blowup
-from .lifting import appendix_identity_suite, codiagonal, rlp, unique_rlp
+from .blowup import verify_blowup
+from .lifting import appendix_identity_suite, unique_rlp
 from .words import BrickIndex
 
 
@@ -348,73 +348,13 @@ def cmd_rx_fuzz(args) -> int:
 # -- toolkit --------------------------------------------------------------------
 
 
-def _appendix_pcs_inputs():
-    carrier = pcs.PCS_CARRIER
-    gens = brick_generators(1)
-    sample = list(gens.positive)
-    gens2 = brick_generators(2)
-    sample.append(gens2.positive[3])  # the vertex-shaped generator in dim 2
-    composable = []
-    for name, i in sample:
-        composable.append((carrier.initial_morphism(i.source), i))
-    spans = []
-    circle_blowup = compute_blowup(samples.circle(), 1)
-    i1 = gens.positive[1][1]  # boundary of the subdivided interval brick
-    for f in pcs.hom_enumerate(i1.source, circle_blowup.blowup):
-        spans.append((i1, f))
-    return carrier, sample, composable, spans
-
-
-def _appendix_aut_inputs():
-    carrier = aut.AUT_CARRIER
-    gens = aut.automata_generators("ab", max_in=1, max_out=1)
-    sample = list(gens.positive)
-    composable = []
-    edge_a = aut.gen_edge(["a", "b"], "a")
-    acc_a = aut.gen_accept(["a", "b"], "a")
-    composable.append((edge_a, acc_a))
-    src_a = aut.gen_source(["a", "b"], "a")
-    composable.append((carrier.initial_morphism(src_a.source), src_a))
-    spans = []
-    loop = samples.loop_a()
-    big = aut.RelAutomaton(
-        "ab", loop.states, loop.edges, loop.initial, loop.accepting
-    )
-    for f in carrier.hom(acc_a.source, big):
-        spans.append((acc_a, f))
-    return carrier, sample, composable, spans
-
-
 def cmd_toolkit_appendix(args) -> int:
-    results = {}
-    ok = True
-    for name, inputs in (
-        ("pcs", _appendix_pcs_inputs()),
-        ("automata", _appendix_aut_inputs()),
-    ):
-        carrier, sample, composable, spans = inputs
-        report = appendix_identity_suite(
-            carrier, sample, composable=composable, pushout_spans=spans
-        )
-        lemma_checked = 0
-        lemma_ok = True
-        for gname, i in sample[:4]:
-            p = carrier.identity(i.target)
-            lemma_checked += 1
-            nabla = codiagonal(carrier, i)
-            if unique_rlp(carrier, p, [("i", i)]).ok != rlp(carrier, p, [("i", i), ("nabla", nabla)]).ok:
-                lemma_ok = False
-        results[name] = {
-            "sum_identity": report.sum_identity,
-            "pushout_square": report.pushout_square,
-            "composition_identity": report.composition_identity,
-            "double_codiagonal_iso": report.double_codiagonal_iso,
-            "retract_identity": report.retract_identity,
-            "unique_lift_equivalence": lemma_checked if lemma_ok else "failed",
-            "failures": [str(f) for f in report.failures],
-        }
-        ok = ok and report.ok and lemma_ok
-    _emit({"ok": ok, "carriers": results})
+    reports = {
+        name: appendix_identity_suite(carrier, cases)
+        for name, (carrier, cases) in samples.appendix_cases().items()
+    }
+    ok = all(report.ok for report in reports.values())
+    _emit({"ok": ok, "carriers": {name: report.summary() for name, report in reports.items()}})
     return 0 if ok else 1
 
 

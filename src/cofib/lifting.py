@@ -6,7 +6,8 @@ single counting condition is what certifies trivial fibrations here, and
 it is equivalent to ordinary lifting against the generator together with
 its codiagonal (the fold out of the generator's self-pushout).  Both
 checks take the same list of named maps, so each side of that
-equivalence is one call and the equivalence itself can be tested.
+equivalence is one call (:func:`unique_lift_sides`), and the equivalence is
+one row of the colimit-identity suite.
 
 Fillers are counted from one search per generator ``i: A -> B``, not one
 per square: every map ``h: B -> E`` fills exactly one square of
@@ -20,6 +21,7 @@ legs over each, since a square with no filler appears in no group.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -44,7 +46,10 @@ def induced_on_self_pushouts(
 ) -> CellMorphism:
     """Map of self-pushouts induced by a commuting square ``(on_dom, on_cod)``
     from ``f`` to ``f2``; sends the class of a tagged cell to the class of
-    its image under ``on_cod`` in the same copy."""
+    its image under ``on_cod`` in the same copy.  ``ValueError`` if the
+    square does not commute."""
+    if f.then(on_cod).mapping != on_dom.then(f2).mapping:
+        raise ValueError("the square (on_dom, on_cod) from f to f2 does not commute")
     _p1, a1, b1 = carrier.pushout(f, f)
     _p2, a2, b2 = carrier.pushout(f2, f2)
     return carrier.copair([a1, b1], [on_cod.then(a2), on_cod.then(b2)])
@@ -196,6 +201,15 @@ def unique_rlp(
     return _lift_check(carrier, p, morphisms, True, bottoms, fillers)
 
 
+def unique_lift_sides(carrier: Carrier, p: CellMorphism, i: CellMorphism) -> tuple[bool, bool]:
+    """Both sides of the unique-lifting equivalence for ``p`` against
+    ``i``: unique lifting against ``i``, and lifting against ``i`` and its
+    codiagonal."""
+    named = [("i", i)]
+    plain = rlp(carrier, p, named + [("nabla i", codiagonal(carrier, i))])
+    return unique_rlp(carrier, p, named).ok, plain.ok
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """Named generating cofibrations over ``carrier``, with their codiagonals.
@@ -263,9 +277,7 @@ def lifting_reports(
     return unique, rlp(carrier, p, nablas, legs, lambda j: fillers(squared[j]))
 
 
-def arrow_isomorphic(
-    carrier: Carrier, f: CellMorphism, g: CellMorphism
-) -> bool:
+def arrow_isomorphic(carrier: Carrier, f: CellMorphism, g: CellMorphism) -> bool:
     """Isomorphism in the arrow category: isos ``phi`` of domains and
     ``psi`` of codomains with ``f.then(psi) == phi.then(g)``.  With equal
     censuses at both ends injective maps are isos (``Carrier.census``); per
@@ -282,40 +294,18 @@ def arrow_isomorphic(
     return False
 
 
-@dataclass
-class AppendixReport:
-    """Tally of the colimit identities checked on sampled morphisms."""
-
-    sum_identity: int = 0
-    pushout_square: int = 0
-    composition_identity: int = 0
-    double_codiagonal_iso: int = 0
-    retract_identity: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def check_sum_identity(
-    carrier: Carrier, parts: Sequence[CellMorphism]
-) -> bool:
+def check_sum_identity(carrier: Carrier, parts: Sequence[CellMorphism]) -> bool:
     """Codiagonal of a sum is the sum of the codiagonals, up to isomorphism."""
     nabla_sum = codiagonal(carrier, carrier.sum(parts)[0])
     sum_nabla = carrier.sum([codiagonal(carrier, f) for f in parts])[0]
     return arrow_isomorphic(carrier, nabla_sum, sum_nabla)
 
 
-def check_pushout_square(
-    carrier: Carrier, i1: CellMorphism, f: CellMorphism
-) -> bool:
+def check_pushout_square(carrier: Carrier, i1: CellMorphism, f: CellMorphism) -> bool:
     """Pushing out ``i1`` along ``f`` turns the codiagonal square into a
     cocartesian one: the self-pushouts' comparison map to the new codomain
     is again a pushout."""
     b2, g, i2 = carrier.pushout(i1, f)
-    i2 = carrier.make_morphism(f.target, b2, i2.mapping)
-    g = carrier.make_morphism(i1.target, b2, g.mapping)
     nabla1 = codiagonal(carrier, i1)
     nabla2 = codiagonal(carrier, i2)
     top = induced_on_self_pushouts(carrier, i1, i2, f, g)
@@ -327,23 +317,17 @@ def check_pushout_square(
     return carrier.is_isomorphism(comparison)
 
 
-def check_composition_identity(
-    carrier: Carrier, i1: CellMorphism, i2: CellMorphism
-) -> bool:
+def check_composition_identity(carrier: Carrier, i1: CellMorphism, i2: CellMorphism) -> bool:
     """The codiagonal of a composite factors as the coarsening map of
     self-pushouts followed by the codiagonal of the outer map."""
     comp = i1.then(i2)
-    nabla_comp = codiagonal(carrier, comp)
-    _p_a, a1, a2 = carrier.pushout(comp, comp)
-    _p_b, b1, b2 = carrier.pushout(i2, i2)
-    step = carrier.copair([a1, a2], [b1, b2])
-    nabla2 = codiagonal(carrier, i2)
-    return nabla_comp.mapping == step.then(nabla2).mapping
+    step = induced_on_self_pushouts(carrier, comp, i2, i1, carrier.identity(i2.target))
+    return codiagonal(carrier, comp).mapping == step.then(codiagonal(carrier, i2)).mapping
 
 
 def check_double_codiagonal_iso(carrier: Carrier, f: CellMorphism) -> bool:
-    nabla = codiagonal(carrier, f)
-    return carrier.is_isomorphism(codiagonal(carrier, nabla))
+    """The codiagonal of a codiagonal is an isomorphism."""
+    return carrier.is_isomorphism(codiagonal(carrier, codiagonal(carrier, f)))
 
 
 def check_retract_identity(carrier: Carrier, f: CellMorphism) -> bool:
@@ -351,60 +335,63 @@ def check_retract_identity(carrier: Carrier, f: CellMorphism) -> bool:
     the retract is a retract of the codiagonal."""
     ff, dom_inj, cod_inj = carrier.sum([f, f])
     # section: first copy; retraction: fold both copies back
-    sec_dom = dom_inj[0]
-    sec_cod = cod_inj[0]
+    sec_dom, sec_cod = dom_inj[0], cod_inj[0]
     fold_dom = carrier.copair(dom_inj, [carrier.identity(f.source)] * 2)
     fold_cod = carrier.copair(cod_inj, [carrier.identity(f.target)] * 2)
     sigma = induced_on_self_pushouts(carrier, f, ff, sec_dom, sec_cod)
     rho = induced_on_self_pushouts(carrier, ff, f, fold_dom, fold_cod)
     if sigma.then(rho).mapping != carrier.identity(sigma.source).mapping:
         return False
-    nabla_f = codiagonal(carrier, f)
-    nabla_ff = codiagonal(carrier, ff)
+    nabla_f, nabla_ff = codiagonal(carrier, f), codiagonal(carrier, ff)
     return (
         sigma.then(nabla_ff).mapping == nabla_f.then(sec_cod).mapping
         and rho.then(nabla_f).mapping == nabla_ff.then(fold_cod).mapping
     )
 
 
-def appendix_identity_suite(
-    carrier: Carrier,
-    sample: Sequence[tuple[str, CellMorphism]],
-    composable: Sequence[tuple[CellMorphism, CellMorphism]] = (),
-    pushout_spans: Sequence[tuple[CellMorphism, CellMorphism]] = (),
-) -> AppendixReport:
-    """Check the codiagonal identities by explicit colimit computation.
+def check_unique_lift_equivalence(carrier: Carrier, p: CellMorphism, i: CellMorphism) -> bool:
+    """Unique lifting against ``i`` holds exactly when lifting against
+    ``i`` and its codiagonal does."""
+    unique, plain = unique_lift_sides(carrier, p, i)
+    return unique == plain
 
-    ``sample`` feeds the sum / double-codiagonal / retract checks (sums are
-    taken over consecutive pairs), ``composable`` the composite identity,
-    ``pushout_spans`` the cocartesian-square identity.
-    """
+
+APPENDIX_CHECKS: dict[str, Callable[..., bool]] = {
+    "sum_identity": check_sum_identity,
+    "pushout_square": check_pushout_square,
+    "composition_identity": check_composition_identity,
+    "double_codiagonal_iso": check_double_codiagonal_iso,
+    "retract_identity": check_retract_identity,
+    "unique_lift_equivalence": check_unique_lift_equivalence,
+}
+
+
+@dataclass
+class AppendixReport:
+    """Cases of each identity that hold, and ``"<identity>: <case label>"``
+    for each that fails."""
+
+    counts: Counter = field(default_factory=Counter)
+    failures: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def summary(self) -> dict:
+        """Every identity's count, zero included, and the failures."""
+        return {**{name: self.counts[name] for name in APPENDIX_CHECKS}, "failures": self.failures}
+
+
+def appendix_identity_suite(carrier: Carrier, cases: Iterable[tuple[str, str, tuple]]) -> AppendixReport:
+    """Run each case ``(identity, label, args)`` as
+    ``APPENDIX_CHECKS[identity](carrier, *args)``."""
     report = AppendixReport()
-    morphs = [f for _name, f in sample]
-    for name, f in sample:
-        if check_double_codiagonal_iso(carrier, f):
-            report.double_codiagonal_iso += 1
+    for identity, label, args in cases:
+        if APPENDIX_CHECKS[identity](carrier, *args):
+            report.counts[identity] += 1
         else:
-            report.failures.append(("double_codiagonal", name))
-        if check_retract_identity(carrier, f):
-            report.retract_identity += 1
-        else:
-            report.failures.append(("retract", name))
-    for k in range(len(morphs) - 1):
-        if check_sum_identity(carrier, morphs[k : k + 2]):
-            report.sum_identity += 1
-        else:
-            report.failures.append(("sum", sample[k][0], sample[k + 1][0]))
-    for i1, i2 in composable:
-        if check_composition_identity(carrier, i1, i2):
-            report.composition_identity += 1
-        else:
-            report.failures.append(("composition", i1, i2))
-    for i1, f in pushout_spans:
-        if check_pushout_square(carrier, i1, f):
-            report.pushout_square += 1
-        else:
-            report.failures.append(("pushout", i1, f))
+            report.failures.append(f"{identity}: {label}")
     return report
 
 
@@ -417,14 +404,17 @@ __all__ = [
     "LiftReport",
     "rlp",
     "unique_rlp",
+    "unique_lift_sides",
     "GeneratorSet",
     "lifting_reports",
     "arrow_isomorphic",
-    "AppendixReport",
     "check_sum_identity",
     "check_pushout_square",
     "check_composition_identity",
     "check_double_codiagonal_iso",
     "check_retract_identity",
+    "check_unique_lift_equivalence",
+    "APPENDIX_CHECKS",
+    "AppendixReport",
     "appendix_identity_suite",
 ]

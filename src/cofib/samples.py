@@ -1,9 +1,22 @@
-"""Small canonical objects used by the demos, the CLI suites, and tests."""
+"""Small canonical objects used by the demos, the CLI suites, and tests,
+and the cases of the colimit-identity suite built from them."""
 
 from __future__ import annotations
 
-from .automata import RelAutomaton, automaton
-from .pcs import RelPCS, relpcs
+from itertools import combinations
+
+from .automata import (
+    AUT_CARRIER,
+    ST,
+    RelAutomaton,
+    automata_generators,
+    automaton,
+    cofibrant_replacement,
+    gen_accept,
+    gen_edge,
+)
+from .blowup import blowup, brick_generators
+from .pcs import PCS_CARRIER, RelPCS, relpcs
 from .words import CubeWord
 
 W = CubeWord.parse
@@ -165,3 +178,49 @@ AUT_SAMPLES = {
     "two-start": two_start_automaton,
     "relational-mess": relational_mess,
 }
+
+
+def _identity_cases(carrier, gens, composable, spans, lemma_maps) -> list[tuple[str, str, tuple]]:
+    """Rows ``(identity, label, args)`` for
+    :func:`cofib.lifting.appendix_identity_suite`: each named generator
+    alone, every pair of them summed, each after the map from the empty
+    object and the extra ``composable`` pairs, each span ``(label, i, X)``
+    along every map ``dom(i) -> X``, and each lemma map against every
+    generator."""
+    rows = []
+    for name, f in gens:
+        rows += [("double_codiagonal_iso", name, (f,)), ("retract_identity", name, (f,))]
+    rows += [("sum_identity", f"{m} + {n}", ([f, g],)) for (m, f), (n, g) in combinations(gens, 2)]
+    composable = [(f"! then {n}", carrier.initial_morphism(f.source), f) for n, f in gens] + composable
+    rows += [("composition_identity", label, (f, g)) for label, f, g in composable]
+    for label, i, X in spans:
+        rows += [("pushout_square", f"{label}, map {k}", (i, f)) for k, f in enumerate(carrier.hom(i.source, X))]
+    rows += [("unique_lift_equivalence", f"{pn} against {n}", (p, i)) for pn, p in lemma_maps for n, i in gens]
+    return rows
+
+
+def appendix_cases() -> dict[str, tuple]:
+    """The colimit-identity suite's ``(carrier, rows)`` per carrier.  The
+    lemma maps are a projection with unique lifting and a fold without it:
+    two circles onto one, and ``path_ab`` with its first two states glued."""
+    C = circle()
+    circle_blowup = blowup(C, 1)
+    pcs_gens = brick_generators(1).positive + brick_generators(2).positive
+    fold = PCS_CARRIER.copair(PCS_CARRIER.coproduct([C, C])[1], [PCS_CARRIER.identity(C)] * 2)
+    pcs_rows = _identity_cases(
+        PCS_CARRIER, pcs_gens, [],
+        [("i_1 into blowup(circle, 1)", dict(pcs_gens)["i_1"], circle_blowup.blowup)],
+        [("beta of blowup(circle, 1)", circle_blowup.beta), ("fold of circle + circle", fold)],
+    )
+    ab, loop = ["a", "b"], loop_a()
+    loop_over_ab = RelAutomaton("ab", loop.states, loop.edges, loop.initial, loop.accepting)
+    glued = AUT_CARRIER.quotient(path_ab(), [((ST, "q0"), (ST, "q1"))])[1]
+    aut_rows = _identity_cases(
+        AUT_CARRIER, automata_generators("ab", 1, 1).positive,
+        [(f"edge({x}) then accept({x})", gen_edge(ab, x), gen_accept(ab, x)) for x in ab],
+        [("accept(a) into loop-a", gen_accept(["a"], "a"), loop),
+         ("accept(a) into loop-a over ab", gen_accept(ab, "a"), loop_over_ab)],
+        [("beta of cofrep(loop-ab)", cofibrant_replacement(loop_ab()).beta),
+         ("fold gluing q0, q1 of path-ab", glued)],
+    )
+    return {"pcs": (PCS_CARRIER, pcs_rows), "automata": (AUT_CARRIER, aut_rows)}

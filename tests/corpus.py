@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cofib import samples
 from cofib.automata import RelAutomaton, automaton
-from cofib.lifting import GeneratorSet, codiagonal, rlp, unique_rlp
+from cofib.lifting import GeneratorSet
 from cofib.pcs import (
     PCS_CARRIER,
     EuclideanReport,
@@ -445,13 +445,6 @@ def eager_automata_generators(alphabet, max_in: int = 2, max_out: int = 2):
                     positive.append((name, gen_internal(letters, ins, outs)))
     return GeneratorSet(tuple(positive), AUT_CARRIER, "nabla[{}]")
 
-
-def lemma_sides(carrier, p, i) -> tuple[bool, bool]:
-    """Both sides of the unique-lifting equivalence for ``p`` against
-    ``i``: unique lifting against ``i``, and lifting against ``i`` and its
-    codiagonal."""
-    nabla = codiagonal(carrier, i)
-    return unique_rlp(carrier, p, [("i", i)]).ok, rlp(carrier, p, [("i", i), ("nabla", nabla)]).ok
 
 
 def iso_signature(carrier, obj) -> dict:

@@ -15,7 +15,6 @@ from corpus import (
     aut_sample_maps,
     automata_corpus,
     euclidean_expectations,
-    lemma_sides,
     pcs_corpus,
     pcs_sample_maps,
     random_automaton,
@@ -26,8 +25,6 @@ from cofib.automata import (
     automata_generators,
     cofibrant_replacement,
     check_conditions,
-    gen_accept,
-    gen_edge,
     language_upto,
     normalize,
     path_automaton,
@@ -36,15 +33,8 @@ from cofib.automata import (
 )
 from cofib.blowup import blowup, brick_colimit_check, brick_generators
 from cofib.cli import main
-from cofib.lifting import (
-    check_composition_identity,
-    check_double_codiagonal_iso,
-    check_pushout_square,
-    check_retract_identity,
-    check_sum_identity,
-    unique_rlp,
-)
-from cofib.pcs import PCS_CARRIER, euclidean_check, hom_enumerate
+from cofib.lifting import appendix_identity_suite, unique_lift_sides, unique_rlp
+from cofib.pcs import PCS_CARRIER, euclidean_check
 from cofib.regex import compile_regex, kleene_fuzz, parse
 from cofib.words import CubeWord, all_brick_indices
 
@@ -150,7 +140,7 @@ def test_criterion_05_unique_lift_equivalence(capsys):
     for pname, p in pcs_sample_maps():
         for iname, i in pcs_gens:
             checked += 1
-            left, right = lemma_sides(PCS_CARRIER, p, i)
+            left, right = unique_lift_sides(PCS_CARRIER, p, i)
             if left != right:
                 failures.append(("pcs", pname, iname))
     counts["pcs"] = checked
@@ -159,7 +149,7 @@ def test_criterion_05_unique_lift_equivalence(capsys):
     for pname, p in aut_sample_maps():
         for iname, i in aut_gens:
             checked += 1
-            left, right = lemma_sides(AUT_CARRIER, p, i)
+            left, right = unique_lift_sides(AUT_CARRIER, p, i)
             if left != right:
                 failures.append(("automata", pname, iname))
     counts["automata"] = checked
@@ -169,68 +159,16 @@ def test_criterion_05_unique_lift_equivalence(capsys):
 
 
 def test_criterion_06_appendix_identities(capsys):
+    """The cases ``cofib toolkit appendix`` runs, through the same suite:
+    every case of every identity holds."""
     failures = []
     configs = 0
-
-    aut_gens = [f for _n, f in automata_generators("ab", 1, 1).positive]
-    for f in aut_gens:
-        configs += 1
-        if not check_double_codiagonal_iso(AUT_CARRIER, f):
-            failures.append(("aut-nabla-nabla", str(f)))
-        configs += 1
-        if not check_retract_identity(AUT_CARRIER, f):
-            failures.append(("aut-retract", str(f)))
-    for k in range(len(aut_gens) - 1):
-        configs += 1
-        if not check_sum_identity(AUT_CARRIER, aut_gens[k : k + 2]):
-            failures.append(("aut-sum", k))
-    composable = [
-        (gen_edge(["a", "b"], "a"), gen_accept(["a", "b"], "a")),
-        (gen_edge(["a", "b"], "b"), gen_accept(["a", "b"], "b")),
-        (AUT_CARRIER.initial_morphism(gen_accept(["a", "b"], "a").source),
-         gen_accept(["a", "b"], "a")),
-    ]
-    for i1, i2 in composable:
-        configs += 1
-        if not check_composition_identity(AUT_CARRIER, i1, i2):
-            failures.append(("aut-composition", str(i1)))
-    loop = samples.loop_a()
-    acc = gen_accept(["a"], "a")
-    for f in AUT_CARRIER.hom(acc.source, loop):
-        configs += 1
-        if not check_pushout_square(AUT_CARRIER, acc, f):
-            failures.append(("aut-pushout", str(f.mapping)))
-
-    pcs_gens = [f for _n, f in brick_generators(1).positive] + [
-        f for _n, f in brick_generators(2).positive
-    ]
-    for f in pcs_gens:
-        configs += 1
-        if not check_double_codiagonal_iso(PCS_CARRIER, f):
-            failures.append(("pcs-nabla-nabla", str(f)))
-        configs += 1
-        if not check_retract_identity(PCS_CARRIER, f):
-            failures.append(("pcs-retract", str(f)))
-    for k in range(len(pcs_gens) - 1):
-        configs += 1
-        if not check_sum_identity(PCS_CARRIER, pcs_gens[k : k + 2]):
-            failures.append(("pcs-sum", k))
-    for _name, i in brick_generators(1).positive:
-        configs += 1
-        if not check_composition_identity(
-            PCS_CARRIER, PCS_CARRIER.initial_morphism(i.source), i
-        ):
-            failures.append(("pcs-composition", _name))
-    i_sub = dict(brick_generators(1).positive)["i_1"]
-    circle_blowup = blowup(samples.circle(), 1)
-    for f in hom_enumerate(i_sub.source, circle_blowup.blowup):
-        configs += 1
-        if not check_pushout_square(PCS_CARRIER, i_sub, f):
-            failures.append(("pcs-pushout", str(f.mapping)))
-
-    ok = not failures and configs >= 50
+    for carrier, cases in samples.appendix_cases().values():
+        failures += appendix_identity_suite(carrier, cases).failures
+        configs += len(cases)
+    ok = not failures and configs >= 59
     with capsys.disabled():
-        report(6, "codiagonal colimit identities", ok, f"({configs} configurations)")
+        report(6, "codiagonal colimit identities", ok, f"({configs} configurations, failures={failures})")
 
 
 def test_criterion_07_replacement_suite(capsys):

@@ -486,6 +486,16 @@ def test_verify_builds_one_codiagonal_per_generator_with_a_bottom_leg(monkeypatc
     assert skipped > 500
 
 
+def test_verify_replacement_rejects_a_result_of_another_automaton():
+    A = samples.loop_ab()
+    result = cofibrant_replacement(A)
+    with pytest.raises(ValueError, match="not the cofibrant replacement"):
+        verify_replacement(A, cofibrant_replacement(samples.path_ab()))
+    with pytest.raises(ValueError):
+        verify_replacement(samples.loop_ab(), result)
+    assert verify_replacement(A, result).ok
+
+
 def test_codiagonals_are_not_built_unless_checked(monkeypatch, capsys):
     from cofib.cli import main
 

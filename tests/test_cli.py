@@ -13,7 +13,7 @@ import pytest
 from corpus import cycle
 
 from cofib import automata as aut
-from cofib import cli, pcs, regex, samples
+from cofib import cli, lifting, pcs, regex, samples
 from cofib.automata import AUT_CARRIER, automata_generators, automaton
 from cofib.automata import from_json_dict as aut_from_json
 from cofib.automata import to_json_dict as aut_to_json
@@ -441,8 +441,33 @@ def test_toolkit_appendix(capsys):
     code, data = run_json(capsys, "toolkit", "appendix")
     assert code == 0 and data["ok"]
     for carrier in ("pcs", "automata"):
-        assert data["carriers"][carrier]["failures"] == []
-        assert data["carriers"][carrier]["double_codiagonal_iso"] > 0
+        assert data["carriers"][carrier].pop("failures") == []
+        assert set(data["carriers"][carrier]) == set(lifting.APPENDIX_CHECKS)
+        assert all(count > 0 for count in data["carriers"][carrier].values())
+
+
+@pytest.mark.parametrize(
+    "how, owner, name, fake, failures",
+    [
+        ("setitem", lifting.APPENDIX_CHECKS, "retract_identity", lambda carrier, f: False,
+         ("retract_identity: i_01", "retract_identity: edge(a)")),
+        ("setattr", lifting, "unique_lift_sides", lambda carrier, p, i: (True, False),
+         ("unique_lift_equivalence: fold of circle + circle against i_0",
+          "unique_lift_equivalence: fold gluing q0, q1 of path-ab against source(b)")),
+    ],
+    ids=["identity_check", "unique_lift_sides"],
+)
+def test_toolkit_appendix_fails_naming_the_identity_and_the_case(
+    capsys, monkeypatch, how, owner, name, fake, failures
+):
+    getattr(monkeypatch, how)(owner, name, fake)
+    code, out = run(capsys, "toolkit", "appendix")
+    assert code == 1 and '"ok": false' in out
+    carriers = json.loads(out)["carriers"]
+    identity = failures[0].split(":")[0]
+    for carrier, failure in zip(("pcs", "automata"), failures):
+        assert failure in carriers[carrier]["failures"]
+        assert carriers[carrier][identity] == 0
 
 
 def test_aut_fixture_round_trip():

@@ -1,13 +1,13 @@
 """Codiagonals, lifting solvers, unique-lifting equivalence, colimit identities."""
 
 import random
+from collections import Counter
 
 import pytest
 from corpus import (
     arrow_isomorphic_by_all_homs,
     automata_corpus,
     eager_automata_generators,
-    lemma_sides,
     pcs_corpus,
     pinned_solve_lifts,
     relational_automata,
@@ -29,8 +29,8 @@ from cofib.automata import (
 )
 from cofib.blowup import blowup, brick_generators, verify_blowup
 from cofib.cells import CellMorphism, LiftingProblem
-from cofib.cli import _appendix_aut_inputs, _appendix_pcs_inputs
 from cofib.lifting import (
+    APPENDIX_CHECKS,
     GeneratorSet,
     LiftReport,
     appendix_identity_suite,
@@ -42,10 +42,12 @@ from cofib.lifting import (
     check_sum_identity,
     codiagonal,
     filler_table,
+    induced_on_self_pushouts,
     lifting_problems,
     lifting_reports,
     rlp,
     solve_lifts,
+    unique_lift_sides,
     unique_rlp,
 )
 from cofib.pcs import PCS_CARRIER, brick, brick_boundary, hom_enumerate, relpcs, tensor
@@ -149,7 +151,7 @@ def test_unique_lift_equivalence_pcs():
     checked = 0
     for _pname, p in _pcs_sample_maps():
         for _iname, i in gens:
-            left, right = lemma_sides(PCS_CARRIER, p, i)
+            left, right = unique_lift_sides(PCS_CARRIER, p, i)
             assert left == right
             checked += 1
     assert checked >= 100
@@ -162,7 +164,7 @@ def test_unique_lift_equivalence_automata():
     checked = 0
     for _pname, p in _aut_sample_maps():
         for _iname, i in gens:
-            left, right = lemma_sides(AUT_CARRIER, p, i)
+            left, right = unique_lift_sides(AUT_CARRIER, p, i)
             assert left == right
             checked += 1
     assert checked >= 100
@@ -246,12 +248,36 @@ def test_retract_identity_examples():
 
 
 def test_appendix_suite_counts():
-    gens = automata_generators("ab", 1, 1)
-    sample = list(gens.positive)
-    report = appendix_identity_suite(AUT_CARRIER, sample)
-    assert report.ok
-    assert report.double_codiagonal_iso == len(sample)
-    assert report.sum_identity == len(sample) - 1
+    for carrier, cases in samples.appendix_cases().values():
+        report = appendix_identity_suite(carrier, cases)
+        assert report.ok
+        assert report.counts == Counter(identity for identity, _label, _args in cases)
+        assert set(report.counts) == set(APPENDIX_CHECKS)
+
+
+def test_lemma_rows_include_maps_without_unique_lifting():
+    """In each carrier the lemma rows hold with both sides true and with
+    both sides false (the fold), so the row can fail."""
+    for carrier, cases in samples.appendix_cases().values():
+        sides = {
+            unique_lift_sides(carrier, *args)
+            for identity, _label, args in cases
+            if identity == "unique_lift_equivalence"
+        }
+        assert sides == {(True, True), (False, False)}
+
+
+def test_induced_on_self_pushouts_rejects_a_square_that_does_not_commute():
+    """``id`` then ``id`` against ``swap`` then ``id`` on two points: the
+    copair alone would accept it, since the self-pushout of an identity
+    glues every cell."""
+    two = relpcs(0, {0: ["v", "w"]}, {})
+    ident = PCS_CARRIER.identity(two)
+    swap = PCS_CARRIER.make_morphism(two, two, {"v": "w", "w": "v"})
+    with pytest.raises(ValueError, match="does not commute"):
+        induced_on_self_pushouts(PCS_CARRIER, ident, ident, swap, ident)
+    induced = induced_on_self_pushouts(PCS_CARRIER, ident, ident, swap, swap)
+    assert PCS_CARRIER.is_isomorphism(induced)
 
 
 def test_copair_rejects_legs_that_disagree():
@@ -286,8 +312,8 @@ def test_arrow_isomorphic_matches_the_oracle_on_the_appendix_sums():
     ``nabla f2 + nabla f1``, over every pair of the appendix sample: all
     isomorphic, the second through the swap of summands."""
     found = tried = 0
-    for carrier, sample, _composable, _spans in (_appendix_pcs_inputs(), _appendix_aut_inputs()):
-        maps = [f for _name, f in sample]
+    for carrier, cases in samples.appendix_cases().values():
+        maps = [args[0] for identity, _label, args in cases if identity == "double_codiagonal_iso"]
         for f1 in maps:
             for f2 in maps:
                 nabla_sum = codiagonal(carrier, carrier.sum([f1, f2])[0])
@@ -296,7 +322,7 @@ def test_arrow_isomorphic_matches_the_oracle_on_the_appendix_sums():
                     found += _arrow_isomorphic_agrees(carrier, nabla_sum, sum_nabla)
                     found += _arrow_isomorphic_agrees(carrier, sum_nabla, nabla_sum)
                     tried += 2
-    assert found == tried == 4 * (3 * 3 + 12 * 12)
+    assert found == tried == 4 * (6 * 6 + 12 * 12)
 
 
 def test_arrow_isomorphic_matches_the_oracle_on_generator_pairs():
