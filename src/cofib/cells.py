@@ -9,14 +9,15 @@ exactly the cell maps that keep sorts, marks and every stored relation.
 Hom search, the morphism check, the isomorphism search and the colimits
 (coproduct, quotient, pushout) are written once, here, against that
 view.  A carrier only encodes its objects into a :class:`Structure`
-and builds an object from the images of the cells of others.
+and builds an object from the images of the cells of others.  Morphisms
+and lifting squares are slotted, and immutable by convention, as objects are.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -29,13 +30,14 @@ def _same(x, y) -> bool:
     return x is y or x == y
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CellMorphism:
     """A morphism presented by its underlying cell map."""
 
     source: Any
     target: Any
     mapping: dict
+    _fibres: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, cell):
         return self.mapping[cell]
@@ -54,17 +56,19 @@ class CellMorphism:
         values = list(self.mapping.values())
         return len(values) == len(set(values))
 
-    @cached_property
+    @property
     def fibres(self) -> dict:
         """Target cell -> the source cells it receives, built once per map
         (shared; do not mutate).  Cells outside the image have no entry."""
-        fibres: dict = defaultdict(set)
-        for c, v in self.mapping.items():
-            fibres[v].add(c)
-        return {v: frozenset(cs) for v, cs in fibres.items()}
+        if self._fibres is None:
+            fibres: dict = defaultdict(set)
+            for c, v in self.mapping.items():
+                fibres[v].add(c)
+            self._fibres = {v: frozenset(cs) for v, cs in fibres.items()}
+        return self._fibres
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LiftingProblem:
     """A commuting square ``p . top = bottom . i`` asking for a filler.
 

@@ -45,10 +45,10 @@ class RelPCS:
     Objects are immutable after construction.  The relational view
     (``_view``) and the face index (``_index``: per cube, its stored faces
     and its cofaces) are therefore computed once, on first use, and never
-    go stale.
+    go stale; ``_graded`` marks an object :func:`from_json_dict` has graded.
     """
 
-    __slots__ = ("dim_bound", "cubes", "faces", "_dim", "_view", "_index")
+    __slots__ = ("dim_bound", "cubes", "faces", "_dim", "_view", "_index", "_graded")
 
     def __init__(
         self,
@@ -66,6 +66,7 @@ class RelPCS:
         self._dim = {c: d for d, cs in self.cubes.items() for c in cs}
         self._view = None
         self._index = None
+        self._graded = False
 
     def dim(self, cube: str) -> int:
         return self._dim[cube]
@@ -217,9 +218,10 @@ def _grading_problems(dim_bound: int, cubes: Mapping, faces: Mapping) -> list[di
 
 
 def validate(P: RelPCS) -> ValidationReport:
-    """Check grading, then closure: each face that :func:`saturate` adds to
-    the stored table is a witness, listed once, in sorted order."""
-    problems = _grading_problems(P.dim_bound, P.cubes, P.faces)
+    """Check grading (not again for an object read by :func:`from_json_dict`),
+    then closure: each face that :func:`saturate` adds to the stored table
+    is a witness, listed once, in sorted order."""
+    problems = [] if P._graded else _grading_problems(P.dim_bound, P.cubes, P.faces)
     if problems:
         return ValidationReport(problems)
     closed = saturate(P.faces)
@@ -533,7 +535,9 @@ def from_json_dict(data: dict) -> RelPCS:
     problems = _grading_problems(dim_bound, cubes, faces)
     if problems:
         raise FormatError(problems[0]["detail"])
-    return RelPCS(dim_bound, cubes, faces)
+    P = RelPCS(dim_bound, cubes, faces)  # keeps a subset of the graded table
+    P._graded = True
+    return P
 
 
 class PCSCarrier(Carrier):

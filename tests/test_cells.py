@@ -1,9 +1,13 @@
 """The core hom search against a plain canonical-order backtracking, the
-isomorphism search against the signature search, and the core quotient
-against a union-find over every cell."""
+isomorphism search against the signature search, the core quotient
+against a union-find over every cell, and the value semantics of
+morphisms and lifting squares."""
 
+import copy
+import pickle
 import random
 
+import pytest
 from corpus import (
     automata_corpus,
     cycle,
@@ -21,8 +25,8 @@ from hypothesis import strategies as st
 from cofib import samples
 from cofib.automata import AUT_CARRIER, automata_generators, cofibrant_replacement
 from cofib.blowup import blowup, brick_generators
-from cofib.cells import Carrier
-from cofib.pcs import PCS_CARRIER, brick, hom_enumerate, tensor
+from cofib.cells import Carrier, CellMorphism, LiftingProblem
+from cofib.pcs import PCS_CARRIER, RelPCS, brick, hom_enumerate, tensor
 from cofib.words import BrickIndex
 
 
@@ -270,3 +274,53 @@ def test_pcs_quotient_matches_union_find_over_all_cells(X, data):
 @given(relational_automata(5, 5), st.data())
 def test_automata_quotient_matches_union_find_over_all_cells(X, data):
     _quotient_agrees(AUT_CARRIER, X, _chained_pairs(data, AUT_CARRIER, X))
+
+
+def _point_and_two():
+    """A point ``x`` and two points ``v``, ``w``, built directly, so no
+    relational view (which holds callables) is attached to them."""
+    return RelPCS(0, {0: ["x"]}, {}), RelPCS(0, {0: ["v", "w"]}, {})
+
+
+def _square() -> LiftingProblem:
+    """``x -> v`` against the fold of ``v``, ``w`` onto ``x``."""
+    point, two = _point_and_two()
+    i = CellMorphism(point, two, {"x": "v"})
+    p = CellMorphism(two, point, {"v": "x", "w": "x"})
+    return LiftingProblem(i, p, CellMorphism(point, two, {"x": "w"}), CellMorphism(two, point, {"v": "x", "w": "x"}))
+
+
+def test_lifting_problem_rejects_legs_that_do_not_fit_or_commute():
+    sq = _square()
+    two = sq.i.target
+    with pytest.raises(ValueError, match="top leg does not fit"):
+        LiftingProblem(sq.i, sq.p, sq.bottom, sq.bottom)
+    with pytest.raises(ValueError, match="bottom leg does not fit"):
+        LiftingProblem(sq.i, sq.p, sq.top, sq.top)
+    ident = CellMorphism(two, two, {"v": "v", "w": "w"})
+    with pytest.raises(ValueError, match="square does not commute"):
+        LiftingProblem(sq.i, ident, sq.top, ident)
+    with pytest.raises(ValueError, match="not composable"):
+        sq.i.then(sq.i)
+
+
+def test_fibres_are_built_once_and_do_not_change_equality():
+    fold = _square().p
+    unread = CellMorphism(fold.source, fold.target, dict(fold.mapping))
+    fibres = fold.fibres
+    assert fibres == {"x": frozenset({"v", "w"})}
+    assert fibres == {v: frozenset(c for c in fold.mapping if fold.mapping[c] == v) for v in fold.mapping.values()}
+    assert fold.fibres is fibres
+    assert fold == unread and unread == fold
+    assert repr(fold) == repr(unread)
+
+
+def test_morphisms_and_squares_are_slotted_unhashable_values():
+    sq = _square()
+    sq.p.fibres  # a filled cache slot is copied too
+    for value in (sq, sq.p):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(TypeError):
+            hash(value)
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value

@@ -247,6 +247,20 @@ def test_blowup_torus(capsys):
     assert set(data["beta"].values()) == {"v", "e", "c"}
 
 
+def test_blowup_grades_its_input_once(capsys, monkeypatch):
+    """The file's raw table is graded on reading; ``blowup`` validates the
+    object read without grading it again.  An object built directly is
+    still graded."""
+    calls = []
+    grade = pcs._grading_problems
+    monkeypatch.setattr(pcs, "_grading_problems", lambda *args: calls.append(args) or grade(*args))
+    code, _data = run_json(capsys, "pcs", "blowup", "-n", "2", str(FIXTURES / "one-square.json"))
+    assert code == 0 and len(calls) == 1
+    misgraded = pcs.RelPCS(1, {0: ["v"], 1: ["e", "f"]}, {("e", CubeWord.parse("-")): ["f"]})
+    assert pcs.validate(misgraded).problems == [{"kind": "grading", "detail": "face 'f' of 'e' at - misgraded"}]
+    assert len(calls) == 2
+
+
 def test_blowup_provenance_flag(capsys):
     code, data = run_json(
         capsys,

@@ -267,6 +267,22 @@ def test_lemma_rows_include_maps_without_unique_lifting():
         assert sides == {(True, True), (False, False)}
 
 
+def test_unique_lifting_lemma_on_squares_in_two_dimensions():
+    """β of the torus's blowup and the fold of two tori, against the
+    generators of n = 2: every row checks a square, the two sides agree,
+    and both verdicts occur (the fold has two fillers for some squares)."""
+    torus = samples.one_square_torus()
+    fold = PCS_CARRIER.copair(PCS_CARRIER.coproduct([torus, torus])[1], [PCS_CARRIER.identity(torus)] * 2)
+    sides = set()
+    for p in (blowup(torus, 2).beta, fold):
+        for name, i in brick_generators(2).positive:
+            assert unique_rlp(PCS_CARRIER, p, [(name, i)]).checked > 0, name
+            left, right = unique_lift_sides(PCS_CARRIER, p, i)
+            assert left == right, name
+            sides.add((left, right))
+    assert sides == {(True, True), (False, False)}
+
+
 def test_induced_on_self_pushouts_rejects_a_square_that_does_not_commute():
     """``id`` then ``id`` against ``swap`` then ``id`` on two points: the
     copair alone would accept it, since the self-pushout of an identity
