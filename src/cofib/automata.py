@@ -144,6 +144,9 @@ class RelAutomaton:
 
     __hash__ = None
 
+    def __getstate__(self):  # the caches stay behind: the view holds closures
+        return None, {**{s: getattr(self, s) for s in self.__slots__}, "_view": None, "_index": None}
+
     def __repr__(self) -> str:
         return (
             f"RelAutomaton({len(self.states)} states, {len(self.edges)} edges, "

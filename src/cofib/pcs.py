@@ -125,6 +125,9 @@ class RelPCS:
 
     __hash__ = None
 
+    def __getstate__(self):  # the caches stay behind: the view holds closures
+        return None, {**{s: getattr(self, s) for s in self.__slots__}, "_view": None, "_index": None}
+
     def __repr__(self) -> str:
         counts = ",".join(f"{d}:{n}" for d, n in self.cube_counts().items())
         return f"RelPCS(dim_bound={self.dim_bound}, cells[{counts}])"

@@ -324,3 +324,31 @@ def test_morphisms_and_squares_are_slotted_unhashable_values():
             hash(value)
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and twin == value
+
+
+def _edge_generator_into_the_mess():
+    target = samples.relational_mess()
+    return dict(automata_generators(target.alphabet).positive)["edge(a)"].target, target
+
+
+@pytest.mark.parametrize(
+    "carrier, objects, build_index",
+    [
+        (PCS_CARRIER, lambda: (cycle(2), tensor(cycle(2), cycle(3))), lambda P: P.cofaces("v0")),
+        (AUT_CARRIER, _edge_generator_into_the_mess, lambda A: A.internal_states()),
+    ],
+    ids=["pcs", "automata"],
+)
+def test_morphisms_pickle_after_their_objects_have_a_view(carrier, objects, build_index):
+    """A hom search caches views that hold the carrier's closures; the
+    caches are left out of the pickled state and rebuilt on use."""
+    source, target = objects()
+    rows = carrier.hom(source, target)
+    build_index(target)
+    assert len(rows) > 1 and target._view is not None and target._index is not None
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        for f in (rows[-1], carrier.identity(target)):
+            twin = pickle.loads(pickle.dumps(f, protocol))
+            assert twin == f and (twin.target._view, twin.target._index) == (None, None)
+        twin = pickle.loads(pickle.dumps(rows[-1], protocol))
+        assert carrier.hom(twin.source, twin.target) == rows

@@ -1,8 +1,11 @@
 """The batch front-end: exit codes, JSON outputs, figure exports."""
 
+import contextlib
 import dataclasses
+import gc
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +14,10 @@ from pathlib import Path
 
 import pytest
 from corpus import cycle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cli_golden import cases as golden_cases
+from test_cli_golden import run as run_golden
 
 from cofib import automata as aut
 from cofib import cli, lifting, pcs, regex, samples
@@ -146,6 +153,64 @@ def test_blowup_commands_validate_once(command, fixture, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def _json_dumps(value, ensure_ascii):
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=ensure_ascii)
+
+
+# escapes, control characters, non-ASCII and non-BMP text, a lone surrogate,
+# and letters whose code-point order ("B" < "a", "f" < "é") is not their
+# dictionary order ("a" < "B", "é" < "f")
+_PIECES = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "ß", "\U0001d11e", "\ud800", "a", "B", "Z", "f"]
+_TEXT = st.text(st.sampled_from(_PIECES) | st.characters(exclude_categories=()), max_size=5)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT | st.builds(list) | st.builds(dict),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(_TEXT, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4) | st.dictionaries(_TEXT, _TEXT, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_JSON_VALUES)
+def test_dumps_is_json_dumps_on_the_cli_domain(value):
+    for ensure_ascii in (False, True):
+        assert cli._dumps(value, ensure_ascii) == _json_dumps(value, ensure_ascii)
+
+
+def test_dumps_is_json_dumps_on_every_golden_payload(monkeypatch):
+    payloads, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda data: (payloads.append(data), emit(data)))
+    for argv in golden_cases():
+        run_golden(argv)
+    assert len(payloads) == len(golden_cases()) - 16  # the 16 figure exports emit no JSON
+    for data in payloads:
+        for ensure_ascii in (False, True):
+            assert cli._dumps(data, ensure_ascii) == _json_dumps(data, ensure_ascii)
+
+
+def test_dumps_leaves_no_reference_cycle():
+    """A cycle would keep every chunk (15 MB for the largest word list) alive
+    while the text is printed, until a cyclic GC pass."""
+    gc.collect()
+    gc.disable()
+    try:
+        cli._dumps({"words": ["a", "b"], "n": [1, {"k": None}]}, False)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, ("a",), {"a"}, b"a", {1: "a"}, ["a", 2.0], {"k": ("a",)}, [{"k": None}, 1j]],
+    ids=repr,
+)
+def test_dumps_rejects_what_the_cli_never_emits(value):
+    """json would write some of these, differently from the CLI's domain."""
+    for ensure_ascii in (False, True):
+        with pytest.raises(TypeError):
+            cli._dumps(value, ensure_ascii)
+
+
 def _subprocess_env() -> dict:
     """The environment with this checkout's ``src`` first on the path."""
     src = str(ROOT / "src")
@@ -179,6 +244,46 @@ def test_closed_pipe_exits_141_quietly(tmp_path):
     assert head == [b"{\n", b'  "charts": {\n']
     assert err.read_text() == ""
     assert code == 141
+
+
+def _circle_named(tmp_path, name: str) -> Path:
+    """A circle whose vertex is called ``name``."""
+    path = tmp_path / "named.json"
+    circle = {"dim_bound": 1, "cubes": {"0": [name], "1": ["e"]},
+              "faces": [{"cube": "e", "word": w, "targets": [name]} for w in "-+"]}
+    path.write_text(json.dumps(circle), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("argv", [["pcs", "euclid", "-n", "1"], ["pcs", "export", "--format", "tikz"]])
+def test_stdout_is_utf8_whatever_the_locale(argv, tmp_path):
+    circle = _circle_named(tmp_path, "é")
+    outputs = {}
+    for encoding in ("utf-8", "ascii", "latin-1", "cp1252"):
+        done = subprocess.run(
+            [sys.executable, "-m", "cofib", *argv, str(circle)], cwd=ROOT,
+            env=dict(_subprocess_env(), PYTHONIOENCODING=encoding), capture_output=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b""), encoding
+        outputs[encoding] = done.stdout
+    assert "é".encode() in outputs["utf-8"]
+    assert set(outputs.values()) == {outputs["utf-8"]}
+    buffer = io.StringIO()  # an in-process caller's stream is written as it is
+    with contextlib.redirect_stdout(buffer):
+        assert main([*argv, str(circle)]) == 0
+    assert buffer.getvalue().encode() == outputs["utf-8"]
+
+
+def test_a_lone_surrogate_is_written_as_its_json_escape(tmp_path):
+    """UTF-8 cannot encode U+D800, which a JSON input may spell \\ud800."""
+    circle = _circle_named(tmp_path, "\ud800")
+    done = subprocess.run(
+        [sys.executable, "-m", "cofib", "pcs", "euclid", "-n", "1", str(circle)], cwd=ROOT,
+        env=_subprocess_env(), capture_output=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert b'"\\ud800": {' in done.stdout
+    assert "\ud800" in json.loads(done.stdout)["charts"]
 
 
 @pytest.mark.parametrize(
@@ -307,6 +412,31 @@ def test_blowup_output_file_bytes(tmp_path, capsys):
         "0d4c1e5305bbf8dc769b5a03cae23b5a7e283cdf31b513f77634b742a1db898f"
     )
     assert json.loads(written) == data["blowup"]
+
+
+@pytest.fixture(scope="module")
+def torus_12x12(tmp_path_factory) -> Path:
+    """C12⊗C12 as a JSON file: 144 squares, far larger than any fixture."""
+    path = tmp_path_factory.mktemp("t12") / "t12.json"
+    path.write_text(json.dumps(pcs.to_json_dict(pcs.tensor(cycle(12), cycle(12)))))
+    return path
+
+
+def test_large_euclid_output_bytes(torus_12x12, capsys):
+    code, out = run(capsys, "pcs", "euclid", "-n", "2", str(torus_12x12))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4f1c7d64d1d520df3009bd3fabaa8614771c61e7406eb0acf0c66b3c354f9e4a"
+    )
+
+
+def test_large_blowup_output_file_bytes(torus_12x12, tmp_path, capsys):
+    out = tmp_path / "blown.json"
+    code, _out = run(capsys, "pcs", "blowup", "-n", "2", "-o", str(out), str(torus_12x12))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5d4c3ca074cdc0288f59156b3e0b6bbb25078bbce99ed4c8d8618d1e3ff0a084"
+    )
 
 
 def test_euclid_pass_and_fail(capsys):
