@@ -47,7 +47,8 @@ for problem in lifting_problems(PCS_CARRIER, i, result.beta):
 print()
 
 print("The unique-lifting equivalence, checked by counting: a replacement map")
-print("lifts uniquely; a fold gluing two states does not, on both sides")
+print("lifts uniquely; the fold of two copies of loop-ab does not against ten of the")
+print("twelve generators, on both sides")
 suites = appendix_cases()
 for identity, label, args in suites["automata"][1]:
     if identity == "unique_lift_equivalence":

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations_with_replacement, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .cells import Carrier, CellMorphism, Structure
-from .lifting import GeneratorSet, LiftReport, lifting_reports
+from .lifting import Attachment, GeneratorSet, LiftReport, lifting_reports, replay
 from .pcs import FormatError
 
 ST = "st"
@@ -503,43 +503,6 @@ def check_conditions(A: RelAutomaton) -> tuple[bool, Optional[tuple[str, str]]]:
 # -- cofibrant replacement ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertStep:
-    """One pushout in a build script: which generator, where to attach it,
-    and what to call the cells it creates."""
-
-    generator: str
-    labels: tuple[str, ...]
-    attach: tuple[tuple, ...]
-    fresh: tuple[tuple, ...]
-
-
-@dataclass(frozen=True)
-class CofibCertificate:
-    """Ordered build script; replaying it from the empty automaton by
-    pushouts must reproduce the object exactly."""
-
-    alphabet: tuple[str, ...]
-    steps: tuple[CertStep, ...]
-
-
-def _generator_instance(alphabet, name: str, labels: tuple[str, ...]) -> CellMorphism:
-    if name == "initial":
-        return gen_initial(alphabet, accepting=False)
-    if name == "initial_accepting":
-        return gen_initial(alphabet, accepting=True)
-    if name == "edge":
-        return gen_edge(alphabet, labels[0])
-    if name == "source":
-        return gen_source(alphabet, labels[0])
-    if name == "accept":
-        return gen_accept(alphabet, labels[0])
-    if name == "internal":
-        sep = labels.index("|")
-        return gen_internal(alphabet, labels[:sep], labels[sep + 1 :])
-    raise ValueError(f"unknown generator {name!r}")
-
-
 def _fresh_names(A: RelAutomaton) -> tuple[dict, dict, dict]:
     """Deterministic names for the replacement's states, unique by construction."""
     taken: set[str] = set()
@@ -592,60 +555,39 @@ class ReplacementResult:
         return AUT_CARRIER.make_morphism(self.replacement, A, mapping)
 
     @cached_property
-    def certificate(self) -> CofibCertificate:
+    def certificate(self) -> tuple[Attachment, ...]:
+        """The build script from the empty automaton: initial copies, bare
+        edges, sources at initial copies, accepting copies, then internal
+        copies with their stars.  A step's name is its generator's kind
+        and labels; steps alike share one generator."""
         A = self.source
         init_name, acc_name, int_name = self.names
-        steps: list[CertStep] = []
+        gen = cache(lambda make, *args: make(A.alphabet, *args))
+        label = {eid: e.label for eid, e in A.edges.items()}
+        q, e, t = (ST, "q"), (ED, "e"), (ST, "t")
+        steps = []
+
+        def step(kind, labels, generator, attach=(), fresh=()):
+            steps.append(Attachment((kind, labels), generator, attach, fresh))
+
         for v in sorted(A.initial):
             kind = "initial_accepting" if v in A.accepting else "initial"
-            steps.append(
-                CertStep(kind, (), (), (((ST, "q"), (ST, init_name[v])),))
-            )
+            step(kind, (), gen(gen_initial, v in A.accepting), fresh=((q, (ST, init_name[v])),))
         for eid in A.edge_ids():
-            steps.append(
-                CertStep(
-                    "edge",
-                    (A.edges[eid].label,),
-                    (),
-                    (((ED, "e"), (ED, eid)),),
-                )
-            )
+            step("edge", (label[eid],), gen(gen_edge, label[eid]), fresh=((e, (ED, eid)),))
         for v in sorted(A.initial):
             for eid in A.out_edges(v):
-                steps.append(
-                    CertStep(
-                        "source",
-                        (A.edges[eid].label,),
-                        (
-                            ((ST, "q"), (ST, init_name[v])),
-                            ((ED, "e"), (ED, eid)),
-                        ),
-                        (),
-                    )
-                )
-        for eid in A.edge_ids():
-            for v in sorted(A.edges[eid].targets & A.accepting):
-                steps.append(
-                    CertStep(
-                        "accept",
-                        (A.edges[eid].label,),
-                        (((ED, "e"), (ED, eid)),),
-                        (((ST, "t"), (ST, acc_name[(eid, v)])),),
-                    )
-                )
-        for v in sorted(int_name):
-            ins = A.in_edges(v)
-            outs = A.out_edges(v)
-            labels = tuple(A.edges[e].label for e in ins) + ("|",) + tuple(
-                A.edges[e].label for e in outs
-            )
-            attach = tuple(
-                ((ED, f"in{i}"), (ED, eid)) for i, eid in enumerate(ins)
-            ) + tuple(((ED, f"out{j}"), (ED, eid)) for j, eid in enumerate(outs))
-            steps.append(
-                CertStep("internal", labels, attach, (((ST, "q"), (ST, int_name[v])),))
-            )
-        return CofibCertificate(tuple(sorted(A.alphabet)), tuple(steps))
+                attach = ((q, (ST, init_name[v])), (e, (ED, eid)))
+                step("source", (label[eid],), gen(gen_source, label[eid]), attach)
+        for (eid, v), name in acc_name.items():
+            step("accept", (label[eid],), gen(gen_accept, label[eid]), ((e, (ED, eid)),), ((t, (ST, name)),))
+        for v, name in int_name.items():
+            ins, outs = A.in_edges(v), A.out_edges(v)
+            a, b = tuple(map(label.get, ins)), tuple(map(label.get, outs))
+            attach = [((ED, f"in{i}"), (ED, x)) for i, x in enumerate(ins)]
+            attach += [((ED, f"out{j}"), (ED, x)) for j, x in enumerate(outs)]
+            step("internal", (*a, "|", *b), gen(gen_internal, a, b), tuple(attach), ((q, (ST, name)),))
+        return tuple(steps)
 
 
 def cofibrant_replacement(A: RelAutomaton) -> ReplacementResult:
@@ -674,22 +616,9 @@ def cofibrant_replacement(A: RelAutomaton) -> ReplacementResult:
     return ReplacementResult(A, replacement, names)
 
 
-def replay_certificate(cert: CofibCertificate) -> RelAutomaton:
-    """Re-run a build script from the empty automaton by real pushouts,
-    renaming each step's new cells to their recorded names."""
-    current = RelAutomaton(cert.alphabet, [], {}, [], [])
-    for step in cert.steps:
-        gen = _generator_instance(cert.alphabet, step.generator, step.labels)
-        attach = AUT_CARRIER.make_morphism(gen.source, current, dict(step.attach))
-        pushed, from_cod, from_cur = AUT_CARRIER.pushout(gen, attach)
-        fresh = dict(step.fresh)
-        names = {from_cur.mapping[c]: c for c in AUT_CARRIER.cells(current)}
-        gen_image = set(gen.mapping.values())
-        for cell in AUT_CARRIER.cells(gen.target):
-            if cell not in gen_image:
-                names[from_cod.mapping[cell]] = fresh[cell]
-        current = AUT_CARRIER.build([pushed], [names])
-    return current
+def replay_certificate(certificate: Sequence[Attachment], alphabet: Iterable[str]) -> RelAutomaton:
+    """Replay a replacement's build script from the empty automaton over ``alphabet``."""
+    return replay(AUT_CARRIER, RelAutomaton(alphabet, [], {}, [], []), certificate)
 
 
 # -- right adjoint, normalization ---------------------------------------------
@@ -822,7 +751,7 @@ def verify_replacement(
         lifting=lifting,
         codiagonal_lifting=codiag,
         language_ok=language_upto(R, language_bound) == language_upto(A, language_bound),
-        replay_ok=replay_certificate(result.certificate) == R,
+        replay_ok=replay_certificate(result.certificate, A.alphabet) == R,
     )
 
 
@@ -847,8 +776,6 @@ __all__ = [
     "gen_internal",
     "automata_generators",
     "check_conditions",
-    "CertStep",
-    "CofibCertificate",
     "ReplacementResult",
     "cofibrant_replacement",
     "replay_certificate",

@@ -305,18 +305,17 @@ def cmd_aut_lang(args) -> int:
     return 0
 
 
-def _certificate_json(cert: aut.CofibCertificate) -> list[dict]:
-    out = []
-    for step in cert.steps:
-        out.append(
-            {
-                "generator": step.generator,
-                "labels": list(step.labels),
-                "attach": {f"{k[0]}:{k[1]}": f"{v[0]}:{v[1]}" for k, v in step.attach},
-                "fresh": {f"{k[0]}:{k[1]}": f"{v[0]}:{v[1]}" for k, v in step.fresh},
-            }
-        )
-    return out
+def _certificate_json(certificate) -> list[dict]:
+    """Per build step: its generator's kind and labels, its attach and fresh pairs."""
+    return [
+        {
+            "generator": step.name[0],
+            "labels": list(step.name[1]),
+            "attach": {_cell_name(a): _cell_name(b) for a, b in step.attach},
+            "fresh": {_cell_name(a): _cell_name(b) for a, b in step.fresh},
+        }
+        for step in certificate
+    ]
 
 
 def cmd_aut_cofrep(args) -> int:

@@ -16,6 +16,12 @@ those two restrictions (:func:`filler_table`) gives every square its
 fillers at once.  A generator and its codiagonal share ``B``, hence those
 maps.  Squares are still found from the bottom legs ``B -> X`` and the top
 legs over each, since a square with no filler appears in no group.
+
+A cell complex is written down as a script of :class:`Attachment` steps,
+each the pushout of one generator along a map into what the steps before
+it built, its new cells given recorded names.  :func:`replay` runs a
+script by real pushouts for either carrier; a script that rebuilds an
+object exactly certifies it as built from the generators.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cells import Carrier, CellMorphism, LiftingProblem
 
@@ -277,6 +283,41 @@ def lifting_reports(
     return unique, rlp(carrier, p, nablas, legs, lambda j: fillers(squared[j]))
 
 
+class Attachment(NamedTuple):
+    """One step of a cell-complex script: the pushout of ``generator`` along
+    the map its ``attach`` pairs give, each new cell named by its ``fresh``
+    pair.  ``name`` says which generator it is, for printing."""
+
+    name: tuple
+    generator: CellMorphism
+    attach: tuple[tuple, ...]
+    fresh: tuple[tuple, ...]
+
+
+def replay(carrier: Carrier, start, script: Iterable[Attachment]):
+    """Run a script from ``start`` by real pushouts; the cells built so far
+    keep their names.  ``ValueError`` if an attach map is not a morphism;
+    if a step's fresh names do not name its new cells once each, by names
+    not yet in use (the carrier's build would glue a used name to its cell);
+    or if a step's inclusion adds no cell along a map that extends over it."""
+    current = start
+    for name, gen, attach, fresh in script:
+        attach = carrier.make_morphism(gen.source, current, dict(attach))
+        pushed, from_cod, from_cur = carrier.pushout(gen, attach)
+        new = [c for c in carrier.cells(gen.target) if c not in gen.fibres]
+        named = dict(fresh)
+        unused = carrier.view(current).sort.keys().isdisjoint(named.values())
+        if named.keys() != set(new) or len(set(named.values())) != len(fresh) or not unused:
+            raise ValueError(f"step {name}: fresh names must name each new cell once, by a name not yet in use")
+        over = {gen.mapping[a]: b for a, b in attach.mapping.items()}  # all of cod(gen) if nothing is new
+        if not new and carrier._morphism_violation(gen.target, current, over) is None:
+            raise ValueError(f"step {name} adds nothing: its attach map extends over the generator")
+        rename = {from_cur.mapping[c]: c for c in carrier.cells(current)}
+        rename.update((from_cod.mapping[c], named[c]) for c in new)
+        current = carrier.build([pushed], [rename])
+    return current
+
+
 def arrow_isomorphic(carrier: Carrier, f: CellMorphism, g: CellMorphism) -> bool:
     """Isomorphism in the arrow category: isos ``phi`` of domains and
     ``psi`` of codomains with ``f.then(psi) == phi.then(g)``.  With equal
@@ -407,6 +448,8 @@ __all__ = [
     "unique_lift_sides",
     "GeneratorSet",
     "lifting_reports",
+    "Attachment",
+    "replay",
     "arrow_isomorphic",
     "check_sum_identity",
     "check_pushout_square",

@@ -7,7 +7,6 @@ from itertools import combinations
 
 from .automata import (
     AUT_CARRIER,
-    ST,
     RelAutomaton,
     automata_generators,
     automaton,
@@ -16,6 +15,7 @@ from .automata import (
     gen_edge,
 )
 from .blowup import blowup, brick_generators
+from .lifting import codiagonal
 from .pcs import PCS_CARRIER, RelPCS, relpcs
 from .words import CubeWord
 
@@ -201,26 +201,27 @@ def _identity_cases(carrier, gens, composable, spans, lemma_maps) -> list[tuple[
 
 def appendix_cases() -> dict[str, tuple]:
     """The colimit-identity suite's ``(carrier, rows)`` per carrier.  The
-    lemma maps are a projection with unique lifting and a fold without it:
-    two circles onto one, and ``path_ab`` with its first two states glued."""
-    C = circle()
-    circle_blowup = blowup(C, 1)
+    lemma maps are a projection with unique lifting and a fold without it,
+    each with a square against every generator: β of the one-square
+    torus's blowup and the fold of two tori, β of the replacement of
+    ``loop_ab`` and the fold of two copies of it (a fold ``X + X -> X`` is
+    the codiagonal of ``0 -> X``)."""
+    torus, circle_blowup = one_square_torus(), blowup(circle(), 1)
     pcs_gens = brick_generators(1).positive + brick_generators(2).positive
-    fold = PCS_CARRIER.copair(PCS_CARRIER.coproduct([C, C])[1], [PCS_CARRIER.identity(C)] * 2)
     pcs_rows = _identity_cases(
         PCS_CARRIER, pcs_gens, [],
         [("i_1 into blowup(circle, 1)", dict(pcs_gens)["i_1"], circle_blowup.blowup)],
-        [("beta of blowup(circle, 1)", circle_blowup.beta), ("fold of circle + circle", fold)],
+        [("beta of blowup(one-square, 2)", blowup(torus, 2).beta),
+         ("fold of one-square + one-square", codiagonal(PCS_CARRIER, PCS_CARRIER.initial_morphism(torus)))],
     )
     ab, loop = ["a", "b"], loop_a()
     loop_over_ab = RelAutomaton("ab", loop.states, loop.edges, loop.initial, loop.accepting)
-    glued = AUT_CARRIER.quotient(path_ab(), [((ST, "q0"), (ST, "q1"))])[1]
     aut_rows = _identity_cases(
         AUT_CARRIER, automata_generators("ab", 1, 1).positive,
         [(f"edge({x}) then accept({x})", gen_edge(ab, x), gen_accept(ab, x)) for x in ab],
         [("accept(a) into loop-a", gen_accept(["a"], "a"), loop),
          ("accept(a) into loop-a over ab", gen_accept(ab, "a"), loop_over_ab)],
         [("beta of cofrep(loop-ab)", cofibrant_replacement(loop_ab()).beta),
-         ("fold gluing q0, q1 of path-ab", glued)],
+         ("fold of loop-ab + loop-ab", codiagonal(AUT_CARRIER, AUT_CARRIER.initial_morphism(loop_ab())))],
     )
     return {"pcs": (PCS_CARRIER, pcs_rows), "automata": (AUT_CARRIER, aut_rows)}

@@ -9,6 +9,7 @@ import pytest
 
 from corpus import automata_corpus, eager_automata_generators, random_automaton, relational_automata
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from cofib import automata as automata_module
 from cofib import lifting as lifting_module
 from cofib import samples
@@ -17,7 +18,6 @@ from cofib.automata import (
     ED,
     ST,
     AutomatonCarrier,
-    CofibCertificate,
     Edge,
     RelAutomaton,
     ReplacementResult,
@@ -36,7 +36,7 @@ from cofib.automata import (
     to_simple,
     verify_replacement,
 )
-from cofib.lifting import lifting_problems, lifting_reports, unique_rlp
+from cofib.lifting import Attachment, lifting_problems, lifting_reports, unique_rlp
 from cofib.pcs import FormatError
 from cofib.regex import _concat, compile_regex, parse
 
@@ -287,8 +287,8 @@ def test_second_verify_builds_no_generator_and_the_same_codiagonals(monkeypatch)
     corpus = [(A, cofibrant_replacement(A)) for A in automata_corpus(8)]
     alphabets = {tuple(sorted(A.alphabet | r.replacement.alphabet)) for A, r in corpus}
     family_sizes = sum(len(automata_generators(a).positive) for a in alphabets)
-    # the replay builds one generator per step of each certificate
-    replayed = sum(len(r.certificate.steps) for _A, r in corpus)
+    for _A, r in corpus:  # the certificates hold their generators, built here
+        r.certificate
     built = spy_codiagonals(monkeypatch)
     made = []
     for name in ("gen_initial", "gen_edge", "gen_source", "gen_accept", "gen_internal"):
@@ -306,7 +306,7 @@ def test_second_verify_builds_no_generator_and_the_same_codiagonals(monkeypatch)
         built.clear()
         for A, result in corpus:
             assert verify_replacement(A, result, language_bound=3).ok, to_json_dict(A)
-        rounds.append((len(made) - replayed, list(built)))
+        rounds.append((len(made), list(built)))
     (made_first, built_first), (made_second, built_second) = rounds
     assert made_first == family_sizes and made_second == 0
     assert built_first and len(built_second) == len(built_first)
@@ -366,7 +366,66 @@ def test_certificate_replays_bit_exactly():
     for A in automata_corpus(30):
         result = cofibrant_replacement(A)
         assert result.certificate is result.certificate
-        assert replay_certificate(result.certificate) == result.replacement
+        assert replay_certificate(result.certificate, A.alphabet) == result.replacement
+
+
+def test_certificate_steps_alike_share_one_generator():
+    result = cofibrant_replacement(samples.relational_mess())
+    by_name = {}
+    for step in result.certificate:
+        assert by_name.setdefault(step.name, step.generator) is step.generator
+    assert len(by_name) < len(result.certificate)
+
+
+@pytest.mark.parametrize("kind", ["initial", "accept"])
+def test_a_repeated_step_is_not_a_pushout(kind):
+    """The first initial step, or the last accept step, appended again
+    names a new state by a name already in use: the carrier's build would
+    glue the two states and give back the replacement."""
+    A = samples.path_ab()
+    certificate = cofibrant_replacement(A).certificate
+    again = [step for step in certificate if step.name[0] == kind][0 if kind == "initial" else -1]
+    with pytest.raises(ValueError, match="not yet in use"):
+        replay_certificate(certificate + (again,), A.alphabet)
+
+
+def test_a_repeated_source_step_adds_nothing():
+    A = samples.path_ab()
+    certificate = cofibrant_replacement(A).certificate
+    (again,) = [step for step in certificate if step.name[0] == "source"]
+    with pytest.raises(ValueError, match="adds nothing"):
+        replay_certificate(certificate + (again,), A.alphabet)
+
+
+def test_a_step_must_name_each_new_cell_once():
+    """A new cell with no fresh name, two names for it, and a name for a
+    cell the step does not add are refused (the first was a ``KeyError``)."""
+    A = samples.path_ab()
+    certificate = cofibrant_replacement(A).certificate
+    step = certificate[-1]
+    ((new, name),) = step.fresh
+    unnamed = step._replace(fresh=())
+    twice = Attachment(step.name, step.generator, step.attach, ((new, name), (new, (ST, "other"))))
+    stray = step._replace(fresh=step.fresh + (((ED, "in0"), (ED, "x")),))
+    for broken in (unnamed, twice, stray):
+        with pytest.raises(ValueError, match="fresh names"):
+            replay_certificate(certificate[:-1] + (broken,), A.alphabet)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(relational_automata(5, 6), st.data())
+def test_certificate_replays_and_refuses_a_repeated_step(A, data):
+    """On generated automata the certificate rebuilds the replacement bit
+    for bit, and repeating any one step of it, anywhere after the step,
+    raises ``ValueError``."""
+    result = cofibrant_replacement(A)
+    certificate = result.certificate
+    assert replay_certificate(certificate, A.alphabet) == result.replacement
+    if certificate:
+        k = data.draw(st.integers(0, len(certificate) - 1), label="step")
+        at = data.draw(st.integers(k + 1, len(certificate)), label="inserted at")
+        with pytest.raises(ValueError):
+            replay_certificate(certificate[:at] + (certificate[k],) + certificate[at:], A.alphabet)
 
 
 def _direct_beta_mapping(A):
@@ -434,20 +493,11 @@ def test_edge_keeps_value_semantics():
 
 def test_certificate_attachments_are_validated():
     A = samples.loop_a()
-    result = cofibrant_replacement(A)
-    step = result.certificate.steps[-1]
-    tampered = type(step)(
-        step.generator,
-        step.labels,
-        tuple((k, ("ed", "does-not-exist")) for k, _v in step.attach),
-        step.fresh,
-    )
-    broken = CofibCertificate(
-        result.certificate.alphabet,
-        result.certificate.steps[:-1] + (tampered,),
-    )
-    with pytest.raises((ValueError, KeyError)):
-        replay_certificate(broken)
+    certificate = cofibrant_replacement(A).certificate
+    step = certificate[-1]
+    tampered = step._replace(attach=tuple((k, ("ed", "does-not-exist")) for k, _v in step.attach))
+    with pytest.raises(ValueError):
+        replay_certificate(certificate[:-1] + (tampered,), A.alphabet)
 
 
 def test_replacement_suite_on_random_corpus():

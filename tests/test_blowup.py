@@ -22,13 +22,17 @@ from cofib.blowup import (
     induced_map,
     verify_blowup,
 )
+from cofib.lifting import Attachment, replay
 from cofib.pcs import (
     PCS_CARRIER,
     brick,
+    empty_pcs,
     euclidean_check,
     hom_enumerate,
+    min_cube,
     relpcs,
     saturate,
+    sub_bricks,
     tensor,
     to_json_dict,
     validate,
@@ -287,3 +291,46 @@ def test_brick_generator_domains_are_the_boundaries():
     i = gens["i_11"]
     assert i.source.n_cubes() == 8
     assert i.target.n_cubes() == 9
+
+
+# -- the blowup as a cell complex ---------------------------------------------
+
+
+def blowup_script(result, n: int) -> list[Attachment]:
+    """The blowup as a script of generator attachments: one step per probe
+    cube ``eps:k``, attaching ``i_eps`` along the cubes of its sub-probes
+    and naming the minimal cube ``eps:k``.  A sub-brick's minimal cube has
+    the higher dimension, so the steps run by ``eps.min_dim``, highest
+    first."""
+    generators = dict(zip(all_brick_indices(n), brick_generators(n).positive))
+    ids = {}  # per shape, its probes' cube ids by value row
+    for eps, homs in result.probes.items():
+        rows = (tuple(f.mapping[c] for c in PCS_CARRIER.cells(brick(eps))) for f in homs)
+        ids[eps] = {row: f"{eps.name}:{k}" for k, row in enumerate(rows)}
+    script = []
+    for eps in sorted(result.probes, key=lambda eps: -eps.min_dim):
+        name, i = generators[eps]
+        for k, f in enumerate(result.probes[eps]):
+            attach = []
+            for w, sub, incl, _g in sub_bricks(eps):
+                row = tuple(f.mapping[incl.mapping[c]] for c in PCS_CARRIER.cells(brick(sub)))
+                attach.append((w, ids[sub][row]))
+            script.append(Attachment((name, ()), i, tuple(attach), ((min_cube(eps), f"{eps.name}:{k}"),)))
+    return script
+
+
+def test_blowup_script_replays_bit_exactly():
+    """The script, run by the same ``replay`` as the automata certificate,
+    rebuilds the blowup bit for bit: every corpus object at m = 1, 2, 3,
+    C5 x C5 at n = 2 and C2^3 at n = 3.  Its last step repeated names a
+    cube already built, and is refused."""
+    cases = [(name, P, m) for name, P, _n in pcs_corpus() for m in (1, 2, 3)]
+    cases += [("C5^2", tensor_power(5, 2), 2), ("C2^3", tensor_power(2, 3), 3)]
+    assert len(cases) == 74
+    for name, P, m in cases:
+        result = blowup(P, m)
+        script = blowup_script(result, m)
+        assert len(script) == result.blowup.n_cubes(), (name, m)
+        assert replay(PCS_CARRIER, empty_pcs(m), script) == result.blowup, (name, m)
+    with pytest.raises(ValueError, match="not yet in use"):
+        replay(PCS_CARRIER, empty_pcs(m), script + script[-1:])

@@ -596,8 +596,8 @@ def test_toolkit_appendix(capsys):
         ("setitem", lifting.APPENDIX_CHECKS, "retract_identity", lambda carrier, f: False,
          ("retract_identity: i_01", "retract_identity: edge(a)")),
         ("setattr", lifting, "unique_lift_sides", lambda carrier, p, i: (True, False),
-         ("unique_lift_equivalence: fold of circle + circle against i_0",
-          "unique_lift_equivalence: fold gluing q0, q1 of path-ab against source(b)")),
+         ("unique_lift_equivalence: fold of one-square + one-square against i_0",
+          "unique_lift_equivalence: fold of loop-ab + loop-ab against source(b)")),
     ],
     ids=["identity_check", "unique_lift_sides"],
 )

@@ -256,15 +256,24 @@ def test_appendix_suite_counts():
 
 
 def test_lemma_rows_include_maps_without_unique_lifting():
-    """In each carrier the lemma rows hold with both sides true and with
-    both sides false (the fold), so the row can fail."""
-    for carrier, cases in samples.appendix_cases().values():
-        sides = {
-            unique_lift_sides(carrier, *args)
-            for identity, _label, args in cases
-            if identity == "unique_lift_equivalence"
-        }
-        assert sides == {(True, True), (False, False)}
+    """Every lemma row checks a square on both sides: unique lifting
+    against ``i``, and lifting against ``i`` and its codiagonal.  The
+    sides agree, and in each carrier both verdicts occur, so a row can
+    fail: no unique lift for the fold of two one-square tori against five
+    of the six PCS generators and for β of the torus's blowup against
+    ``i_0``, nor for the fold of two copies of ``loop_ab`` against ten of
+    the twelve automata generators."""
+    want = {"pcs": {(True, True): 6, (False, False): 6}, "automata": {(True, True): 14, (False, False): 10}}
+    for name, (carrier, cases) in samples.appendix_cases().items():
+        sides = Counter()
+        lemma = [(label, *args) for identity, label, args in cases if identity == "unique_lift_equivalence"]
+        for label, p, i in lemma:
+            unique = unique_rlp(carrier, p, [("i", i)])
+            plain = rlp(carrier, p, [("i", i), ("nabla i", codiagonal(carrier, i))])
+            assert unique.checked > 0 and plain.checked > 0, label
+            assert (unique.ok, plain.ok) == unique_lift_sides(carrier, p, i), label
+            sides[unique.ok, plain.ok] += 1
+        assert sides == want[name], name
 
 
 def test_unique_lifting_lemma_on_squares_in_two_dimensions():
