@@ -189,7 +189,13 @@ def verify_blowup(P: RelPCS, n: int, result: Optional[BlowupResult] = None) -> B
 def induced_map(
     source: BlowupResult, target: BlowupResult, alpha: CellMorphism
 ) -> CellMorphism:
-    """Map of blowups sending a probe to its postcomposite with ``alpha``."""
+    """Map of blowups sending a probe to its postcomposite with ``alpha``.
+    ``ValueError`` if ``alpha`` does not run from ``source``'s input to
+    ``target``'s, or if the two blowups are at different ``n``."""
+    if alpha.source != source.beta.target or alpha.target != target.beta.target:
+        raise ValueError("alpha does not run from the source blowup's input to the target's")
+    if source.blowup.dim_bound != target.blowup.dim_bound:
+        raise ValueError("the blowups are at different n")
     index_of = _row_index(target.probes)
     mapping = {cid: index_of[eps][_row(eps, f.then(alpha))] for cid, (eps, f) in source.provenance.items()}
     return PCS_CARRIER.make_morphism(source.blowup, target.blowup, mapping)

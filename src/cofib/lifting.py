@@ -299,7 +299,9 @@ def replay(carrier: Carrier, start, script: Iterable[Attachment]):
     keep their names.  ``ValueError`` if an attach map is not a morphism;
     if a step's fresh names do not name its new cells once each, by names
     not yet in use (the carrier's build would glue a used name to its cell);
-    or if a step's inclusion adds no cell along a map that extends over it."""
+    if a step's inclusion adds no cell along a map that extends over it; or
+    if a step glues two cells built before it, which its generator sends to
+    one cell while its attach map keeps them apart."""
     current = start
     for name, gen, attach, fresh in script:
         attach = carrier.make_morphism(gen.source, current, dict(attach))
@@ -312,7 +314,11 @@ def replay(carrier: Carrier, start, script: Iterable[Attachment]):
         over = {gen.mapping[a]: b for a, b in attach.mapping.items()}  # all of cod(gen) if nothing is new
         if not new and carrier._morphism_violation(gen.target, current, over) is None:
             raise ValueError(f"step {name} adds nothing: its attach map extends over the generator")
-        rename = {from_cur.mapping[c]: c for c in carrier.cells(current)}
+        built = carrier.cells(current)
+        rename = {from_cur.mapping[c]: c for c in built}
+        if len(rename) < len(built):
+            c = next(c for c in built if rename[from_cur.mapping[c]] != c)
+            raise ValueError(f"step {name} glues {c!r} and {rename[from_cur.mapping[c]]!r}, cells built before it")
         rename.update((from_cod.mapping[c], named[c]) for c in new)
         current = carrier.build([pushed], [rename])
     return current

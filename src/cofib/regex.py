@@ -17,7 +17,7 @@ both pipelines against each other.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .automata import (
@@ -36,95 +36,100 @@ from .pcs import FormatError
 
 class Regex:
     """Base class; the grammar is empty | epsilon | literal | union |
-    concatenation | star."""
+    concatenation | star.  Text, repr, equality and hash are spellings
+    over :func:`_walk`, so that no depth of nesting meets the recursion
+    limit; repr is the text the dataclass would generate, and equality
+    and hash read the prefix form."""
 
     __slots__ = ()
+
+    def _args(self) -> list:
+        return [getattr(self, name) for name in self.__match_args__]
 
     def __str__(self) -> str:
-        # Written out with an explicit stack of pending nodes and text, so
-        # that no depth of nesting meets the recursion limit.
-        out: list[str] = []
-        pending: list = [self]
-        while pending:
-            item = pending.pop()
-            if isinstance(item, str):
-                out.append(item)
-            elif isinstance(item, Union):
-                pending += (")", item.right, "|", item.left, "(")
-            elif isinstance(item, Concat):
-                pending += (")", item.right, item.left, "(")
-            elif isinstance(item, Star):
-                pending += (")*", item.inner, "(")
-            elif isinstance(item, Lit):
-                out.append(item.char)
-            else:
-                out.append("∅" if isinstance(item, Empty) else "ε")
-        return "".join(out)
+        return "".join(_walk(self, _text))
 
-
-@dataclass(frozen=True)
-class Empty(Regex):
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Epsilon(Regex):
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Lit(Regex):
-    char: str
-
-
-class _Compound(Regex):
-    """A node with operands.  Equality, hash and repr are those the
-    dataclass would generate, but equality and hash read the prefix form,
-    built with an explicit stack, and repr writes its text with one, so
-    that no depth of nesting meets the recursion limit."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        out: list[str] = []
-        pending: list = [self]
-        while pending:
-            item = pending.pop()
-            if isinstance(item, str):
-                out.append(item)
-            elif isinstance(item, _Compound):
-                pending.append(")")
-                for k, f in reversed(list(enumerate(fields(item)))):
-                    pending += (getattr(item, f.name), f"{', ' if k else ''}{f.name}=")
-                pending.append(f"{item.__class__.__qualname__}(")
-            else:
-                out.append(repr(item))
-        return "".join(out)
+    def __repr__(self) -> str:
+        return "".join(_walk(self, _repr))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return _prefix(self) == _prefix(other)
+        return _walk(self, _prefix) == _walk(other, _prefix)
 
     def __hash__(self):
-        return hash(_prefix(self))
+        return hash(tuple(_walk(self, _prefix)))
+
+
+def _walk(r: Regex, spell: Callable[[Regex], Sequence]) -> list:
+    """The tokens of ``r``: ``spell(node)`` lists a node's tokens, among
+    them its operands, and each operand is expanded in its place in turn,
+    with an explicit stack of pending items."""
+    out: list = []
+    pending: list = [r]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, Regex):
+            pending += reversed(spell(item))
+        else:
+            out.append(item)
+    return out
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Union(_Compound):
+class Empty(Regex):
+    _syntax = "∅"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Epsilon(Regex):
+    _syntax = "ε"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Lit(Regex):
+    _syntax = "{}"
+    char: str
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Union(Regex):
+    _syntax = "({}|{})"
     left: Regex
     right: Regex
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Concat(_Compound):
+class Concat(Regex):
+    _syntax = "({}{})"
     left: Regex
     right: Regex
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Star(_Compound):
+class Star(Regex):
+    _syntax = "({})*"
     inner: Regex
+
+
+def _text(node: Regex) -> list:
+    """The concrete syntax: the class's ``_syntax`` with the arguments in
+    its ``{}`` slots."""
+    parts = node._syntax.split("{}")
+    return [token for pair in zip(parts, node._args()) for token in pair] + parts[-1:]
+
+
+def _repr(node: Regex) -> list:
+    out = [f"{node.__class__.__qualname__}("]
+    for k, (name, arg) in enumerate(zip(node.__match_args__, node._args())):
+        out += (f"{', ' if k else ''}{name}=", arg if isinstance(arg, Regex) else repr(arg))
+    return out + [")"]
+
+
+def _prefix(node: Regex) -> tuple:
+    """A node's class, then its arguments.  Each class fixes its number of
+    arguments, so the prefix form of a tree determines it."""
+    return (node.__class__, *node._args())
 
 
 _SPECIAL = set("|*()∅ε")
@@ -192,51 +197,24 @@ def parse(text: str, ascii_aliases: bool = False) -> Regex:
     return node
 
 
-def _operands(r: Regex) -> tuple[Regex, ...]:
-    if isinstance(r, (Union, Concat)):
-        return (r.left, r.right)
-    if isinstance(r, Star):
-        return (r.inner,)
-    return ()
-
-
 def _postorder(r: Regex, visit: Callable[[Regex, list], Any]) -> Any:
-    """``visit(node, values of its operands)`` at the root, evaluated
-    operands before operators, left before right, with explicit stacks
-    (nodes still to visit; values of finished operands)."""
+    """``visit(node, values of its arguments)`` at the root, arguments
+    before their node, left before right, a literal's character being its
+    own value; :func:`_walk` lists the nodes in that order, and an explicit
+    stack holds the values of finished arguments."""
     done: list = []
-    pending: list[tuple[Regex, bool]] = [(r, False)]
-    while pending:
-        node, expanded = pending.pop()
-        operands = _operands(node)
-        if operands and not expanded:
-            pending.append((node, True))
-            pending += ((op, False) for op in reversed(operands))
-            continue
-        args = done[len(done) - len(operands) :]
-        del done[len(done) - len(operands) :]
-        done.append(visit(node, args))
+    for token in _walk(r, lambda node: (*node._args(), (node,))):
+        if token.__class__ is tuple:
+            (node,) = token
+            k = len(done) - len(node.__match_args__)
+            done[k:] = [visit(node, done[k:])]
+        else:
+            done.append(token)
     return done[0]
 
 
-def _prefix(r: Regex) -> tuple:
-    """The nodes in prefix order, compound ones by their class and leaves
-    as they are.  Each class fixes its number of operands, so this
-    determines the tree."""
-    out: list = []
-    pending = [r]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, _Compound):
-            out.append(node.__class__)
-            pending += reversed(_operands(node))
-        else:
-            out.append(node)
-    return tuple(out)
-
-
 def literals(r: Regex) -> set[str]:
-    return {node.char for node in _prefix(r) if isinstance(node, Lit)}
+    return {token for token in _walk(r, _prefix) if isinstance(token, str)}
 
 
 # -- compilation ---------------------------------------------------------------

@@ -36,7 +36,8 @@ from cofib.automata import (
     to_simple,
     verify_replacement,
 )
-from cofib.lifting import Attachment, lifting_problems, lifting_reports, unique_rlp
+from cofib.cells import CellMorphism
+from cofib.lifting import Attachment, lifting_problems, lifting_reports, replay, unique_rlp
 from cofib.pcs import FormatError
 from cofib.regex import _concat, compile_regex, parse
 
@@ -410,6 +411,21 @@ def test_a_step_must_name_each_new_cell_once():
     for broken in (unnamed, twice, stray):
         with pytest.raises(ValueError, match="fresh names"):
             replay_certificate(certificate[:-1] + (broken,), A.alphabet)
+
+
+def test_a_step_that_glues_built_cells_is_refused():
+    """A generator folding two bare edges onto one, attached along two
+    edges kept apart, would glue them in the pushout; replay kept only the
+    second edge, deleting ``x``."""
+    bare = automaton("a", [], [("a", (), ()), ("a", (), ())], [], [])
+    target = automaton("a", ["t"], [("a", (), ["t"])], [], [])
+    fold = CellMorphism(bare, target, {(ED, "e0"): (ED, "e0"), (ED, "e1"): (ED, "e0")})
+    bare_edge = Edge("a", frozenset(), frozenset())
+    start = RelAutomaton("a", [], {"x": bare_edge, "y": bare_edge}, [], [])
+    attach = (((ED, "e0"), (ED, "x")), ((ED, "e1"), (ED, "y")))
+    step = Attachment(("fold", ("a",)), fold, attach, (((ST, "t"), (ST, "t")),))
+    with pytest.raises(ValueError, match=r"glues \('ed', 'x'\) and \('ed', 'y'\)"):
+        replay(AUT_CARRIER, start, [step])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

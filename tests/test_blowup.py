@@ -137,6 +137,20 @@ def test_postcomposition_induces_a_map_of_blowups():
             assert left == right
 
 
+def test_induced_map_refuses_blowups_that_do_not_match_alpha():
+    """With ``alpha: interval -> circle``, the interval's blowup as target
+    gave a map into the wrong blowup, and the circle's at n = 2 a
+    ``KeyError``."""
+    interval, circle = samples.interval(), samples.circle()
+    alpha = next(iter(hom_enumerate(interval, circle)))
+    source = blowup(interval, 1)
+    with pytest.raises(ValueError, match="does not run"):
+        induced_map(source, blowup(interval, 1), alpha)
+    with pytest.raises(ValueError, match="different n"):
+        induced_map(source, blowup(circle, 2), alpha)
+    assert induced_map(source, blowup(circle, 1), alpha).target == blowup(circle, 1).blowup
+
+
 def test_verify_blowup_on_corpus_matches_expectations():
     expect = euclidean_expectations()
     for name, P, n in pcs_corpus():

@@ -8,6 +8,8 @@ from dataclasses import fields, make_dataclass
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cofib import samples
 from cofib.automata import AUT_CARRIER, RelAutomaton, check_conditions, language_upto, to_json_dict
@@ -74,10 +76,11 @@ def test_deep_trees_compare_hash_and_evaluate_without_recursion():
     assert regex_lang_upto(parse("a" * 1100), 1100) == {("a",) * 1100}
 
 
-# The regex nodes as plain dataclasses, with the generated (recursive) repr.
+# The regex nodes as plain dataclasses, with the generated (recursive) repr,
+# equality and hash: the oracle for the explicit-stack ones.
 _PLAIN = {
     cls: make_dataclass(cls.__name__, [f.name for f in fields(cls)], frozen=True)
-    for cls in (Union, Concat, Star)
+    for cls in (Empty, Epsilon, Lit, Union, Concat, Star)
 }
 
 
@@ -114,6 +117,23 @@ def test_structural_equality_matches_the_dataclass_fields():
     assert Star(a) != a and a != Star(a) and Star(a) != Star(Star(a))
     assert Star(Empty()) == Star(Empty()) and Star(Empty()) != Star(Epsilon())
     assert len({parse("a|b*"), parse("(a)|(b)*"), parse("a|b")}) == 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_text_round_trip_equality_and_hash_agree_with_plain_dataclasses(rng):
+    """Ten draws of depth 0-8: each reads back from its text, and on every
+    ordered pair of a draw and a read-back copy ``==`` agrees with the
+    plain dataclasses, and equal trees hash alike."""
+    draws = [random_regex(rng, rng.randint(0, 8), ("a", "b")) for _ in range(10)]
+    copies = [parse(str(r)) for r in draws]
+    for r, copy in zip(draws, copies):
+        assert copy == r and copy is not r
+    for r in draws:
+        for s in copies:
+            assert (r == s) == (_plain(r) == _plain(s)), (str(r), str(s))
+            if r == s:
+                assert hash(r) == hash(s)
 
 
 def test_parse_errors():
