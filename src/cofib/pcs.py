@@ -22,7 +22,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from itertools import repeat
+from operator import itemgetter
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from .cells import Carrier, CellMorphism, Structure
 from .words import (
@@ -33,6 +35,9 @@ from .words import (
     compose_words,
     factor_through,
 )
+
+
+_NONE: frozenset = frozenset()
 
 
 class FormatError(ValueError):
@@ -135,27 +140,57 @@ class RelPCS:
 
 def saturate(
     faces: Mapping[tuple[str, CubeWord], Iterable[str]]
-) -> dict[tuple[str, CubeWord], set[str]]:
+) -> dict[tuple[str, CubeWord], AbstractSet[str]]:
     """Close a face table under composition of words, in one pass up the
     dimensions: a cube's closed faces are its stored ``g``-faces ``b`` and
     the closed faces of each ``b`` composed with ``g``.  A face has a lower
     dimension than its cube, so ``b`` is closed first; a table where that
-    fails (an identity word, a misgraded face) raises ``ValueError``."""
-    stored: dict[str, list[tuple[CubeWord, Iterable[str]]]] = defaultdict(list)
+    fails (an identity word, a misgraded face) raises ``ValueError``.
+
+    A cube's stored faces are composed lowest degree first.  A ``g``-face
+    that a lower-degree face already reached is not composed again: the
+    faces it would add are faces of that face, so they are in the table.
+    On a closed table only the degree-one faces are composed.  Each pair
+    of words is composed once per call.  So the cost is one set update per
+    closed face of each face composed, and one ``compose_words`` call per
+    distinct pair of words.  The stored entries keep their order (and their
+    key objects) in the result, and the new composites follow them."""
+    stored: dict[str, dict[CubeWord, Iterable[str]]] = defaultdict(dict)
     for (a, g), bs in faces.items():
-        stored[a].append((g, bs))
-    closed: dict[str, dict[CubeWord, set[str]]] = {}
-    for a in sorted(stored, key=lambda c: stored[c][0][0].codomain_dim):
-        table: dict[CubeWord, set[str]] = defaultdict(set)
-        for g, bs in stored[a]:
-            table[g].update(bs)
+        stored[a][g] = bs
+    closed: dict[str, dict[CubeWord, AbstractSet[str]]] = {}
+    unclosed = set(stored)
+    after: dict[CubeWord, dict[CubeWord, CubeWord]] = defaultdict(dict)  # g -> g2 -> g2 then g
+    for a in sorted(stored, key=lambda c: next(iter(stored[c])).codomain_dim):
+        entries = stored[a]
+        for g, bs in entries.items():
+            if g.is_identity or not unclosed.isdisjoint(bs):
+                for b in bs:
+                    if g.is_identity or b in unclosed:
+                        raise ValueError(f"face {b!r} of {a!r} at {g} is not of lower dimension")
+        table: dict[CubeWord, AbstractSet[str]] = defaultdict(set)
+        for g in sorted(entries, key=lambda g: -g.domain_dim):
+            # every face that lower-degree faces reach along g is in by now
+            bs, reached, composed = entries[g], table.get(g, _NONE), after[g]
             for b in bs:
-                if g.is_identity or (b in stored and b not in closed):
-                    raise ValueError(f"face {b!r} of {a!r} at {g} is not of lower dimension")
+                if b in reached:
+                    continue
                 for g2, cs in closed.get(b, {}).items():
-                    table[compose_words(g2, g)].update(cs)
+                    w = composed.get(g2)
+                    if w is None:
+                        w = composed[g2] = compose_words(g2, g)
+                    table[w].update(cs)
+            if reached.issubset(bs):
+                table[g] = frozenset(bs)  # the stored set itself, when it is one
+            else:
+                reached.update(bs)
         closed[a] = table
-    return {(a, g): cs for a, table in closed.items() for g, cs in table.items() if cs}
+        unclosed.discard(a)
+    out = {key: cs for key in faces if (cs := closed[key[0]][key[1]])}
+    for a, table in closed.items():
+        if len(table) > len(stored[a]):
+            out.update(((a, g), cs) for g, cs in table.items() if cs and g not in stored[a])
+    return out
 
 
 def relpcs(
@@ -194,16 +229,28 @@ def _grading_problems(dim_bound: int, cubes: Mapping, faces: Mapping) -> list[di
     """The grading law, in one pass over raw cubes and faces: a bound that
     is not negative, dimensions in range, each cube id once, and every face
     entry naming known cubes along a non-identity word that fits their
-    dimensions."""
+    dimensions.
+
+    Findings come per dimension and per entry in table order, the cubes
+    and targets of each in name order.  Only findings are sorted: an entry
+    whose targets all have the word's domain dimension costs one subset
+    test, and a dimension with no repeated id one disjointness test."""
     details = [] if dim_bound >= 0 else [f"negative dimension bound {dim_bound}"]
     dim: dict[str, int] = {}
     for d, cs in cubes.items():
         if not 0 <= d <= dim_bound:
             details.append(f"dimension {d} out of range")
-        for c in sorted(cs):
-            if c in dim:
-                details.append(f"duplicate cube id {c!r}")
-            dim[c] = d
+        ids = set(cs)
+        if len(ids) < len(cs) or not dim.keys().isdisjoint(ids):
+            for c in sorted(cs):
+                if c in dim:
+                    details.append(f"duplicate cube id {c!r}")
+                dim[c] = d
+        else:
+            dim.update(dict.fromkeys(ids, d))
+    of_dim: dict[int, set[str]] = defaultdict(set)
+    for c, d in dim.items():
+        of_dim[d].add(c)
     for (a, g), bs in faces.items():
         if a not in dim:
             details.append(f"unknown cube {a!r}")
@@ -211,11 +258,11 @@ def _grading_problems(dim_bound: int, cubes: Mapping, faces: Mapping) -> list[di
             details.append(f"identity word stored for {a!r}")
         elif g.codomain_dim != dim[a]:
             details.append(f"word {g} does not match dim of {a!r}")
-        else:
-            for b in sorted(bs):
+        elif not of_dim[g.domain_dim].issuperset(bs):
+            for b in sorted(b for b in bs if b not in of_dim[g.domain_dim]):
                 if b not in dim:
                     details.append(f"unknown cube {b!r}")
-                elif dim[b] != g.domain_dim:
+                else:
                     details.append(f"face {b!r} of {a!r} at {g} misgraded")
     return [{"kind": "grading", "detail": detail} for detail in details]
 
@@ -223,12 +270,18 @@ def _grading_problems(dim_bound: int, cubes: Mapping, faces: Mapping) -> list[di
 def validate(P: RelPCS) -> ValidationReport:
     """Check grading (not again for an object read by :func:`from_json_dict`),
     then closure: each face that :func:`saturate` adds to the stored table
-    is a witness, listed once, in sorted order."""
+    is a witness, listed once, in sorted order.
+
+    Cost: that of :func:`_grading_problems` and :func:`saturate`, then one
+    comparison of the closed table with the stored one; the witnesses are
+    collected only when the two differ."""
     problems = [] if P._graded else _grading_problems(P.dim_bound, P.cubes, P.faces)
     if problems:
         return ValidationReport(problems)
-    closed = saturate(P.faces)
-    missing = sorted((a, str(g), c) for (a, g), cs in closed.items() for c in cs - P.faces_of(a, g))
+    closed, stored = saturate(P.faces), P.faces
+    if closed == stored:
+        return ValidationReport([])
+    missing = sorted((a, str(g), c) for (a, g), cs in closed.items() for c in cs.difference(stored.get((a, g), ())))
     return ValidationReport(
         [{"kind": "closure", "witness": {"cube": a, "word": w, "missing": c}} for a, w, c in missing]
     )
@@ -493,7 +546,19 @@ def to_json_dict(P: RelPCS) -> dict:
     }
 
 
+def _strings(values) -> bool:
+    """Whether ``values`` is a list of strings, checked in one C-level pass."""
+    return isinstance(values, list) and all(map(isinstance, values, repeat(str)))
+
+
 def from_json_dict(data: dict) -> RelPCS:
+    """Read and grade the JSON form that :func:`to_json_dict` writes.
+
+    A dimension key is an integer written as ``str`` writes it.  Each list
+    is type-checked in one pass, each distinct word string is parsed once
+    per call, and the face sets are built as the frozensets the object
+    keeps.  Grading is :func:`_grading_problems`, whose first finding is
+    the error; the object comes back marked as graded."""
     if not isinstance(data, dict):
         raise FormatError("precubical set must be a JSON object")
     dim_bound = data.get("dim_bound")
@@ -502,39 +567,43 @@ def from_json_dict(data: dict) -> RelPCS:
     cubes_raw = data.get("cubes", {})
     if not isinstance(cubes_raw, dict):
         raise FormatError("'cubes' must map dimensions to identifier lists")
-    cubes: dict[int, list[str]] = {}
+    cubes: dict[int, frozenset[str]] = {}
     for k, ids in cubes_raw.items():
         try:
             d = int(k)
         except ValueError:
+            d = None
+        if d is None or str(d) != k:  # "01", " 1", "1_0" and "١" would all read as a number
             raise FormatError(f"bad dimension key {k!r}")
-        if d in cubes:
-            raise FormatError(f"dimension {d} is given twice")
-        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        if not _strings(ids):
             raise FormatError(f"cube list for dimension {k} must be strings")
-        if len(set(ids)) != len(ids):
+        cubes[d] = frozenset(ids)
+        if len(cubes[d]) != len(ids):
             raise FormatError(f"duplicate cube ids in dimension {k}")
-        cubes[d] = ids
-    faces: dict[tuple[str, CubeWord], set[str]] = defaultdict(set)
+    faces: dict[tuple[str, CubeWord], frozenset[str]] = {}
+    words: dict[str, CubeWord] = {}
     entries = data.get("faces", [])
     if not isinstance(entries, list):
         raise FormatError("'faces' must be a list")
+    fields = itemgetter("cube", "word", "targets")
     for entry in entries:
         if not isinstance(entry, dict):
             raise FormatError("face entries must be objects")
         try:
-            a = entry["cube"]
-            word = entry["word"]
-            targets = entry["targets"]
+            a, word, targets = fields(entry)
         except KeyError as exc:
             raise FormatError(f"face entry missing {exc}")
         if not isinstance(a, str):
             raise FormatError(f"face cube {a!r} must be a string")
-        if not isinstance(word, str) or any(ch not in "+-0" for ch in word):
-            raise FormatError(f"bad word {word!r}")
-        if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
+        g = words.get(word) if isinstance(word, str) else None
+        if g is None:
+            if not isinstance(word, str) or word.strip("+-0"):
+                raise FormatError(f"bad word {word!r}")
+            g = words[word] = CubeWord.parse(word)
+        if not _strings(targets):
             raise FormatError("face targets must be a list of strings")
-        faces[(a, CubeWord.parse(word))].update(targets)
+        key = (a, g)
+        faces[key] = faces[key].union(targets) if key in faces else frozenset(targets)
     problems = _grading_problems(dim_bound, cubes, faces)
     if problems:
         raise FormatError(problems[0]["detail"])

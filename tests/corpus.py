@@ -13,6 +13,7 @@ from cofib.lifting import GeneratorSet
 from cofib.pcs import (
     PCS_CARRIER,
     EuclideanReport,
+    FormatError,
     RelPCS,
     brick,
     brick_boundary,
@@ -533,3 +534,94 @@ def pinned_solve_lifts(carrier, problem) -> list:
             out.append(h)
     return out
 
+
+
+def grading_oracle(dim_bound: int, cubes, faces) -> list[dict]:
+    """The oracle of ``pcs._grading_problems``: the grading law checked
+    entry by entry, every target set sorted."""
+    details = [] if dim_bound >= 0 else [f"negative dimension bound {dim_bound}"]
+    dim: dict[str, int] = {}
+    for d, cs in cubes.items():
+        if not 0 <= d <= dim_bound:
+            details.append(f"dimension {d} out of range")
+        for c in sorted(cs):
+            if c in dim:
+                details.append(f"duplicate cube id {c!r}")
+            dim[c] = d
+    for (a, g), bs in faces.items():
+        if a not in dim:
+            details.append(f"unknown cube {a!r}")
+        elif g.is_identity:
+            details.append(f"identity word stored for {a!r}")
+        elif g.codomain_dim != dim[a]:
+            details.append(f"word {g} does not match dim of {a!r}")
+        else:
+            for b in sorted(bs):
+                if b not in dim:
+                    details.append(f"unknown cube {b!r}")
+                elif dim[b] != g.domain_dim:
+                    details.append(f"face {b!r} of {a!r} at {g} misgraded")
+    return [{"kind": "grading", "detail": detail} for detail in details]
+
+
+def validate_oracle(P: RelPCS) -> list[dict]:
+    """The oracle of ``pcs.validate(P).problems``: grading by
+    :func:`grading_oracle`, then every face the worklist closure adds to
+    the stored table, sorted."""
+    problems = grading_oracle(P.dim_bound, P.cubes, P.faces)
+    if problems:
+        return problems
+    closed = worklist_saturate(P.faces)
+    missing = sorted((a, str(g), c) for (a, g), cs in closed.items() for c in cs - P.faces_of(a, g))
+    return [{"kind": "closure", "witness": {"cube": a, "word": w, "missing": c}} for a, w, c in missing]
+
+
+def reader_oracle(data: dict) -> RelPCS:
+    """The oracle of ``pcs.from_json_dict`` on documents whose dimension
+    keys are canonical: each entry type-checked and each word parsed on
+    its own, then graded by :func:`grading_oracle`."""
+    if not isinstance(data, dict):
+        raise FormatError("precubical set must be a JSON object")
+    dim_bound = data.get("dim_bound")
+    if type(dim_bound) is not int:
+        raise FormatError("'dim_bound' must be an integer")
+    cubes_raw = data.get("cubes", {})
+    if not isinstance(cubes_raw, dict):
+        raise FormatError("'cubes' must map dimensions to identifier lists")
+    cubes: dict[int, list[str]] = {}
+    for k, ids in cubes_raw.items():
+        try:
+            d = int(k)
+        except ValueError:
+            raise FormatError(f"bad dimension key {k!r}")
+        if d in cubes:
+            raise FormatError(f"dimension {d} is given twice")
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise FormatError(f"cube list for dimension {k} must be strings")
+        if len(set(ids)) != len(ids):
+            raise FormatError(f"duplicate cube ids in dimension {k}")
+        cubes[d] = ids
+    faces: dict[tuple[str, CubeWord], set[str]] = defaultdict(set)
+    entries = data.get("faces", [])
+    if not isinstance(entries, list):
+        raise FormatError("'faces' must be a list")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise FormatError("face entries must be objects")
+        try:
+            a = entry["cube"]
+            word = entry["word"]
+            targets = entry["targets"]
+        except KeyError as exc:
+            raise FormatError(f"face entry missing {exc}")
+        if not isinstance(a, str):
+            raise FormatError(f"face cube {a!r} must be a string")
+        if not isinstance(word, str) or any(ch not in "+-0" for ch in word):
+            raise FormatError(f"bad word {word!r}")
+        if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
+            raise FormatError("face targets must be a list of strings")
+        faces[(a, CubeWord.parse(word))].update(targets)
+    problems = grading_oracle(dim_bound, cubes, faces)
+    if problems:
+        raise FormatError(problems[0]["detail"])
+    return RelPCS(dim_bound, cubes, faces)

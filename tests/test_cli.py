@@ -120,6 +120,25 @@ def test_a_negative_dimension_bound_exits_2(tmp_path, capsys):
         assert "negative dimension bound -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["1_0", "01", " 1", "1 ", "+1", "-0", "١", "1" * 5000])
+def test_a_dimension_key_not_written_as_str_writes_it_exits_2(key, tmp_path, capsys):
+    """``int`` reads each of these keys as a number, so one cube could be
+    given at a dimension the file never names, and the JSON written back
+    would name another."""
+    path = tmp_path / "key.json"
+    path.write_text(json.dumps({"dim_bound": 10, "cubes": {key: ["c"]}}))
+    for argv in (["pcs", "validate"], ["pcs", "blowup", "-n", "1"]):
+        assert main([*argv, str(path)]) == 2
+        assert f"bad dimension key {key!r}" in capsys.readouterr().err
+
+
+def test_a_canonical_negative_dimension_key_is_out_of_range(tmp_path, capsys):
+    path = tmp_path / "key.json"
+    path.write_text(json.dumps({"dim_bound": 1, "cubes": {"-1": ["c"]}}))
+    assert main(["pcs", "blowup", "-n", "1", str(path)]) == 2
+    assert "dimension -1 out of range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["pcs", "euclid", "-n", "1"], ["aut", "conditions"]])
 def test_input_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
     bad = tmp_path / "bad.json"

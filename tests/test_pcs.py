@@ -22,7 +22,9 @@ from corpus import (
     path,
     pcs_corpus,
     pinned_euclidean_check,
+    reader_oracle,
     relational_pcs,
+    validate_oracle,
     wedge,
     worklist_saturate,
 )
@@ -32,6 +34,7 @@ from cofib.cells import CellMorphism
 from cofib.lifting import codiagonal
 from cofib.pcs import (
     PCS_CARRIER,
+    FormatError,
     brick,
     brick_boundary,
     chart_names,
@@ -182,6 +185,27 @@ def test_validate_lists_every_composite_of_a_two_level_gap():
     faces = dict(P.faces)
     faces.update({(p["cube"], W(p["word"])): [p["missing"]] for p in witnesses})
     assert validate(RelPCS(3, P.cubes, faces)).ok
+
+
+def _degree_two_only() -> RelPCS:
+    """A 3-cube ``x`` with the faces ``y`` along ``-00`` and ``e`` along
+    ``+-0``; no face of degree one reaches ``e``, so only that entry puts
+    ``e``'s vertex ``v`` among the faces of ``x``."""
+    return RelPCS(
+        3,
+        {0: ["v", "w"], 1: ["e", "f"], 2: ["y"], 3: ["x"]},
+        {("x", W("-00")): ["y"], ("x", W("+-0")): ["e"], ("y", W("-0")): ["f"], ("e", W("-")): ["v"], ("f", W("+")): ["w"]},
+    )
+
+
+def test_validate_composes_a_face_that_only_a_composite_word_reaches():
+    witnesses = [p["witness"] for p in validate(_degree_two_only()).problems]
+    assert witnesses == [
+        {"cube": "x", "word": "+--", "missing": "v"},
+        {"cube": "x", "word": "--+", "missing": "w"},
+        {"cube": "x", "word": "--0", "missing": "f"},
+        {"cube": "y", "word": "-+", "missing": "w"},
+    ]
 
 
 def test_pcs_validate_prints_the_same_bytes_under_any_hash_seed(tmp_path):
@@ -679,6 +703,115 @@ def test_json_errors():
         from_json_dict(
             {"dim_bound": 1, "cubes": {"1": ["e"]}, "faces": [{"cube": "e", "word": "-x", "targets": []}]}
         )
+
+
+def _oracle_pool() -> list[RelPCS]:
+    """The corpus, C2^3 for faces of degree three, and the unclosed
+    :func:`_degree_two_only` beside it."""
+    return [P for _name, P, _n in pcs_corpus()] + [tensor(cycle(2), tensor(cycle(2), cycle(2))), _degree_two_only()]
+
+
+def _pick(draw, values: list):
+    return draw(st.sampled_from(values)) if values else None
+
+
+@st.composite
+def faulty_documents(draw):
+    """The JSON form of a corpus or drawn object with up to three grading
+    faults (unknown or misgraded targets, identity and wrong-length words,
+    repeated ids, extra or out-of-range dimensions; a repeated entry merges),
+    then at most one wrong type, bad word, missing field or negative bound."""
+    P = draw(st.one_of(st.sampled_from(_oracle_pool()), relational_pcs(max_cubes=8)))
+    doc = json.loads(json.dumps(to_json_dict(P)))
+    cubes, faces = doc["cubes"], doc["faces"]
+    ids = sorted(c for cs in cubes.values() for c in cs) + ["zz"]
+    for fault in draw(st.lists(st.sampled_from(["target", "word", "entry", "repeat", "id", "dimension"]), max_size=3)):
+        entry = _pick(draw, faces)
+        if fault == "target" and entry:
+            entry["targets"].append(draw(st.sampled_from(ids)))
+        elif fault == "word" and entry:
+            word = entry["word"]
+            entry["word"] = draw(st.sampled_from(["0" * len(word), word + "-", word[1:]]))
+        elif fault == "entry":
+            word = draw(st.sampled_from(["-", "+0", "0", "", "--"]))
+            faces.append({"cube": draw(st.sampled_from(ids)), "word": word, "targets": [draw(st.sampled_from(ids))]})
+        elif fault == "repeat" and entry:
+            faces.append(dict(entry, targets=[draw(st.sampled_from(ids))]))
+        elif fault == "id" and cubes:
+            cubes[draw(st.sampled_from(sorted(cubes)))].append(draw(st.sampled_from(ids)))
+        elif fault == "dimension":
+            cubes[draw(st.sampled_from(["-1", "0", "1", "2", "3", "7"]))] = [draw(st.sampled_from(ids))]
+    part, entry = draw(st.sampled_from([None, "part", "list", "field", "drop", "doc"])), _pick(draw, faces)
+    if part == "part":
+        doc[draw(st.sampled_from(["cubes", "faces", "dim_bound"]))] = draw(
+            st.sampled_from([[], {}, "x", None, -1, -2, 2.0, True, 1])
+        )
+    elif part == "list" and cubes:
+        cubes[draw(st.sampled_from(sorted(cubes)))] = draw(st.sampled_from(["v", [1], [["v"]], None]))
+    elif part == "field" and entry:
+        entry[draw(st.sampled_from(["cube", "word", "targets"]))] = draw(
+            st.sampled_from([["e"], None, 1, "v", [1], [["v"]], "-x", "1", "+ ", "−"])
+        )
+    elif part == "drop" and entry:
+        del entry[draw(st.sampled_from(["cube", "word", "targets"]))]
+    return [doc] if part == "doc" else doc
+
+
+def _read(reader, doc):
+    try:
+        return reader(doc)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_documents())
+def test_reader_agrees_with_the_entry_by_entry_oracle(doc):
+    """The reader returns what the entry-by-entry reader does, or fails
+    with its message (canonical dimension keys only: the oracle reads any
+    key ``int`` reads)."""
+    got, want = _read(from_json_dict, doc), _read(reader_oracle, doc)
+    assert got == want
+    if isinstance(got, RelPCS):
+        assert got._graded and to_json_dict(got) == to_json_dict(want)
+
+
+@st.composite
+def faulty_tables(draw):
+    """A drawn or corpus object rebuilt by ``RelPCS`` with up to three
+    faults.  Half of the draws keep the grading: entries deleted (composites
+    first) and targets of the right dimension added, so that what fails is
+    closure.  The others also add unknown or misgraded targets, and
+    identity, misgraded, unknown-cube or repeated-id entries."""
+    P = draw(st.one_of(st.sampled_from(_oracle_pool()), relational_pcs(max_cubes=8)))
+    cubes = {d: set(cs) for d, cs in P.cubes.items()}
+    faces = {key: set(bs) for key, bs in P.faces.items()}
+    ids = sorted(P._dim) + ["zz"]
+    kinds = draw(st.sampled_from([["delete", "face"], ["delete", "face", "target", "entry", "id", "bound"]]))
+    for fault in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        key = _pick(draw, sorted(faces))
+        if fault == "delete":
+            for key in draw(st.lists(st.sampled_from(sorted(faces, key=lambda k: (-k[1].degree, k))[:9] or [None]), min_size=1)):
+                faces.pop(key, None)
+        elif fault == "face" and key is not None:
+            faces[key].add(_pick(draw, sorted(P.cubes.get(key[1].domain_dim, ()))) or "zz")
+        elif fault == "target" and key is not None:
+            faces[key].add(draw(st.sampled_from(ids)))
+        elif fault == "entry":
+            word = W(draw(st.sampled_from(["-", "+", "0", "00", "-0", "0+", "--", "+-0", "000"])))
+            faces.setdefault((draw(st.sampled_from(ids)), word), set()).add(draw(st.sampled_from(ids)))
+        elif fault == "id":
+            cubes.setdefault(draw(st.integers(0, 3)), set()).add(draw(st.sampled_from(ids)))
+        elif fault == "bound":
+            P = RelPCS(draw(st.integers(-2, 3)), {}, {})
+    return RelPCS(P.dim_bound, cubes, faces)
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_tables())
+def test_validate_agrees_with_the_sorted_oracle(P):
+    """Every finding, grading or closure, in the oracle's order."""
+    assert validate(P).problems == validate_oracle(P)
 
 
 # -- colimit universal properties ----------------------------------------------------
