@@ -120,11 +120,11 @@ def test_a_negative_dimension_bound_exits_2(tmp_path, capsys):
         assert "negative dimension bound -1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["1_0", "01", " 1", "1 ", "+1", "-0", "١", "1" * 5000])
+@pytest.mark.parametrize("key", ["1_0", "01", " 1", "1 ", "+1", "-0", "١", "x"])
 def test_a_dimension_key_not_written_as_str_writes_it_exits_2(key, tmp_path, capsys):
-    """``int`` reads each of these keys as a number, so one cube could be
-    given at a dimension the file never names, and the JSON written back
-    would name another."""
+    """``int`` reads each of these keys but ``x`` as a number, so a cube
+    could be given at a dimension the file never names, and the JSON
+    written back would name another."""
     path = tmp_path / "key.json"
     path.write_text(json.dumps({"dim_bound": 10, "cubes": {key: ["c"]}}))
     for argv in (["pcs", "validate"], ["pcs", "blowup", "-n", "1"]):
