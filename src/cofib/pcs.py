@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .cells import Carrier, CellMorphism, Structure
 from .words import (
@@ -35,9 +35,6 @@ from .words import (
     compose_words,
     factor_through,
 )
-
-
-_NONE: frozenset = frozenset()
 
 
 class FormatError(ValueError):
@@ -140,7 +137,7 @@ class RelPCS:
 
 def saturate(
     faces: Mapping[tuple[str, CubeWord], Iterable[str]]
-) -> dict[tuple[str, CubeWord], AbstractSet[str]]:
+) -> dict[tuple[str, CubeWord], set[str]]:
     """Close a face table under composition of words, in one pass up the
     dimensions: a cube's closed faces are its stored ``g``-faces ``b`` and
     the closed faces of each ``b`` composed with ``g``.  A face has a lower
@@ -153,12 +150,11 @@ def saturate(
     On a closed table only the degree-one faces are composed.  Each pair
     of words is composed once per call.  So the cost is one set update per
     closed face of each face composed, and one ``compose_words`` call per
-    distinct pair of words.  The stored entries keep their order (and their
-    key objects) in the result, and the new composites follow them."""
+    distinct pair of words."""
     stored: dict[str, dict[CubeWord, Iterable[str]]] = defaultdict(dict)
     for (a, g), bs in faces.items():
         stored[a][g] = bs
-    closed: dict[str, dict[CubeWord, AbstractSet[str]]] = {}
+    closed: dict[str, dict[CubeWord, set[str]]] = {}
     unclosed = set(stored)
     after: dict[CubeWord, dict[CubeWord, CubeWord]] = defaultdict(dict)  # g -> g2 -> g2 then g
     for a in sorted(stored, key=lambda c: next(iter(stored[c])).codomain_dim):
@@ -168,10 +164,10 @@ def saturate(
                 for b in bs:
                     if g.is_identity or b in unclosed:
                         raise ValueError(f"face {b!r} of {a!r} at {g} is not of lower dimension")
-        table: dict[CubeWord, AbstractSet[str]] = defaultdict(set)
+        table: dict[CubeWord, set[str]] = defaultdict(set)
         for g in sorted(entries, key=lambda g: -g.domain_dim):
             # every face that lower-degree faces reach along g is in by now
-            bs, reached, composed = entries[g], table.get(g, _NONE), after[g]
+            bs, reached, composed = entries[g], table[g], after[g]
             for b in bs:
                 if b in reached:
                     continue
@@ -180,17 +176,10 @@ def saturate(
                     if w is None:
                         w = composed[g2] = compose_words(g2, g)
                     table[w].update(cs)
-            if reached.issubset(bs):
-                table[g] = frozenset(bs)  # the stored set itself, when it is one
-            else:
-                reached.update(bs)
+            reached.update(bs)
         closed[a] = table
         unclosed.discard(a)
-    out = {key: cs for key in faces if (cs := closed[key[0]][key[1]])}
-    for a, table in closed.items():
-        if len(table) > len(stored[a]):
-            out.update(((a, g), cs) for g, cs in table.items() if cs and g not in stored[a])
-    return out
+    return {(a, g): cs for a, table in closed.items() for g, cs in table.items() if cs}
 
 
 def relpcs(
@@ -234,20 +223,14 @@ def _grading_problems(dim_bound: int, cubes: Mapping, faces: Mapping) -> list[di
     Findings come per dimension and per entry in table order, the cubes
     and targets of each in name order.  Only findings are sorted: an entry
     whose targets all have the word's domain dimension costs one subset
-    test, and a dimension with no repeated id one disjointness test."""
+    test, and a dimension one intersection with the ids seen before it."""
     details = [] if dim_bound >= 0 else [f"negative dimension bound {dim_bound}"]
     dim: dict[str, int] = {}
     for d, cs in cubes.items():
         if not 0 <= d <= dim_bound:
             details.append(f"dimension {d} out of range")
-        ids = set(cs)
-        if len(ids) < len(cs) or not dim.keys().isdisjoint(ids):
-            for c in sorted(cs):
-                if c in dim:
-                    details.append(f"duplicate cube id {c!r}")
-                dim[c] = d
-        else:
-            dim.update(dict.fromkeys(ids, d))
+        details.extend(f"duplicate cube id {c!r}" for c in sorted(dim.keys() & cs))
+        dim.update(dict.fromkeys(cs, d))
     of_dim: dict[int, set[str]] = defaultdict(set)
     for c, d in dim.items():
         of_dim[d].add(c)
@@ -273,14 +256,11 @@ def validate(P: RelPCS) -> ValidationReport:
     is a witness, listed once, in sorted order.
 
     Cost: that of :func:`_grading_problems` and :func:`saturate`, then one
-    comparison of the closed table with the stored one; the witnesses are
-    collected only when the two differ."""
+    set difference per closed entry; only the witnesses are sorted."""
     problems = [] if P._graded else _grading_problems(P.dim_bound, P.cubes, P.faces)
     if problems:
         return ValidationReport(problems)
     closed, stored = saturate(P.faces), P.faces
-    if closed == stored:
-        return ValidationReport([])
     missing = sorted((a, str(g), c) for (a, g), cs in closed.items() for c in cs.difference(stored.get((a, g), ())))
     return ValidationReport(
         [{"kind": "closure", "witness": {"cube": a, "word": w, "missing": c}} for a, w, c in missing]
