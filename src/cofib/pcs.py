@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from .cells import Carrier, CellMorphism, Structure
 from .words import (
@@ -137,7 +137,7 @@ class RelPCS:
 
 def saturate(
     faces: Mapping[tuple[str, CubeWord], Iterable[str]]
-) -> dict[tuple[str, CubeWord], set[str]]:
+) -> dict[tuple[str, CubeWord], AbstractSet[str]]:
     """Close a face table under composition of words, in one pass up the
     dimensions: a cube's closed faces are its stored ``g``-faces ``b`` and
     the closed faces of each ``b`` composed with ``g``.  A face has a lower
@@ -150,11 +150,13 @@ def saturate(
     On a closed table only the degree-one faces are composed.  Each pair
     of words is composed once per call.  So the cost is one set update per
     closed face of each face composed, and one ``compose_words`` call per
-    distinct pair of words."""
+    distinct pair of words.  A closed set that holds no more than the
+    stored targets is the stored frozenset itself, not a copy: a copy per
+    entry sets off more full garbage-collector passes on large tables."""
     stored: dict[str, dict[CubeWord, Iterable[str]]] = defaultdict(dict)
     for (a, g), bs in faces.items():
         stored[a][g] = bs
-    closed: dict[str, dict[CubeWord, set[str]]] = {}
+    closed: dict[str, dict[CubeWord, AbstractSet[str]]] = {}
     unclosed = set(stored)
     after: dict[CubeWord, dict[CubeWord, CubeWord]] = defaultdict(dict)  # g -> g2 -> g2 then g
     for a in sorted(stored, key=lambda c: next(iter(stored[c])).codomain_dim):
@@ -164,7 +166,7 @@ def saturate(
                 for b in bs:
                     if g.is_identity or b in unclosed:
                         raise ValueError(f"face {b!r} of {a!r} at {g} is not of lower dimension")
-        table: dict[CubeWord, set[str]] = defaultdict(set)
+        table: dict[CubeWord, AbstractSet[str]] = defaultdict(set)
         for g in sorted(entries, key=lambda g: -g.domain_dim):
             # every face that lower-degree faces reach along g is in by now
             bs, reached, composed = entries[g], table[g], after[g]
@@ -176,7 +178,10 @@ def saturate(
                     if w is None:
                         w = composed[g2] = compose_words(g2, g)
                     table[w].update(cs)
-            reached.update(bs)
+            if reached.issubset(bs):
+                table[g] = frozenset(bs)  # the stored set itself, when it is one
+            else:
+                reached.update(bs)
         closed[a] = table
         unclosed.discard(a)
     return {(a, g): cs for a, table in closed.items() for g, cs in table.items() if cs}
