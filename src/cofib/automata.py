@@ -190,6 +190,11 @@ def from_json_dict(data: dict) -> RelAutomaton:
         value = data.get(key, [])
         if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
             raise FormatError(f"'{key}' must be a list of strings")
+    # a word is printed as its letters joined, which names it only when
+    # every letter is one character
+    for letter in data.get("alphabet", []):
+        if len(letter) != 1:
+            raise FormatError(f"alphabet letter {letter!r} is not one character")
     states = data.get("states", [])
     if len(set(states)) != len(states):
         raise FormatError("duplicate state ids")
@@ -228,13 +233,15 @@ def from_json_dict(data: dict) -> RelAutomaton:
 Word = tuple[str, ...]
 
 
-def language_upto(A: RelAutomaton, L: int) -> set[Word]:
+def language_upto(A: RelAutomaton, L: int, max_words: Optional[int] = None) -> set[Word]:
     """All recognized words of length at most ``L``.
 
     Depth-first over prefixes with state-set transitions: a letter maps a
     state set to all targets of matching edges touched by it.  The search
     keeps an explicit stack of one frame per prefix letter, so its memory
-    is linear in ``L`` and no ``L`` meets the recursion limit.
+    is linear in ``L`` and no ``L`` meets the recursion limit.  With
+    ``max_words``, the search stops with a ``ValueError`` as soon as it
+    has found more words than that.
     """
     if L < 0:
         raise ValueError(f"length bound must be non-negative, got {L}")
@@ -264,6 +271,8 @@ def language_upto(A: RelAutomaton, L: int) -> set[Word]:
         prefix.append(a)
         if nxt & A.accepting:
             words.add(tuple(prefix))
+            if max_words is not None and len(words) > max_words:
+                raise ValueError(f"more than {max_words} words of length at most {L}")
         if len(prefix) < L:
             stack.append((nxt, iter(letters)))
         else:
@@ -386,16 +395,22 @@ def _numbered(
     """The automaton on the given cells, renamed as ``canonical_rename``
     renames: states ``q0, q1, ...`` in sorted order of their names, edges
     ``e0, e1, ...`` in natural order of theirs.  ``edges`` maps an edge
-    name to its label, sources and targets (state names), so that a
-    one-pass construction builds only the renamed result."""
+    name to its label, sources and targets (state names, in sized
+    collections), so that a one-pass construction builds only the renamed
+    result.  Every simple edge shares its states' singleton end sets."""
     name = {s: f"q{k}" for k, s in enumerate(sorted(states))}
     rename = name.__getitem__
+    single = {s: frozenset((q,)) for s, q in name.items()}
     table: dict[str, Edge] = {}
     for k, eid in enumerate(_natural_order(edges)):
         label, sources, targets = edges[eid]
-        table[f"e{k}"] = _new_edge(
-            Edge, (label, frozenset(map(rename, sources)), frozenset(map(rename, targets)))
-        )
+        if len(sources) == 1 == len(targets):
+            (u,), (v,) = sources, targets
+            table[f"e{k}"] = _new_edge(Edge, (label, single[u], single[v]))
+        else:
+            table[f"e{k}"] = _new_edge(
+                Edge, (label, frozenset(map(rename, sources)), frozenset(map(rename, targets)))
+            )
     return RelAutomaton(
         alphabet, name.values(), table, map(rename, initial), map(rename, accepting)
     )
@@ -598,20 +613,31 @@ def cofibrant_replacement(A: RelAutomaton) -> ReplacementResult:
     gets its own accepting copy reached only by that edge; each state with
     both incoming and outgoing edges gets one internal copy carrying its
     full star.  The projection sends every copy back to its original.
+
+    Cost: ``_fresh_names`` and one table per state of the copies an edge
+    out of it starts at, then one pass over each edge's ends.  The
+    projection and the build script are left to first read.
     """
     names = init_name, acc_name, int_name = _fresh_names(A)
     states = set(init_name.values()) | set(acc_name.values()) | set(int_name.values())
     initial = set(init_name.values())
     accepting = {init_name[v] for v in A.initial & A.accepting}
     accepting |= set(acc_name.values())
+    # Per state, the copies an edge out of it starts at; per edge, its
+    # accepting copies.  An edge into a state ends at its internal copy.
+    starts = dict.fromkeys(A.states, ())
+    starts.update((v, (name,)) for v, name in init_name.items())
+    for v, name in int_name.items():
+        starts[v] += (name,)
+    accepts: dict[str, list[str]] = defaultdict(list)
+    for (eid, _v), name in acc_name.items():
+        accepts[eid].append(name)
     edges: dict[str, Edge] = {}
     for eid in A.edge_ids():
-        e = A.edges[eid]
-        sources = {init_name[v] for v in e.sources & A.initial}
-        sources |= {int_name[v] for v in e.sources if v in int_name}
-        targets = {acc_name[(eid, v)] for v in e.targets & A.accepting}
-        targets |= {int_name[v] for v in e.targets if v in int_name}
-        edges[eid] = _edge(e.label, sources, targets)
+        label, sources, targets = A.edges[eid]
+        sources = frozenset([c for v in sources for c in starts[v]])
+        targets = frozenset([int_name[v] for v in targets if v in int_name] + accepts.get(eid, []))
+        edges[eid] = _new_edge(Edge, (label, sources, targets))
     replacement = RelAutomaton(A.alphabet, states, edges, initial, accepting)
     return ReplacementResult(A, replacement, names)
 
@@ -659,29 +685,41 @@ def normalize(A: RelAutomaton) -> NormalizeResult:
     Written in one pass from the replacement ``R``, equal to
     ``canonical_rename(to_simple(Q))`` where ``Q`` glues ``R``'s initial
     states into the least of them: every edge of ``R``, in natural order,
-    gives one edge ``d0, d1, ...`` per pair of a source and a target of
-    ``Q``, both in sorted order, as ``to_simple`` names them, and
-    ``_numbered`` renames the cells of ``Q`` as ``canonical_rename`` would.
+    gives one simple edge ``e0, e1, ...`` per pair of a source and a
+    target of ``Q``, both in sorted order of their names in ``Q``.
+    ``R`` keeps the edge ids of ``A``, so their natural order is
+    ``A.edge_ids()``, already built by ``cofibrant_replacement``.
+
+    Cost: one pass over the cells of ``R`` and one sort of its states,
+    then per edge of ``R`` a sort of its ends and one write per simple
+    edge of the result, each sharing its state's one singleton end set.
+    Apart from the replacement, only the result is built.
     """
     if not A.initial:
         return NormalizeResult(A, warning="no initial state; nothing to normalize")
     R = cofibrant_replacement(A).replacement
     start = min(R.initial)
     glued = dict.fromkeys(R.initial, start)
-    edges: dict[str, tuple] = {}
-    for eid in R.edge_ids():
-        e = R.edges[eid]
-        targets = sorted(e.targets)  # no edge of R enters an initial state
-        for u in sorted({glued.get(v, v) for v in e.sources}):
-            for v in targets:
-                edges[f"d{len(edges)}"] = (e.label, (u,), (v,))
+    name = {s: f"q{k}" for k, s in enumerate(sorted(R.states - R.initial | {start}))}
+    single = {s: frozenset((q,)) for s, q in name.items()}
+    table: dict[str, Edge] = {}
+    for eid in A.edge_ids():
+        label, sources, targets = R.edges[eid]
+        if len(sources) == 1 == len(targets):
+            (u,), (v,) = sources, targets
+            table[f"e{len(table)}"] = _new_edge(Edge, (label, single[glued.get(u, u)], single[v]))
+            continue
+        ends = [single[v] for v in sorted(targets)]  # no edge of R enters an initial state
+        for u in sorted({glued.get(v, v) for v in sources}):
+            for v in ends:
+                table[f"e{len(table)}"] = _new_edge(Edge, (label, single[u], v))
     return NormalizeResult(
-        _numbered(
+        RelAutomaton(
             R.alphabet,
-            R.states - R.initial | {start},
-            edges,
-            (start,),
-            {glued.get(s, s) for s in R.accepting},
+            name.values(),
+            table,
+            (name[start],),
+            {name[glued.get(s, s)] for s in R.accepting},
         )
     )
 

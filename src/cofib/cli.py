@@ -108,10 +108,13 @@ def _count(text: str) -> int:
 MAX_AMBIENT_DIM = 7  # `pcs verify -n 7` on one square runs for half a minute
 MAX_FUZZ_DEPTH = 16  # random regex trees grow with depth: 4687 nodes at 24
 MAX_FUZZ_COUNT = 10_000  # `rx fuzz --depth 4 -L 8` checks 1000 regexes in 1.4 s
-# words up to length L number about |alphabet|^L: `rx compile '(a|b|c)*'
-# --alphabet abc -L 12` prints 15,545,294 bytes in 2.1-3.0 s of CPU with a
-# 214 MB peak RSS (Python 3.11, shared 2-core VM); a larger alphabet, more
 MAX_WORD_LENGTH = 12
+# words up to length L number about |alphabet|^L, so the length limit alone
+# does not bound the output: `rx compile '(a|b|c)*' --alphabet abc -L 12`
+# printed 15,545,294 bytes in 2.1-3.0 s of CPU with a 214 MB peak RSS; at
+# -L 10 its 88,573 words print as 1,550,681 bytes in 0.4 s, 41 MB peak RSS
+# (Python 3.11, shared 2-core VM)
+MAX_WORDS = 100_000
 
 
 def _at_most(limit: int, what: str):
@@ -125,7 +128,12 @@ def _at_most(limit: int, what: str):
     return parse
 
 
-def _word_list(words) -> list[str]:
+def _word_list(A: aut.RelAutomaton, length: int) -> list[str]:
+    """The recognized words up to ``length``, sorted; at most ``MAX_WORDS``."""
+    try:
+        words = aut.language_upto(A, length, MAX_WORDS)
+    except ValueError:
+        raise InputError(f"the count of words up to length {length} exceeds the limit {MAX_WORDS}")
     return sorted("".join(w) for w in words)
 
 
@@ -300,8 +308,7 @@ def cmd_pcs_export(args) -> int:
 
 def cmd_aut_lang(args) -> int:
     A = _load_automaton(args.file)
-    words = aut.language_upto(A, args.length)
-    _emit({"length_bound": args.length, "words": _word_list(words)})
+    _emit({"length_bound": args.length, "words": _word_list(A, args.length)})
     return 0
 
 
@@ -367,7 +374,7 @@ def cmd_rx_compile(args) -> int:
     A = rx.compile_regex(r, args.alphabet or "")
     payload = {"regex": str(r), "automaton": aut.to_json_dict(A)}
     if args.length is not None:
-        payload["words"] = _word_list(aut.language_upto(A, args.length))
+        payload["words"] = _word_list(A, args.length)
     _emit(payload)
     return 0
 

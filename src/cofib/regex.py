@@ -280,7 +280,7 @@ def _concat(CA: RelAutomaton, CB: RelAutomaton) -> RelAutomaton:
         initial += map(rename, inits)
         accepting += map(rename, accepts)
         for eid, e in N.edges.items():
-            edges[prefix + eid] = (e.label, map(rename, e.sources), map(rename, e.targets))
+            edges[prefix + eid] = (e.label, list(map(rename, e.sources)), list(map(rename, e.targets)))
     return _numbered(NA.alphabet | NB.alphabet, states, edges, initial, accepting)
 
 

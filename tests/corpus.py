@@ -8,7 +8,7 @@ from collections import defaultdict, deque
 from hypothesis import strategies as st
 
 from cofib import samples
-from cofib.automata import RelAutomaton, automaton
+from cofib.automata import RelAutomaton, _edge, _fresh_names, automaton
 from cofib.lifting import GeneratorSet
 from cofib.pcs import (
     PCS_CARRIER,
@@ -364,6 +364,44 @@ def relational_automata(draw, max_states: int, max_edges: int, min_initial: int 
     edges = draw(st.lists(st.tuples(st.sampled_from("ab"), subset, subset), max_size=max_edges))
     initial = draw(st.lists(st.sampled_from(states), unique=True, min_size=min_initial))
     return automaton("ab", states, edges, initial, draw(subset))
+
+
+# State names shaped like the replacement's fresh names, so that ``claim``
+# has to add suffixes to them.
+FRESH_LIKE = ["s0", "s1", "init(s0)", "int(s0)", "int(s1)#1", "acc(e0,s1)", "init(init(s0))", "q1"]
+
+
+@st.composite
+def fresh_named_automata(draw, max_edges: int):
+    """A relational automaton over ``ab`` on states named like fresh
+    names, with at least one initial state (which may also be internal),
+    edges with up to three sources and targets, and its edge table in a
+    drawn order."""
+    states = draw(st.lists(st.sampled_from(FRESH_LIKE), min_size=1, max_size=6, unique=True))
+    ends = st.lists(st.sampled_from(states), unique=True, max_size=3)
+    edges = draw(st.lists(st.tuples(st.sampled_from("ab"), ends, ends), max_size=max_edges))
+    initial = draw(st.lists(st.sampled_from(states), unique=True, min_size=1))
+    A = automaton("ab", states, edges, initial, draw(ends))
+    order = draw(st.permutations(list(A.edges)))
+    return RelAutomaton(A.alphabet, A.states, {e: A.edges[e] for e in order}, A.initial, A.accepting)
+
+
+def replacement_oracle(A: RelAutomaton) -> RelAutomaton:
+    """The oracle of ``cofibrant_replacement(A).replacement``: each edge's
+    sources and targets gathered by set comprehensions over its own ends,
+    edges in natural order."""
+    init_name, acc_name, int_name = _fresh_names(A)
+    states = set(init_name.values()) | set(acc_name.values()) | set(int_name.values())
+    accepting = {init_name[v] for v in A.initial & A.accepting} | set(acc_name.values())
+    edges = {}
+    for eid in A.edge_ids():
+        e = A.edges[eid]
+        sources = {init_name[v] for v in e.sources & A.initial}
+        sources |= {int_name[v] for v in e.sources if v in int_name}
+        targets = {acc_name[(eid, v)] for v in e.targets & A.accepting}
+        targets |= {int_name[v] for v in e.targets if v in int_name}
+        edges[eid] = _edge(e.label, sources, targets)
+    return RelAutomaton(A.alphabet, states, edges, init_name.values(), accepting)
 
 
 # Face words of a cube of dimension 1 or 2 that are not the identity.

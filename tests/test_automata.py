@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from corpus import automata_corpus, eager_automata_generators, random_automaton, relational_automata
+from corpus import (
+    automata_corpus,
+    eager_automata_generators,
+    fresh_named_automata,
+    random_automaton,
+    relational_automata,
+    replacement_oracle,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from cofib import automata as automata_module
@@ -76,6 +83,16 @@ def test_empty_word_needs_initial_accepting_overlap():
 def test_language_rejects_negative_bound():
     with pytest.raises(ValueError):
         language_upto(samples.loop_a(), -1)
+
+
+def test_language_stops_at_the_word_limit_while_enumerating():
+    A = samples.loop_ab()
+    assert len(language_upto(A, 3, max_words=15)) == 15
+    with pytest.raises(ValueError, match="more than 14 words"):
+        language_upto(A, 3, max_words=14)
+    # 2^1001 - 1 words in all: only a search that stops at the limit returns
+    with pytest.raises(ValueError, match="more than 1000 words"):
+        language_upto(A, 1000, max_words=1000)
 
 
 def test_language_of_long_loop_needs_no_recursion():
@@ -715,14 +732,25 @@ def rename_by_build(A: RelAutomaton) -> RelAutomaton:
     a cell map by the carrier's generic ``build``."""
     image = {(ST, s): (ST, f"q{i}") for i, s in enumerate(sorted(A.states))}
     image.update({(ED, e): (ED, f"e{i}") for i, e in enumerate(A.edge_ids())})
+    # built from A's edges in natural order, so that the result's edge
+    # table is in the order of its new names
+    ordered = {e: A.edges[e] for e in A.edge_ids()}
+    A = RelAutomaton(A.alphabet, A.states, ordered, A.initial, A.accepting)
     return AUT_CARRIER.build([A], [image])
+
+
+def assert_same_automaton(got: RelAutomaton, want: RelAutomaton) -> None:
+    """Equal fields, and the edge tables in the same order: ``==`` on dicts
+    ignores insertion order, which reaches the hom search through
+    ``encode``."""
+    assert got == want
+    assert list(got.edges.items()) == list(want.edges.items())
+    assert json.dumps(to_json_dict(got)) == json.dumps(to_json_dict(want))
 
 
 def test_canonical_rename_equals_the_build_on_the_corpus():
     for A in automata_corpus(200):
-        got, want = canonical_rename(A), rename_by_build(A)
-        assert got == want
-        assert json.dumps(to_json_dict(got)) == json.dumps(to_json_dict(want))
+        assert_same_automaton(canonical_rename(A), rename_by_build(A))
 
 
 def normalize_by_composition(A: RelAutomaton) -> RelAutomaton:
@@ -741,9 +769,7 @@ def test_merge_initial_states_unions_markers():
 
 
 def _normalize_agrees(A: RelAutomaton) -> None:
-    got, want = normalize(A).automaton, normalize_by_composition(A)
-    assert got == want
-    assert json.dumps(to_json_dict(got)) == json.dumps(to_json_dict(want))
+    assert_same_automaton(normalize(A).automaton, normalize_by_composition(A))
 
 
 def test_normalize_equals_the_composition_on_the_corpus():
@@ -758,6 +784,13 @@ def test_normalize_equals_the_composition_on_the_corpus():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(relational_automata(5, 6, min_initial=1))
 def test_normalize_equals_the_composition(A):
+    _normalize_agrees(A)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(relational_automata(5, 6, min_initial=1), fresh_named_automata(12)))
+def test_replacement_and_normal_form_keep_the_oracles_edge_order(A):
+    assert_same_automaton(cofibrant_replacement(A).replacement, replacement_oracle(A))
     _normalize_agrees(A)
 
 
@@ -816,9 +849,7 @@ def _concat_case(CA: RelAutomaton, CB: RelAutomaton) -> set[str]:
 
 
 def _concat_agrees(CA: RelAutomaton, CB: RelAutomaton) -> None:
-    got, want = _concat(CA, CB), concat_by_composition(CA, CB)
-    assert got == want
-    assert json.dumps(to_json_dict(got)) == json.dumps(to_json_dict(want))
+    assert_same_automaton(_concat(CA, CB), concat_by_composition(CA, CB))
 
 
 def test_concat_equals_the_composition_on_the_corpus():

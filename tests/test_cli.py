@@ -529,6 +529,45 @@ def test_aut_lang(capsys):
     assert data["words"] == ["", "a", "aa", "ab", "b", "ba", "bb"]
 
 
+@pytest.mark.parametrize(
+    "alphabet, label, letter",
+    [
+        # the words "a" "b" and "ab" would both print as "ab"
+        (["a", "b", "ab"], "ab", "'ab'"),
+        # the one-letter word would print as "", the empty word
+        (["a", ""], "", "''"),
+    ],
+)
+def test_letters_of_other_than_one_character_exit_2(tmp_path, capsys, alphabet, label, letter):
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps({
+        "alphabet": alphabet, "states": ["p", "q"], "initial": ["p"], "accepting": ["q"],
+        "edges": [{"label": label, "sources": ["p"], "targets": ["q"]}],
+    }))
+    assert main(["aut", "lang", "-L", "2", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"alphabet letter {letter} is not one character" in captured.err
+
+
+def test_word_count_over_the_limit_exits_2(tmp_path, capsys):
+    # three letters: 88,573 words up to length 10, and 265,720 up to 11
+    path = tmp_path / "loop-abc.json"
+    path.write_text(json.dumps({
+        "alphabet": ["a", "b", "c"], "states": ["x"], "initial": ["x"], "accepting": ["x"],
+        "edges": [{"label": a, "sources": ["x"], "targets": ["x"]} for a in "abc"],
+    }))
+    for argv in (["aut", "lang", "-L", "11", str(path)],
+                 ["rx", "compile", "(a|b|c)*", "--alphabet", "abc", "-L", "11"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"exceeds the limit {cli.MAX_WORDS}" in captured.err
+    assert 88_573 <= cli.MAX_WORDS < 265_720
+    code, data = run_json(capsys, "aut", "lang", "-L", "10", str(path))
+    assert code == 0 and len(data["words"]) == 88_573
+
+
 def test_aut_cofrep(capsys):
     code, data = run_json(capsys, "aut", "cofrep", str(FIXTURES / "loop-ab.json"))
     assert code == 0

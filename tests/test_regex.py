@@ -292,6 +292,20 @@ def test_compiled_bytes_are_pinned():
     )
 
 
+def test_compiled_json_of_depths_zero_to_six_is_pinned():
+    # 300 draws, depths 0-6 in turn, each automaton's JSON in the key order
+    # `to_json_dict` gives; a one-pass chain compilation that changes the
+    # `rx compile` bytes re-records this digest on purpose
+    rng = random.Random(2029)
+    digest = hashlib.sha256()
+    for k in range(300):
+        r = random_regex(rng, k % 7, "ab")
+        digest.update(json.dumps(to_json_dict(compile_regex(r, "ab"))).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "f33dda41010bfccf65333224d765b2bce64c3847f77afa572ae92f81347ec6b6"
+    )
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 10])
 def test_compiling_a_chain_builds_five_automata_per_concatenation(monkeypatch, k):
     # one per literal; per concatenation, the replacement and the normal
