@@ -52,10 +52,6 @@ class CellMorphism:
             {c: other.mapping[v] for c, v in self.mapping.items()},
         )
 
-    def is_injective(self) -> bool:
-        values = list(self.mapping.values())
-        return len(values) == len(set(values))
-
     @property
     def fibres(self) -> dict:
         """Target cell -> the source cells it receives, built once per map

@@ -15,6 +15,7 @@ from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 from . import automata as aut
+from .automata import MAX_WORDS
 from . import pcs
 from . import regex as rx
 from . import samples
@@ -109,12 +110,6 @@ MAX_AMBIENT_DIM = 7  # `pcs verify -n 7` on one square runs for half a minute
 MAX_FUZZ_DEPTH = 16  # random regex trees grow with depth: 4687 nodes at 24
 MAX_FUZZ_COUNT = 10_000  # `rx fuzz --depth 4 -L 8` checks 1000 regexes in 1.4 s
 MAX_WORD_LENGTH = 12
-# words up to length L number about |alphabet|^L, so the length limit alone
-# does not bound the output: `rx compile '(a|b|c)*' --alphabet abc -L 12`
-# printed 15,545,294 bytes in 2.1-3.0 s of CPU with a 214 MB peak RSS; at
-# -L 10 its 88,573 words print as 1,550,681 bytes in 0.4 s, 41 MB peak RSS
-# (Python 3.11, shared 2-core VM)
-MAX_WORDS = 100_000
 
 
 def _at_most(limit: int, what: str):
@@ -130,11 +125,7 @@ def _at_most(limit: int, what: str):
 
 def _word_list(A: aut.RelAutomaton, length: int) -> list[str]:
     """The recognized words up to ``length``, sorted; at most ``MAX_WORDS``."""
-    try:
-        words = aut.language_upto(A, length, MAX_WORDS)
-    except ValueError:
-        raise InputError(f"the count of words up to length {length} exceeds the limit {MAX_WORDS}")
-    return sorted("".join(w) for w in words)
+    return sorted("".join(w) for w in aut.language_upto(A, length, MAX_WORDS))
 
 
 # -- pcs subcommands ----------------------------------------------------------
@@ -502,7 +493,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
-    except (InputError, pcs.FormatError) as exc:
+    except (InputError, pcs.FormatError, aut.WordLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # the reader left early (``... | head``)

@@ -73,9 +73,6 @@ class RelPCS:
     def dim(self, cube: str) -> int:
         return self._dim[cube]
 
-    def __contains__(self, cube: str) -> bool:
-        return cube in self._dim
-
     def all_cubes(self) -> list[str]:
         """Cubes in canonical order: dimension descending, then identifier."""
         return list(PCS_CARRIER.cells(self))
@@ -272,10 +269,6 @@ def validate(P: RelPCS) -> ValidationReport:
     )
 
 
-def empty_pcs(dim_bound: int = 0) -> RelPCS:
-    return RelPCS(dim_bound, {}, {})
-
-
 def tensor(P: RelPCS, Q: RelPCS, joiner: str = ",") -> RelPCS:
     """Tensor product: cubes are pairs, words act coordinatewise.
 
@@ -400,32 +393,13 @@ def sub_bricks(
     return tuple(out)
 
 
-def restrict(P: RelPCS, keep: Iterable[str]) -> RelPCS:
-    """Full subobject on a set of cubes; relations touching others drop."""
-    keep = set(keep)
-    cubes = {d: cs & keep for d, cs in P.cubes.items()}
-    faces = {
-        (a, g): bs & keep
-        for (a, g), bs in P.faces.items()
-        if a in keep
-    }
-    return RelPCS(P.dim_bound, cubes, faces)
-
-
-def delete_cube(P: RelPCS, cube: str) -> RelPCS:
-    return restrict(P, set(P.all_cubes()) - {cube})
-
-
 def brick_boundary(epsilon: BrickIndex) -> RelPCS:
-    """The brick with its minimal cube removed (generating cofibration domain)."""
-    return delete_cube(brick(epsilon), min_cube(epsilon))
-
-
-def is_pcs_morphism(
-    X: RelPCS, Y: RelPCS, mapping: Mapping[str, str]
-) -> Optional[str]:
-    """None if the cell map is a morphism, else a human-readable reason."""
-    return PCS_CARRIER._morphism_violation(X, Y, mapping)
+    """The brick with its minimal cube removed (generating cofibration
+    domain): its face table in the brick's order, less the minimal cube's
+    entries and every face onto it."""
+    B, gone = brick(epsilon), {min_cube(epsilon)}
+    faces = {(a, g): bs - gone for (a, g), bs in B.faces.items() if a not in gone}
+    return RelPCS(B.dim_bound, {d: cs - gone for d, cs in B.cubes.items()}, faces)
 
 
 def hom_enumerate(
@@ -637,17 +611,13 @@ __all__ = [
     "validate",
     "ValidationReport",
     "InvalidPCS",
-    "empty_pcs",
     "tensor",
     "upward",
     "rename_cells",
     "brick",
     "min_cube",
     "sub_bricks",
-    "restrict",
-    "delete_cube",
     "brick_boundary",
-    "is_pcs_morphism",
     "hom_enumerate",
     "is_local_embedding",
     "probe_table",

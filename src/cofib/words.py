@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache, total_ordering
 from itertools import product
-from typing import Iterator, Optional
+from typing import Optional
 
 MINUS = "-"
 PLUS = "+"
@@ -130,11 +130,6 @@ def factor_through(u: CubeWord, g: CubeWord) -> Optional[CubeWord]:
     return CubeWord(tuple(kept))
 
 
-def all_words(codomain_dim: int) -> Iterator[CubeWord]:
-    """All sign words with the given codomain dimension."""
-    return map(CubeWord, product(_WORD_LETTERS, repeat=codomain_dim))
-
-
 class BrickIndex(_Interned):
     """Shape of a euclidean brick: one bit per ambient direction, interned
     by its bits, with its ``name`` and ``min_dim`` stored on it.
@@ -178,7 +173,6 @@ __all__ = [
     "CubeWord",
     "compose_words",
     "factor_through",
-    "all_words",
     "BrickIndex",
     "all_brick_indices",
 ]

@@ -164,6 +164,19 @@ def brick_oracle(epsilon: BrickIndex) -> RelPCS:
     return rename_cells(nbhd, renaming)
 
 
+def restrict(P: RelPCS, keep) -> RelPCS:
+    """Full subobject on a set of cubes; relations touching others drop.
+    The oracle of ``pcs.brick_boundary``, which keeps all cubes but one."""
+    keep = set(keep)
+    cubes = {d: cs & keep for d, cs in P.cubes.items()}
+    faces = {
+        (a, g): bs & keep
+        for (a, g), bs in P.faces.items()
+        if a in keep
+    }
+    return RelPCS(P.dim_bound, cubes, faces)
+
+
 def euclidean_by_neighbourhood(P: RelPCS, n: int) -> tuple[bool, dict, object]:
     """The oracle of ``pcs.euclidean_check``: at every cube, build its
     upward neighbourhood and search brick -> neighbourhood for a surjective
@@ -331,6 +344,21 @@ def aut_sample_maps():
         maps.append((f"id[{name}]", AUT_CARRIER.identity(A)))
     maps.append(("nabla_acc", codiagonal(AUT_CARRIER, gen_accept(["a", "b"], "a"))))
     return maps
+
+
+def path_automaton(word, alphabet) -> RelAutomaton:
+    """The automaton recognizing exactly one word: a simple chain."""
+    n = len(word)
+    states = [f"q{i}" for i in range(n + 1)]
+    edges = {
+        f"e{i}": _edge(a, [f"q{i}"], [f"q{i+1}"]) for i, a in enumerate(word)
+    }
+    return RelAutomaton(alphabet, states, edges, ["q0"], [f"q{n}"])
+
+
+def is_simple(A: RelAutomaton) -> bool:
+    """Every edge has exactly one source and one target."""
+    return all(len(e.sources) == 1 == len(e.targets) for e in A.edges.values())
 
 
 def random_automaton(rng: random.Random, max_states: int = 5, max_edges: int = 8,

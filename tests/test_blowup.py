@@ -25,8 +25,8 @@ from cofib.blowup import (
 from cofib.lifting import Attachment, replay
 from cofib.pcs import (
     PCS_CARRIER,
+    RelPCS,
     brick,
-    empty_pcs,
     euclidean_check,
     hom_enumerate,
     min_cube,
@@ -345,6 +345,6 @@ def test_blowup_script_replays_bit_exactly():
         result = blowup(P, m)
         script = blowup_script(result, m)
         assert len(script) == result.blowup.n_cubes(), (name, m)
-        assert replay(PCS_CARRIER, empty_pcs(m), script) == result.blowup, (name, m)
+        assert replay(PCS_CARRIER, RelPCS(m, {}, {}), script) == result.blowup, (name, m)
     with pytest.raises(ValueError, match="not yet in use"):
-        replay(PCS_CARRIER, empty_pcs(m), script + script[-1:])
+        replay(PCS_CARRIER, RelPCS(m, {}, {}), script + script[-1:])

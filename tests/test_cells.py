@@ -335,7 +335,7 @@ def _edge_generator_into_the_mess():
     "carrier, objects, build_index",
     [
         (PCS_CARRIER, lambda: (cycle(2), tensor(cycle(2), cycle(3))), lambda P: P.cofaces("v0")),
-        (AUT_CARRIER, _edge_generator_into_the_mess, lambda A: A.internal_states()),
+        (AUT_CARRIER, _edge_generator_into_the_mess, lambda A: A.edge_ids()),
     ],
     ids=["pcs", "automata"],
 )

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from corpus import cycle
+from corpus import cycle, is_simple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli_golden import cases as golden_cases
@@ -558,6 +558,7 @@ def test_word_count_over_the_limit_exits_2(tmp_path, capsys):
         "edges": [{"label": a, "sources": ["x"], "targets": ["x"]} for a in "abc"],
     }))
     for argv in (["aut", "lang", "-L", "11", str(path)],
+                 ["aut", "verify", "-L", "11", str(path)],
                  ["rx", "compile", "(a|b|c)*", "--alphabet", "abc", "-L", "11"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -580,7 +581,7 @@ def test_aut_normalize(capsys):
     code, data = run_json(capsys, "aut", "normalize", str(FIXTURES / "loop-a.json"))
     assert code == 0
     A = aut_from_json(data["automaton"])
-    assert len(A.initial) == 1 and A.is_simple()
+    assert len(A.initial) == 1 and is_simple(A)
 
 
 def test_aut_conditions(capsys):
@@ -601,7 +602,7 @@ def test_rx_compile(capsys):
     assert code == 0
     assert data["words"] == ["", "a", "aa", "aaa", "aab", "ab", "abb", "b", "bb", "bbb"]
     automaton = aut_from_json(data["automaton"])
-    assert automaton.is_simple()
+    assert is_simple(automaton)
 
 
 def test_rx_compile_ascii_flag(capsys):

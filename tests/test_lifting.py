@@ -531,7 +531,7 @@ def test_bottom_first_squares_match_tops_first_oracle():
             want = [(t.mapping, b.mapping) for t, b in tops_first_squares(carrier, i, p)]
             assert got == want, name
             squares += len(got)
-            glued += len(got) if not i.is_injective() else 0
+            glued += len(got) if len(set(i.mapping.values())) < len(i.mapping) else 0
         reports = [unique_rlp(carrier, p, gens.positive), rlp(carrier, p, gens.codiagonals)]
         want = [
             tops_first_check(carrier, p, gens.positive, True),

@@ -24,6 +24,7 @@ from corpus import (
     pinned_euclidean_check,
     reader_oracle,
     relational_pcs,
+    restrict,
     validate_oracle,
     wedge,
     worklist_saturate,
@@ -38,13 +39,10 @@ from cofib.pcs import (
     brick,
     brick_boundary,
     chart_names,
-    delete_cube,
-    empty_pcs,
     euclidean_check,
     from_json_dict,
     hom_enumerate,
     is_local_embedding,
-    is_pcs_morphism,
     min_cube,
     probe_table,
     relpcs,
@@ -249,8 +247,8 @@ def test_tensor_of_subdivided_intervals():
 
 def test_tensor_with_empty_is_empty():
     P = samples.circle()
-    assert tensor(P, empty_pcs(1)).n_cubes() == 0
-    assert tensor(empty_pcs(1), P).n_cubes() == 0
+    assert tensor(P, RelPCS(1, {}, {})).n_cubes() == 0
+    assert tensor(RelPCS(1, {}, {}), P).n_cubes() == 0
 
 
 def test_tensor_validates_on_corpus_pairs():
@@ -282,7 +280,7 @@ def test_upward_projection_is_a_morphism():
         for c in P.all_cubes():
             nbhd, proj = upward(P, c)
             assert validate(nbhd).ok, (name, c)
-            assert is_pcs_morphism(nbhd, P, proj.mapping) is None
+            assert PCS_CARRIER._morphism_violation(nbhd, P, proj.mapping) is None
 
 
 def test_upward_of_torus_vertex():
@@ -468,7 +466,7 @@ def naive_hom(X, Y):
     out = []
     for choice in itertools.product(*pools):
         mapping = dict(zip(cells, choice))
-        if is_pcs_morphism(X, Y, mapping) is None:
+        if PCS_CARRIER._morphism_violation(X, Y, mapping) is None:
             out.append(mapping)
     return out
 
@@ -489,8 +487,8 @@ def test_hom_brick_to_torus_unique():
 
 
 def test_hom_into_empty():
-    assert hom_enumerate(samples.open_square(), empty_pcs(2)) == []
-    assert len(hom_enumerate(empty_pcs(2), samples.open_square())) == 1
+    assert hom_enumerate(samples.open_square(), RelPCS(2, {}, {})) == []
+    assert len(hom_enumerate(RelPCS(2, {}, {}), samples.open_square())) == 1
 
 
 def test_no_map_from_subdivided_point_to_interval():
@@ -512,7 +510,7 @@ def test_hom_composition_closed():
     for f in hom_enumerate(circle, wedge):
         for g in hom_enumerate(wedge, circle):
             composite = f.then(g)
-            assert is_pcs_morphism(circle, circle, composite.mapping) is None
+            assert PCS_CARRIER._morphism_violation(circle, circle, composite.mapping) is None
 
 
 def test_hom_enumeration_is_deterministic():
@@ -546,7 +544,7 @@ def test_collapsing_edges_with_common_target_is_not_local_embedding():
 def test_injective_morphisms_are_local_embeddings():
     B = brick(E("01"))
     for m in hom_enumerate(B, brick(E("11"))):
-        if m.is_injective():
+        if len(set(m.mapping.values())) == len(m.mapping):
             assert is_local_embedding(m)[0]
 
 
@@ -672,9 +670,20 @@ def test_brick_boundaries_are_euclidean():
             assert euclidean_check(brick_boundary(eps), n).ok, str(eps)
 
 
+def test_brick_boundary_is_the_brick_less_its_minimal_cube():
+    """Against the full subobject on the other cubes, face-table and
+    dimension order included, for every shape with n <= 4."""
+    for n in range(5):
+        for eps in all_brick_indices(n):
+            B, got = brick(eps), brick_boundary(eps)
+            want = restrict(B, set(B.all_cubes()) - {min_cube(eps)})
+            assert got == want, str(eps)
+            assert list(got.faces) == list(want.faces) and list(got.cubes) == list(want.cubes), str(eps)
+
+
 def test_deleting_makes_holes_visible():
     B = brick(E("11"))
-    broken = delete_cube(B, "-1")
+    broken = restrict(B, set(B.all_cubes()) - {"-1"})
     assert not euclidean_check(broken, 2).ok
 
 

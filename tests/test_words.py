@@ -9,16 +9,23 @@ import pytest
 
 from cofib.pcs import brick, min_cube, sub_bricks
 from cofib.words import (
+    MINUS,
+    PLUS,
+    ZERO,
     BrickIndex,
     CubeWord,
     all_brick_indices,
-    all_words,
     compose_words,
     factor_through,
 )
 
 W = CubeWord.parse
 E = BrickIndex.parse
+
+
+def all_words(codomain_dim: int):
+    """All sign words with the given codomain dimension."""
+    return map(CubeWord, itertools.product((MINUS, PLUS, ZERO), repeat=codomain_dim))
 
 
 # -- oracle: compose by concatenating coface generators and rewriting ---------
@@ -246,7 +253,7 @@ def test_top_is_maximum():
 
 def test_cell_membership_enforced():
     B = brick(E("01"))
-    assert "1+" not in B and "00" not in B
+    assert "1+" not in B.all_cubes() and "00" not in B.all_cubes()
     with pytest.raises(ValueError):
         E("12")
 
