@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from itertools import combinations_with_replacement, repeat
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cells import Carrier, CellMorphism, Structure
 from .lifting import Attachment, GeneratorSet, LiftReport, lifting_reports, replay
@@ -485,12 +485,14 @@ def check_conditions(A: RelAutomaton) -> tuple[bool, Optional[tuple[str, str]]]:
 
 
 def _fresh_names(A: RelAutomaton) -> tuple[dict, dict, dict]:
-    """Deterministic names for the replacement's states, unique by construction."""
+    """Deterministic names for the replacement's states, unique by
+    construction: initial copies, accepting copies in edge order, then
+    internal copies.  One pass over the edges finds the accepting targets
+    and the states with both incoming and outgoing edges."""
     taken: set[str] = set()
 
     def claim(base: str) -> str:
-        name = base
-        k = 0
+        name, k = base, 0
         while name in taken:
             k += 1
             name = f"{base}#{k}"
@@ -498,41 +500,60 @@ def _fresh_names(A: RelAutomaton) -> tuple[dict, dict, dict]:
         return name
 
     init_name = {v: claim(f"init({v})") for v in sorted(A.initial)}
-    acc_name = {
-        (eid, v): claim(f"acc({eid},{v})")
-        for eid in A.edge_ids()
-        for v in sorted(A.edges[eid].targets & A.accepting)
-    }
-    int_name = {v: claim(f"int({v})") for v in A.internal_states()}
+    acc_name, into, out_of = {}, set(), set()
+    for eid in A.edge_ids():
+        _label, sources, targets = A.edges[eid]
+        into |= targets
+        out_of |= sources
+        for v in sorted(targets & A.accepting):
+            acc_name[(eid, v)] = claim(f"acc({eid},{v})")
+    int_name = {v: claim(f"int({v})") for v in sorted(into & out_of)}
     return init_name, acc_name, int_name
 
 
 @dataclass
 class ReplacementResult:
-    """The cofibrant replacement of ``source``, with its projection
-    ``beta`` back to ``source`` and the build script ``certificate``.
-
-    ``beta`` and ``certificate`` are built on first read and cached, since
-    normalization reads only the replacement.  ``beta`` is checked to be a
-    morphism when it is built.  ``names`` holds the copies' state names,
-    as given by ``_fresh_names``.
+    """The cofibrant ``replacement`` of ``source``, with its projection
+    ``beta`` back to ``source`` and the build script ``certificate``, all
+    three built on first read and cached (``beta`` checked to be a
+    morphism); ``normalize`` reads only the tables.  ``names`` holds the
+    copies' state names from ``_fresh_names``; ``starts`` maps each state
+    to the copies an edge out of it starts at, ``accepts`` each edge to
+    its accepting copies.
     """
 
     source: RelAutomaton
-    replacement: RelAutomaton
     names: tuple[dict, dict, dict] = field(repr=False)
+    starts: dict[str, tuple[str, ...]] = field(repr=False)
+    accepts: dict[str, list[str]] = field(repr=False)
+
+    def _edge_ends(self) -> Iterator[tuple[str, str, list[str], list[str]]]:
+        """Per edge in natural order: id, label, and its distinct sources
+        (``starts``) and targets (internal and own accepting copies)."""
+        A, starts, accepts, int_name = self.source, self.starts, self.accepts, self.names[2]
+        for eid in A.edge_ids():
+            label, sources, targets = A.edges[eid]
+            sources = [c for v in sources for c in starts[v]]
+            yield eid, label, sources, [int_name[v] for v in targets if v in int_name] + accepts.get(eid, [])
+
+    @cached_property
+    def replacement(self) -> RelAutomaton:
+        A = self.source
+        init_name, acc_name, int_name = self.names
+        edges = {eid: _new_edge(Edge, (label, frozenset(srcs), frozenset(tgts)))
+                 for eid, label, srcs, tgts in self._edge_ends()}
+        accepting = {init_name[v] for v in A.initial & A.accepting}.union(acc_name.values())
+        states = [*init_name.values(), *acc_name.values(), *int_name.values()]
+        return RelAutomaton(A.alphabet, states, edges, init_name.values(), accepting)
 
     @cached_property
     def beta(self) -> CellMorphism:
         A = self.source
         init_name, acc_name, int_name = self.names
         mapping = {(ED, eid): (ED, eid) for eid in A.edges}
-        for v, name in init_name.items():
-            mapping[(ST, name)] = (ST, v)
-        for (eid, v), name in acc_name.items():
-            mapping[(ST, name)] = (ST, v)
-        for v, name in int_name.items():
-            mapping[(ST, name)] = (ST, v)
+        mapping.update(((ST, name), (ST, v)) for v, name in init_name.items())
+        mapping.update(((ST, name), (ST, v)) for (_eid, v), name in acc_name.items())
+        mapping.update(((ST, name), (ST, v)) for v, name in int_name.items())
         return AUT_CARRIER.make_morphism(self.replacement, A, mapping)
 
     @cached_property
@@ -585,17 +606,11 @@ def cofibrant_replacement(A: RelAutomaton) -> ReplacementResult:
     both incoming and outgoing edges gets one internal copy carrying its
     full star.  The projection sends every copy back to its original.
 
-    Cost: ``_fresh_names`` and one table per state of the copies an edge
-    out of it starts at, then one pass over each edge's ends.  The
-    projection and the build script are left to first read.
+    Cost: ``_fresh_names``, then the tables ``starts`` and ``accepts``.
+    No automaton is built: the replacement, the projection and the build
+    script are left to first read.
     """
     names = init_name, acc_name, int_name = _fresh_names(A)
-    states = set(init_name.values()) | set(acc_name.values()) | set(int_name.values())
-    initial = set(init_name.values())
-    accepting = {init_name[v] for v in A.initial & A.accepting}
-    accepting |= set(acc_name.values())
-    # Per state, the copies an edge out of it starts at; per edge, its
-    # accepting copies.  An edge into a state ends at its internal copy.
     starts = dict.fromkeys(A.states, ())
     starts.update((v, (name,)) for v, name in init_name.items())
     for v, name in int_name.items():
@@ -603,14 +618,7 @@ def cofibrant_replacement(A: RelAutomaton) -> ReplacementResult:
     accepts: dict[str, list[str]] = defaultdict(list)
     for (eid, _v), name in acc_name.items():
         accepts[eid].append(name)
-    edges: dict[str, Edge] = {}
-    for eid in A.edge_ids():
-        label, sources, targets = A.edges[eid]
-        sources = frozenset([c for v in sources for c in starts[v]])
-        targets = frozenset([int_name[v] for v in targets if v in int_name] + accepts.get(eid, []))
-        edges[eid] = _new_edge(Edge, (label, sources, targets))
-    replacement = RelAutomaton(A.alphabet, states, edges, initial, accepting)
-    return ReplacementResult(A, replacement, names)
+    return ReplacementResult(A, names, starts, accepts)
 
 
 def replay_certificate(certificate: Sequence[Attachment], alphabet: Iterable[str]) -> RelAutomaton:
@@ -653,29 +661,27 @@ def normalize(A: RelAutomaton) -> NormalizeResult:
     satisfies the concatenation-safety conditions.  An automaton with no
     initial state recognizes nothing and is returned unchanged.
 
-    Written in one pass from the replacement ``R``, equal to
+    Written in one pass from the replacement ``R``'s tables, equal to
     ``canonical_rename(to_simple(Q))`` where ``Q`` glues ``R``'s initial
     states into the least of them: every edge of ``R``, in natural order,
     gives one simple edge ``e0, e1, ...`` per pair of a source and a
     target of ``Q``, both in sorted order of their names in ``Q``.
-    ``R`` keeps the edge ids of ``A``, so their natural order is
-    ``A.edge_ids()``, already built by ``cofibrant_replacement``.
+    ``R`` keeps the edge ids of ``A``, so that order is ``A.edge_ids()``.
 
-    Cost: one pass over the cells of ``R`` and one sort of its states,
-    then per edge of ``R`` a sort of its ends and one write per simple
-    edge of the result, each sharing its state's one singleton end set.
-    Apart from the replacement, only the result is built.
+    Cost: one sort of the states of ``Q``, then per edge of ``R`` a sort
+    of its ends and one write per simple edge of the result, each sharing
+    its state's one singleton end set.  Only the result is built.
     """
     if not A.initial:
         return NormalizeResult(A, warning="no initial state; nothing to normalize")
-    R = cofibrant_replacement(A).replacement
-    start = min(R.initial)
-    glued = dict.fromkeys(R.initial, start)
-    name = {s: f"q{k}" for k, s in enumerate(sorted(R.states - R.initial | {start}))}
+    result = cofibrant_replacement(A)
+    init_name, acc_name, int_name = result.names
+    start = min(init_name.values())
+    glued = dict.fromkeys(init_name.values(), start)
+    name = {s: f"q{k}" for k, s in enumerate(sorted([start, *acc_name.values(), *int_name.values()]))}
     single = {s: frozenset((q,)) for s, q in name.items()}
     table: dict[str, Edge] = {}
-    for eid in A.edge_ids():
-        label, sources, targets = R.edges[eid]
+    for _eid, label, sources, targets in result._edge_ends():
         if len(sources) == 1 == len(targets):
             (u,), (v,) = sources, targets
             table[f"e{len(table)}"] = _new_edge(Edge, (label, single[glued.get(u, u)], single[v]))
@@ -684,15 +690,9 @@ def normalize(A: RelAutomaton) -> NormalizeResult:
         for u in sorted({glued.get(v, v) for v in sources}):
             for v in ends:
                 table[f"e{len(table)}"] = _new_edge(Edge, (label, single[u], v))
-    return NormalizeResult(
-        RelAutomaton(
-            R.alphabet,
-            name.values(),
-            table,
-            (name[start],),
-            {name[glued.get(s, s)] for s in R.accepting},
-        )
-    )
+    accepting = [name[start]] if A.initial & A.accepting else []
+    accepting += map(name.get, acc_name.values())
+    return NormalizeResult(RelAutomaton(A.alphabet, name.values(), table, (name[start],), accepting))
 
 
 # -- verification -------------------------------------------------------------

@@ -8,7 +8,7 @@ from collections import defaultdict, deque
 from hypothesis import strategies as st
 
 from cofib import samples
-from cofib.automata import RelAutomaton, _edge, _fresh_names, automaton
+from cofib.automata import RelAutomaton, _edge, automaton
 from cofib.lifting import GeneratorSet
 from cofib.pcs import (
     PCS_CARRIER,
@@ -414,11 +414,36 @@ def fresh_named_automata(draw, max_edges: int):
     return RelAutomaton(A.alphabet, A.states, {e: A.edges[e] for e in order}, A.initial, A.accepting)
 
 
+def fresh_names(A: RelAutomaton) -> tuple[dict, dict, dict]:
+    """The oracle of ``automata._fresh_names``, one pass per kind of copy:
+    each claims its base name or the first free ``base#k``, initial copies
+    first, then accepting copies in edge order, then internal copies."""
+    taken: set[str] = set()
+
+    def claim(base: str) -> str:
+        name = base
+        k = 0
+        while name in taken:
+            k += 1
+            name = f"{base}#{k}"
+        taken.add(name)
+        return name
+
+    init_name = {v: claim(f"init({v})") for v in sorted(A.initial)}
+    acc_name = {
+        (eid, v): claim(f"acc({eid},{v})")
+        for eid in A.edge_ids()
+        for v in sorted(A.edges[eid].targets & A.accepting)
+    }
+    int_name = {v: claim(f"int({v})") for v in A.internal_states()}
+    return init_name, acc_name, int_name
+
+
 def replacement_oracle(A: RelAutomaton) -> RelAutomaton:
-    """The oracle of ``cofibrant_replacement(A).replacement``: each edge's
-    sources and targets gathered by set comprehensions over its own ends,
-    edges in natural order."""
-    init_name, acc_name, int_name = _fresh_names(A)
+    """The oracle of ``cofibrant_replacement(A).replacement``: the copies
+    named by ``fresh_names``, each edge's sources and targets gathered by
+    set comprehensions over its own ends, edges in natural order."""
+    init_name, acc_name, int_name = fresh_names(A)
     states = set(init_name.values()) | set(acc_name.values()) | set(int_name.values())
     accepting = {init_name[v] for v in A.initial & A.accepting} | set(acc_name.values())
     edges = {}

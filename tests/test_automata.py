@@ -1,6 +1,7 @@
 """Relational automata: language, edge index, generators, replacement,
 certificates, the right adjoint to simple automata, and normalization."""
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -11,13 +12,14 @@ from corpus import (
     automata_corpus,
     eager_automata_generators,
     fresh_named_automata,
+    fresh_names,
     is_simple,
     path_automaton,
     random_automaton,
     relational_automata,
     replacement_oracle,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from cofib import automata as automata_module
 from cofib import lifting as lifting_module
@@ -29,7 +31,6 @@ from cofib.automata import (
     AutomatonCarrier,
     Edge,
     RelAutomaton,
-    ReplacementResult,
     WordLimitError,
     _fresh_names,
     automata_generators,
@@ -491,7 +492,7 @@ def test_certificate_replays_and_refuses_a_repeated_step(A, data):
 def _direct_beta_mapping(A):
     """The projection's cell map written out directly from the copies'
     names: the oracle for the lazily built ``beta``."""
-    init_name, acc_name, int_name = _fresh_names(A)
+    init_name, acc_name, int_name = fresh_names(A)
     mapping = {(ED, eid): (ED, eid) for eid in A.edges}
     for v, name in init_name.items():
         mapping[(ST, name)] = (ST, v)
@@ -529,11 +530,8 @@ def test_reading_beta_checks_the_morphism(monkeypatch):
     R = result.replacement
     swapped = {eid: Edge("b" if e.label == "a" else "a", e.sources, e.targets)
                for eid, e in R.edges.items()}
-    bad = ReplacementResult(
-        result.source,
-        RelAutomaton(R.alphabet, R.states, swapped, R.initial, R.accepting),
-        result.names,
-    )
+    bad = dataclasses.replace(result)
+    bad.replacement = RelAutomaton(R.alphabet, R.states, swapped, R.initial, R.accepting)
     with pytest.raises(ValueError, match="not a target cell of sort"):
         bad.beta
 
@@ -821,7 +819,30 @@ def test_replacement_and_normal_form_keep_the_oracles_edge_order(A):
     _normalize_agrees(A)
 
 
-def test_normalize_builds_the_replacement_and_the_result_only(monkeypatch):
+# Two accepting copies whose base names collide, since an edge id may hold
+# a comma: the second claim gets the suffix `#1`.
+COLLIDING_ACC = RelAutomaton(
+    "ab",
+    ["s", "x,y", "y"],
+    {
+        "e": Edge("a", frozenset({"s"}), frozenset({"x,y"})),
+        "e,x": Edge("b", frozenset({"s"}), frozenset({"y"})),
+    },
+    ["s"],
+    ["x,y", "y"],
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(relational_automata(5, 6), fresh_named_automata(12)))
+@example(COLLIDING_ACC)
+def test_fresh_names_match_the_oracle_in_claim_order(A):
+    # insertion order is claim order, which decides every `#k` suffix
+    got, want = _fresh_names(A), fresh_names(A)
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+
+
+def _spy_on_builds(monkeypatch) -> list:
     built = []
     init = RelAutomaton.__init__
 
@@ -829,11 +850,26 @@ def test_normalize_builds_the_replacement_and_the_result_only(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
+    monkeypatch.setattr(RelAutomaton, "__init__", spy)
+    return built
+
+
+def test_normalize_builds_the_result_only(monkeypatch):
     A = samples.two_start_automaton()
     assert len(A.initial) > 1
-    monkeypatch.setattr(RelAutomaton, "__init__", spy)
+    built = _spy_on_builds(monkeypatch)
     N = normalize(A).automaton
-    assert len(built) == 2 and built[-1] is N
+    assert len(built) == 1 and built[0] is N
+
+
+def test_replacement_is_built_on_first_read_only(monkeypatch):
+    A = samples.two_start_automaton()
+    built = _spy_on_builds(monkeypatch)
+    result = cofibrant_replacement(A)
+    assert built == []
+    R = result.replacement
+    assert result.replacement is R
+    assert len(built) == 1 and built[0] is R
 
 
 def concat_by_composition(CA: RelAutomaton, CB: RelAutomaton) -> RelAutomaton:
