@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cells import Carrier, CellMorphism, Structure
 from .lifting import Attachment, GeneratorSet, LiftReport, lifting_reports, replay
-from .pcs import FormatError
+from .pcs import FormatError, _known_keys
 
 ST = "st"
 ED = "ed"
@@ -153,6 +153,7 @@ def to_json_dict(A: RelAutomaton) -> dict:
 def from_json_dict(data: dict) -> RelAutomaton:
     if not isinstance(data, dict):
         raise FormatError("automaton must be a JSON object")
+    _known_keys(data, ("alphabet", "states", "initial", "accepting", "edges"))
     for key in ("alphabet", "states", "initial", "accepting"):
         value = data.get(key, [])
         if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -172,6 +173,7 @@ def from_json_dict(data: dict) -> RelAutomaton:
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict) or "label" not in entry:
             raise FormatError("edge entries must be objects with a label")
+        _known_keys(entry, ("label", "sources", "targets"))
         label = entry["label"]
         sources = entry.get("sources", [])
         targets = entry.get("targets", [])
@@ -214,10 +216,13 @@ def language_upto(A: RelAutomaton, L: int, max_words: Optional[int] = None) -> s
 
     Depth-first over prefixes with state-set transitions: a letter maps a
     state set to all targets of matching edges touched by it.  The search
-    keeps an explicit stack of one frame per prefix letter, so its memory
-    is linear in ``L`` and no ``L`` meets the recursion limit.  With
-    ``max_words``, the search stops with a ``WordLimitError`` as soon as
-    it has found more words than that.
+    keeps an explicit stack of one frame per prefix letter, so no ``L``
+    meets the recursion limit.  Each step ``(state set, letter)`` scans the
+    letter's edges once per call, and is kept for the call: the cost is one
+    scan per distinct step and one lookup per prefix and letter, the memory
+    the stack and one set per distinct step.  With ``max_words``, the
+    search stops with a ``WordLimitError`` as soon as it has found more
+    words than that.
     """
     if L < 0:
         raise ValueError(f"length bound must be non-negative, got {L}")
@@ -228,15 +233,16 @@ def language_upto(A: RelAutomaton, L: int, max_words: Optional[int] = None) -> s
     start = frozenset(A.initial)
     words: set[Word] = {()} if start & A.accepting else set()
     prefix: list[str] = []
+    step: dict[tuple[frozenset, str], frozenset] = {}
     # Frame k: the active states after the first k letters of ``prefix``
     # and the letters still to try after them.
     stack = [(start, iter(letters))] if L > 0 else []
     while stack:
         active, untried = stack[-1]
         for a in untried:
-            nxt = frozenset().union(
-                *(e.targets for e in by_label[a] if e.sources & active)
-            )
+            nxt = step.get((active, a))
+            if nxt is None:
+                nxt = step[(active, a)] = frozenset().union(*(e.targets for e in by_label[a] if e.sources & active))
             if nxt:
                 break
         else:

@@ -175,6 +175,26 @@ class Structure:
         return {key: shared.setdefault(cells := frozenset(bs), cells) for key, bs in back.items()}
 
 
+def violation(X: Structure, Y, mapping: Mapping) -> Optional[str]:
+    """None if ``mapping`` is a morphism of the views ``X`` to ``Y`` (or any
+    ``sort``, ``marks`` and ``rel`` tables), else a human-readable reason."""
+    if mapping.keys() != X.sort.keys():
+        return "mapping does not cover the source cells"
+    for c, v in mapping.items():
+        if Y.sort.get(v) != X.sort[c]:
+            return f"{c!r} -> {v!r} is not a target cell of sort {X.sort[c]!r}"
+    for c, marks in X.marks.items():
+        lost = marks - Y.marks.get(mapping[c], _NONE)
+        if lost:
+            return f"{c!r} -> {mapping[c]!r} loses the mark {min(lost)!r}"
+    for (a, r), bs in X.rel.items():
+        images = Y.rel.get((mapping[a], r), _NONE)
+        for b in bs:
+            if mapping[b] not in images:
+                return f"relation {r} from {a!r} to {b!r} is not preserved"
+    return None
+
+
 class Carrier(ABC):
     """One kind of object, seen as relational structures.
 
@@ -205,21 +225,15 @@ class Carrier(ABC):
 
     def _morphism_violation(self, source, target, mapping: Mapping) -> Optional[str]:
         """None if the cell map is a morphism, else a human-readable reason."""
-        X, Y = self.view(source), self.view(target)
-        if mapping.keys() != X.sort.keys():
-            return "mapping does not cover the source cells"
-        for c, v in mapping.items():
-            if Y.sort.get(v) != X.sort[c]:
-                return f"{c!r} -> {v!r} is not a target cell of sort {X.sort[c]!r}"
-        for c, marks in X.marks.items():
-            lost = marks - Y.marks.get(mapping[c], _NONE)
-            if lost:
-                return f"{c!r} -> {mapping[c]!r} loses the mark {min(lost)!r}"
-        for (a, r), bs in X.rel.items():
-            images = Y.rel.get((mapping[a], r), _NONE)
-            for b in bs:
-                if mapping[b] not in images:
-                    return f"relation {r} from {a!r} to {b!r} is not preserved"
+        return violation(self.view(source), self.view(target), mapping)
+
+    def extend(self, tables, obj, image: Mapping) -> Any:
+        """Unite the relations of ``obj``, under ``image``, into a replay's
+        running ``tables.rel``.  Returns an object on the running names
+        holding what else this carrier's objects must hold, or None."""
+        rel = tables.rel
+        for (a, r), bs in self.view(obj).rel.items():
+            rel.setdefault((image[a], r), set()).update(map(image.__getitem__, bs))
         return None
 
     def make_morphism(self, source, target, mapping: Mapping) -> CellMorphism:
@@ -444,4 +458,5 @@ __all__ = [
     "LiftingProblem",
     "Structure",
     "Carrier",
+    "violation",
 ]

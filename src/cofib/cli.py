@@ -192,7 +192,8 @@ def _leg(f) -> dict:
 
 def _emit_verdict(report) -> int:
     """A theorem-check summary with, for each failed lifting check, the
-    generator, the failing square's legs and its filler count."""
+    generator, the failing square's legs and its filler count, and its
+    fillers when there are two or more."""
     payload = report.summary()
     for key, lift in (("lifting_failure", report.lifting), ("codiagonal_failure", report.codiagonal_lifting)):
         if not lift.ok:
@@ -202,6 +203,8 @@ def _emit_verdict(report) -> int:
                 "top": _leg(lift.failure.top),
                 "bottom": _leg(lift.failure.bottom),
             }
+            if lift.lift_count > 1:
+                payload[key]["fillers"] = list(map(_leg, lift.fillers))
     _emit(payload)
     return 0 if report.ok else 1
 

@@ -20,8 +20,10 @@ legs over each, since a square with no filler appears in no group.
 A cell complex is written down as a script of :class:`Attachment` steps,
 each the pushout of one generator along a map into what the steps before
 it built, its new cells given recorded names.  :func:`replay` runs a
-script by real pushouts for either carrier; a script that rebuilds an
-object exactly certifies it as built from the generators.
+script for either carrier and builds the object those pushouts build,
+without building them: in time linear in the script's length, each step
+costing its generator's size and the neighbourhood it touches.  A script
+that rebuilds an object exactly certifies it as built from the generators.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .cells import Carrier, CellMorphism, LiftingProblem
+from .cells import Carrier, CellMorphism, LiftingProblem, violation
 
 Fillers = Callable[[int], Sequence[CellMorphism]]
 
@@ -140,13 +143,15 @@ def lifting_problems(
 
 @dataclass
 class LiftReport:
-    """Outcome of a lifting-property check with the first failing square."""
+    """Outcome of a lifting-property check with the first failing square
+    and its fillers, in hom order."""
 
     ok: bool
     checked: int
     failure: Optional[LiftingProblem] = None
     lift_count: Optional[int] = None
     generator: Optional[str] = None
+    fillers: Optional[list[CellMorphism]] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -172,9 +177,9 @@ def _lift_check(
                 rows = carrier.hom(i.target, p.source) if fillers is None else fillers(k)
                 table = filler_table(carrier, i, p, rows)
             checked += 1
-            n = len(solve_lifts(carrier, problem, table))
-            if n == 0 or (unique and n > 1):
-                return LiftReport(False, checked, problem, n, name)
+            found = solve_lifts(carrier, problem, table)
+            if not found or (unique and len(found) > 1):
+                return LiftReport(False, checked, problem, len(found), name, found)
     return LiftReport(True, checked)
 
 
@@ -295,33 +300,55 @@ class Attachment(NamedTuple):
 
 
 def replay(carrier: Carrier, start, script: Iterable[Attachment]):
-    """Run a script from ``start`` by real pushouts; the cells built so far
-    keep their names.  ``ValueError`` if an attach map is not a morphism;
-    if a step's fresh names do not name its new cells once each, by names
-    not yet in use (the carrier's build would glue a used name to its cell);
-    if a step's inclusion adds no cell along a map that extends over it; or
-    if a step glues two cells built before it, which its generator sends to
-    one cell while its attach map keeps them apart."""
-    current = start
+    """Run a script from ``start``; the cells built so far keep their names.
+    ``ValueError`` if an attach map is not a morphism; if a step's fresh
+    names do not name its new cells once each, by names of their kind not
+    yet in use; if a step's inclusion adds no cell along a map that extends
+    over it; or if a step glues two cells built before it, which its
+    generator sends to one cell while its attach map keeps them apart.
+
+    The object, or the error, is that of one pushout per step, but none is
+    built.  Each attach map is checked against running tables of the sorts,
+    marks and relations built so far.  A step sends its generator's old
+    cells to their attach images and its new cells to their fresh names,
+    and ``Carrier.extend`` unites its relations into the tables.  One
+    ``carrier.build`` over ``start`` and every step's codomain makes the
+    object.  So a step costs the size of its generator and of the
+    neighbourhood it touches, not that of the object built so far."""
+    S = carrier.view(start)
+    tables, parts = SimpleNamespace(sort=dict(S.sort), marks=dict(S.marks), rel={}), []
+
+    def unite(obj, image):  # the relations of one more object under its image
+        parts.append((obj, image))
+        extra = carrier.extend(tables, obj, image)
+        if extra is not None:
+            parts.append((extra, {c: c for c in carrier.view(extra).sort}))
+
+    unite(start, dict(zip(S.sort, S.sort)))
     for name, gen, attach, fresh in script:
-        attach = carrier.make_morphism(gen.source, current, dict(attach))
-        pushed, from_cod, from_cur = carrier.pushout(gen, attach)
-        new = [c for c in carrier.cells(gen.target) if c not in gen.fibres]
-        named = dict(fresh)
-        unused = carrier.view(current).sort.keys().isdisjoint(named.values())
-        if named.keys() != set(new) or len(set(named.values())) != len(fresh) or not unused:
+        attach, C = dict(attach), carrier.view(gen.target)
+        reason = violation(carrier.view(gen.source), tables, attach)
+        if reason is not None:
+            raise ValueError(reason)
+        image, named = {gen.mapping[a]: b for a, b in attach.items()}, dict(fresh)
+        if named.keys() != C.sort.keys() - image.keys() or len(set(named.values())) != len(fresh) \
+                or not tables.sort.keys().isdisjoint(named.values()) \
+                or any(type(c) is not type(v) or type(c) is tuple and c[0] != v[0] for c, v in fresh):
             raise ValueError(f"step {name}: fresh names must name each new cell once, by a name not yet in use")
-        over = {gen.mapping[a]: b for a, b in attach.mapping.items()}  # all of cod(gen) if nothing is new
-        if not new and carrier._morphism_violation(gen.target, current, over) is None:
+        if not named and violation(C, tables, image) is None:  # the image is all of cod(gen)
             raise ValueError(f"step {name} adds nothing: its attach map extends over the generator")
-        built = carrier.cells(current)
-        rename = {from_cur.mapping[c]: c for c in built}
-        if len(rename) < len(built):
-            c = next(c for c in built if rename[from_cur.mapping[c]] != c)
-            raise ValueError(f"step {name} glues {c!r} and {rename[from_cur.mapping[c]]!r}, cells built before it")
-        rename.update((from_cod.mapping[c], named[c]) for c in new)
-        current = carrier.build([pushed], [rename])
-    return current
+        if any(image[gen.mapping[a]] != b for a, b in attach.items()):  # the pushout names the cells glued
+            current = carrier.build(*zip(*parts))
+            from_cur = carrier.pushout(gen, CellMorphism(gen.source, current, attach))[2].mapping
+            built = carrier.cells(current)
+            rename = {from_cur[c]: c for c in built}
+            c = next(c for c in built if rename[from_cur[c]] != c)
+            raise ValueError(f"step {name} glues {c!r} and {rename[from_cur[c]]!r}, cells built before it")
+        image.update(named)
+        tables.sort.update((image[c], s) for c, s in C.sort.items())
+        tables.marks.update((image[c], tables.marks.get(image[c], frozenset()) | m) for c, m in C.marks.items())
+        unite(gen.target, image)
+    return carrier.build(*zip(*parts))
 
 
 def arrow_isomorphic(carrier: Carrier, f: CellMorphism, g: CellMorphism) -> bool:

@@ -510,16 +510,25 @@ def _strings(values) -> bool:
     return isinstance(values, list) and all(map(isinstance, values, repeat(str)))
 
 
+def _known_keys(data: dict, keys) -> None:
+    """A ``FormatError`` naming the first key of ``data`` not in ``keys``."""
+    for k in data:
+        if k not in keys:
+            raise FormatError(f"unknown key {k!r}")
+
+
 def from_json_dict(data: dict) -> RelPCS:
     """Read and grade the JSON form that :func:`to_json_dict` writes.
 
     A dimension key is an integer written as ``str`` writes it.  Each list
     is type-checked in one pass, each distinct word string is parsed once
     per call, and the face sets are built as the frozensets the object
-    keeps.  Grading is :func:`_grading_problems`, whose first finding is
-    the error; the object comes back marked as graded."""
+    keeps.  A key the format does not name is an error.  Grading is
+    :func:`_grading_problems`, whose first finding is the error; the object
+    comes back marked as graded."""
     if not isinstance(data, dict):
         raise FormatError("precubical set must be a JSON object")
+    _known_keys(data, ("dim_bound", "cubes", "faces"))
     dim_bound = data.get("dim_bound")
     if type(dim_bound) is not int:
         raise FormatError("'dim_bound' must be an integer")
@@ -552,6 +561,8 @@ def from_json_dict(data: dict) -> RelPCS:
             a, word, targets = fields(entry)
         except KeyError as exc:
             raise FormatError(f"face entry missing {exc}")
+        if len(entry) != 3:  # the three read above, and another
+            _known_keys(entry, ("cube", "word", "targets"))
         if not isinstance(a, str):
             raise FormatError(f"face cube {a!r} must be a string")
         g = words.get(word) if isinstance(word, str) else None
@@ -592,6 +603,30 @@ class PCSCarrier(Carrier):
     def hom(self, source, target, fixed=None, allowed=None, injective=False) -> list[CellMorphism]:
         """Every PCS hom search goes through :func:`hom_enumerate`."""
         return hom_enumerate(source, target, fixed, allowed, injective)
+
+    def extend(self, tables, P: RelPCS, image) -> Optional[RelPCS]:
+        """Unite ``P``'s faces, under ``image``, into a replay's running face
+        table and close it again: a brick's minimal cube becomes a face of
+        cubes built before, whose cofaces outside the brick gain composites.
+        A worklist composes each new entry with the faces of its face and the
+        cofaces of its cube, indexed on ``tables``, so the cost follows the
+        neighbourhood of the cubes touched.  Returns the composites, or None."""
+        rel, added = tables.rel, defaultdict(set)
+        up, down = (vars(tables).setdefault(k, defaultdict(set)) for k in ("up", "down"))
+        work = [(image[a], g, image[b], False) for (a, g), bs in P.faces.items() for b in bs]
+        for a, g, b, composite in work:  # a queue: the step's own entries, then what they compose
+            if (a, g) not in up[b]:
+                rel.setdefault((a, g), set()).add(b)
+                up[b].add((a, g))
+                down[a].add(g)
+                if composite:
+                    added[(a, g)].add(b)
+                work += [(a, compose_words(g2, g), c, True) for g2 in down[b] for c in rel[(b, g2)]]
+                work += [(x, compose_words(g, h), b, True) for x, h in up[a]]
+        cubes = defaultdict(set)
+        for c in {a for a, _g in added}.union(*added.values()):
+            cubes[tables.sort[c]].add(c)
+        return RelPCS(0, cubes, added) if added else None
 
     def quotient(self, obj: RelPCS, pairs) -> tuple[RelPCS, CellMorphism]:
         """Glued cubes, with the face table closed again: gluing can make

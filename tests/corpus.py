@@ -8,8 +8,9 @@ from collections import defaultdict, deque
 from hypothesis import strategies as st
 
 from cofib import samples
-from cofib.automata import RelAutomaton, _edge, automaton
-from cofib.lifting import GeneratorSet
+from cofib.automata import RelAutomaton, WordLimitError, _edge, automaton
+from cofib.blowup import brick_generators
+from cofib.lifting import Attachment, GeneratorSet
 from cofib.pcs import (
     PCS_CARRIER,
     EuclideanReport,
@@ -23,6 +24,7 @@ from cofib.pcs import (
     min_cube,
     relpcs,
     rename_cells,
+    sub_bricks,
     tensor,
     upward,
 )
@@ -669,10 +671,14 @@ def validate_oracle(P: RelPCS) -> list[dict]:
 
 def reader_oracle(data: dict) -> RelPCS:
     """The oracle of ``pcs.from_json_dict`` on documents whose dimension
-    keys are canonical: each entry type-checked and each word parsed on
-    its own, then graded by :func:`grading_oracle`."""
+    keys are canonical: every key of the document and of each entry
+    looked up, each entry type-checked and each word parsed on its own,
+    then graded by :func:`grading_oracle`."""
     if not isinstance(data, dict):
         raise FormatError("precubical set must be a JSON object")
+    unknown = [k for k in data if k not in ("dim_bound", "cubes", "faces")]
+    if unknown:
+        raise FormatError(f"unknown key {unknown[0]!r}")
     dim_bound = data.get("dim_bound")
     if type(dim_bound) is not int:
         raise FormatError("'dim_bound' must be an integer")
@@ -705,6 +711,9 @@ def reader_oracle(data: dict) -> RelPCS:
             targets = entry["targets"]
         except KeyError as exc:
             raise FormatError(f"face entry missing {exc}")
+        unknown = [k for k in entry if k not in ("cube", "word", "targets")]
+        if unknown:
+            raise FormatError(f"unknown key {unknown[0]!r}")
         if not isinstance(a, str):
             raise FormatError(f"face cube {a!r} must be a string")
         if not isinstance(word, str) or any(ch not in "+-0" for ch in word):
@@ -716,3 +725,92 @@ def reader_oracle(data: dict) -> RelPCS:
     if problems:
         raise FormatError(problems[0]["detail"])
     return RelPCS(dim_bound, cubes, faces)
+
+
+def pushout_replay(carrier, start, script):
+    """The oracle of ``lifting.replay``: each step a real ``Carrier.pushout``
+    of its generator along its attach map into the whole object built so
+    far, whose cells are then renamed back, so a step costs the size of
+    that object and a script its square."""
+    current = start
+    for name, gen, attach, fresh in script:
+        attach = carrier.make_morphism(gen.source, current, dict(attach))
+        pushed, from_cod, from_cur = carrier.pushout(gen, attach)
+        new = [c for c in carrier.cells(gen.target) if c not in gen.fibres]
+        named = dict(fresh)
+        unused = carrier.view(current).sort.keys().isdisjoint(named.values())
+        # each of its kind: a build reads only the name of a (kind, name) pair
+        kinds = all(type(c) is type(v) and (isinstance(c, str) or c[0] == v[0]) for c, v in fresh)
+        if named.keys() != set(new) or len(set(named.values())) != len(fresh) or not unused or not kinds:
+            raise ValueError(f"step {name}: fresh names must name each new cell once, by a name not yet in use")
+        over = {gen.mapping[a]: b for a, b in attach.mapping.items()}  # all of cod(gen) if nothing is new
+        if not new and carrier._morphism_violation(gen.target, current, over) is None:
+            raise ValueError(f"step {name} adds nothing: its attach map extends over the generator")
+        built = carrier.cells(current)
+        rename = {from_cur.mapping[c]: c for c in built}
+        if len(rename) < len(built):
+            c = next(c for c in built if rename[from_cur.mapping[c]] != c)
+            raise ValueError(f"step {name} glues {c!r} and {rename[from_cur.mapping[c]]!r}, cells built before it")
+        rename.update((from_cod.mapping[c], named[c]) for c in new)
+        current = carrier.build([pushed], [rename])
+    return current
+
+
+def prefix_language_upto(A: RelAutomaton, L: int, max_words=None) -> set:
+    """The oracle of ``automata.language_upto``: the same depth-first
+    search over prefixes, the next state set found from every edge of the
+    letter at every prefix."""
+    if L < 0:
+        raise ValueError(f"length bound must be non-negative, got {L}")
+    by_label = defaultdict(list)
+    for e in A.edges.values():
+        by_label[e.label].append(e)
+    letters = sorted(by_label)
+    start = frozenset(A.initial)
+    words = {()} if start & A.accepting else set()
+    prefix: list = []
+    stack = [(start, iter(letters))] if L > 0 else []
+    while stack:
+        active, untried = stack[-1]
+        for a in untried:
+            nxt = frozenset().union(*(e.targets for e in by_label[a] if e.sources & active))
+            if nxt:
+                break
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        prefix.append(a)
+        if nxt & A.accepting:
+            words.add(tuple(prefix))
+            if max_words is not None and len(words) > max_words:
+                raise WordLimitError(f"the count of words up to length {L} exceeds the limit {max_words}")
+        if len(prefix) < L:
+            stack.append((nxt, iter(letters)))
+        else:
+            prefix.pop()
+    return words
+
+
+def blowup_script(result, n: int) -> list[Attachment]:
+    """The blowup as a script of generator attachments: one step per probe
+    cube ``eps:k``, attaching ``i_eps`` along the cubes of its sub-probes
+    and naming the minimal cube ``eps:k``.  A sub-brick's minimal cube has
+    the higher dimension, so the steps run by ``eps.min_dim``, highest
+    first."""
+    generators = dict(zip(all_brick_indices(n), brick_generators(n).positive))
+    ids = {}  # per shape, its probes' cube ids by value row
+    for eps, homs in result.probes.items():
+        rows = (tuple(f.mapping[c] for c in PCS_CARRIER.cells(brick(eps))) for f in homs)
+        ids[eps] = {row: f"{eps.name}:{k}" for k, row in enumerate(rows)}
+    script = []
+    for eps in sorted(result.probes, key=lambda eps: -eps.min_dim):
+        name, i = generators[eps]
+        for k, f in enumerate(result.probes[eps]):
+            attach = []
+            for w, sub, incl, _g in sub_bricks(eps):
+                row = tuple(f.mapping[incl.mapping[c]] for c in PCS_CARRIER.cells(brick(sub)))
+                attach.append((w, ids[sub][row]))
+            script.append(Attachment((name, ()), i, tuple(attach), ((min_cube(eps), f"{eps.name}:{k}"),)))
+    return script

@@ -15,6 +15,7 @@ from corpus import (
     fresh_names,
     is_simple,
     path_automaton,
+    prefix_language_upto,
     random_automaton,
     relational_automata,
     replacement_oracle,
@@ -112,6 +113,22 @@ def test_language_agrees_with_path_morphism_counting():
             P = path_automaton(word, "ab")
             recognized = bool(AUT_CARRIER.hom(P, A))
             assert recognized == (word in lang), (A, word)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(relational_automata(5, 8), st.integers(0, 7), st.integers(0, 40))
+def test_language_agrees_with_the_per_prefix_oracle(A, L, limit):
+    """The memoized search finds the words the per-prefix search finds,
+    and past a small limit fails with its message."""
+
+    def outcome(search):
+        try:
+            return search(A, L, limit)
+        except WordLimitError as exc:
+            return str(exc)
+
+    assert language_upto(A, L) == prefix_language_upto(A, L)
+    assert outcome(language_upto) == outcome(prefix_language_upto)
 
 
 # -- edge index -------------------------------------------------------------------

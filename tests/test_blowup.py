@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import (
     assert_same_verdict,
+    blowup_script,
     cycle,
     euclidean_expectations,
     pcs_corpus,
@@ -22,17 +23,15 @@ from cofib.blowup import (
     induced_map,
     verify_blowup,
 )
-from cofib.lifting import Attachment, replay
+from cofib.lifting import replay
 from cofib.pcs import (
     PCS_CARRIER,
     RelPCS,
     brick,
     euclidean_check,
     hom_enumerate,
-    min_cube,
     relpcs,
     saturate,
-    sub_bricks,
     tensor,
     to_json_dict,
     validate,
@@ -308,29 +307,6 @@ def test_brick_generator_domains_are_the_boundaries():
 
 
 # -- the blowup as a cell complex ---------------------------------------------
-
-
-def blowup_script(result, n: int) -> list[Attachment]:
-    """The blowup as a script of generator attachments: one step per probe
-    cube ``eps:k``, attaching ``i_eps`` along the cubes of its sub-probes
-    and naming the minimal cube ``eps:k``.  A sub-brick's minimal cube has
-    the higher dimension, so the steps run by ``eps.min_dim``, highest
-    first."""
-    generators = dict(zip(all_brick_indices(n), brick_generators(n).positive))
-    ids = {}  # per shape, its probes' cube ids by value row
-    for eps, homs in result.probes.items():
-        rows = (tuple(f.mapping[c] for c in PCS_CARRIER.cells(brick(eps))) for f in homs)
-        ids[eps] = {row: f"{eps.name}:{k}" for k, row in enumerate(rows)}
-    script = []
-    for eps in sorted(result.probes, key=lambda eps: -eps.min_dim):
-        name, i = generators[eps]
-        for k, f in enumerate(result.probes[eps]):
-            attach = []
-            for w, sub, incl, _g in sub_bricks(eps):
-                row = tuple(f.mapping[incl.mapping[c]] for c in PCS_CARRIER.cells(brick(sub)))
-                attach.append((w, ids[sub][row]))
-            script.append(Attachment((name, ()), i, tuple(attach), ((min_cube(eps), f"{eps.name}:{k}"),)))
-    return script
 
 
 def test_blowup_script_replays_bit_exactly():

@@ -111,6 +111,46 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "duplicate state" in capsys.readouterr().err
 
 
+def _misspelled(name: str) -> dict:
+    """A fixture's document with a key misspelled, as in ``edegs``, an
+    edge's ``source`` or ``face``."""
+    doc = json.loads((FIXTURES / name).read_text())
+    if "edges" in doc:
+        doc["edges"][0]["source"] = doc["edges"][0].pop("sources")
+        return doc
+    doc["face"] = doc.pop("faces")
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, document, key",
+    [
+        (["aut", "verify"], json.loads((FIXTURES / "one-square.json").read_text()), "cubes"),
+        (["aut", "lang", "-L", "2"], {**json.loads((FIXTURES / "loop-a.json").read_text()), "edegs": []}, "edegs"),
+        (["aut", "lang", "-L", "2"], _misspelled("loop-a.json"), "source"),
+        (["pcs", "validate"], _misspelled("one-square.json"), "face"),
+    ],
+)
+def test_an_unknown_key_exits_2(argv, document, key, tmp_path, capsys):
+    """A PCS read as an automaton, an ``edegs`` typo, an edge's ``source``
+    typo and a ``face`` typo were each read as an object with nothing
+    there, and passed every check."""
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(document))
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: unknown key {key!r}\n"
+
+
+def test_a_face_entry_with_an_unknown_key_exits_2(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "one-square.json").read_text())
+    doc["faces"][1]["cubes"] = ["c"]
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["pcs", "validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown key 'cubes'\n"
+
+
 def test_a_negative_dimension_bound_exits_2(tmp_path, capsys):
     """An empty input with bound -1 is malformed, not a valid empty object."""
     path = tmp_path / "negative.json"
@@ -724,7 +764,13 @@ def test_verify_names_the_generator_where_lifting_failed(monkeypatch, capsys):
     code, data = _verify_with(monkeypatch, capsys, lifting=unique)
     assert code == 1
     assert not data["ok"] and not data["unique_rlp"] and "codiagonal_failure" not in data
-    assert data["lifting_failure"] == {"generator": "i_0", "lift_count": 2, "top": {}, "bottom": {"0": "e"}}
+    assert data["lifting_failure"] == {
+        "generator": "i_0",
+        "lift_count": 2,
+        "top": {},
+        "bottom": {"0": "e"},
+        "fillers": [{"0": "0/e"}, {"0": "1/e"}],
+    }
 
 
 def test_verify_names_the_square_where_codiagonal_lifting_failed(monkeypatch, capsys):

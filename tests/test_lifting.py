@@ -7,11 +7,15 @@ import pytest
 from corpus import (
     arrow_isomorphic_by_all_homs,
     automata_corpus,
+    blowup_script,
+    cycle,
     eager_automata_generators,
     pcs_corpus,
     pinned_solve_lifts,
+    pushout_replay,
     relational_automata,
     relational_pcs,
+    restrict,
     shuffled,
 )
 from hypothesis import given, settings
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 from cofib import samples
 from cofib.automata import (
     AUT_CARRIER,
+    RelAutomaton,
     automata_generators,
     automaton,
     cofibrant_replacement,
@@ -28,9 +33,10 @@ from cofib.automata import (
     gen_source,
 )
 from cofib.blowup import blowup, brick_generators, verify_blowup
-from cofib.cells import CellMorphism, LiftingProblem
+from cofib.cells import Carrier, CellMorphism, LiftingProblem
 from cofib.lifting import (
     APPENDIX_CHECKS,
+    Attachment,
     GeneratorSet,
     LiftReport,
     appendix_identity_suite,
@@ -45,13 +51,14 @@ from cofib.lifting import (
     induced_on_self_pushouts,
     lifting_problems,
     lifting_reports,
+    replay,
     rlp,
     solve_lifts,
     unique_lift_sides,
     unique_rlp,
 )
-from cofib.pcs import PCS_CARRIER, brick, brick_boundary, hom_enumerate, relpcs, tensor
-from cofib.words import BrickIndex
+from cofib.pcs import PCS_CARRIER, RelPCS, brick, brick_boundary, hom_enumerate, min_cube, relpcs, tensor
+from cofib.words import BrickIndex, all_brick_indices
 
 E = BrickIndex.parse
 
@@ -467,18 +474,19 @@ def tops_first_check(carrier, p, morphisms, unique):
         for top, bottom in tops_first_squares(carrier, i, p):
             problem = LiftingProblem(i, p, top, bottom)
             checked += 1
-            n = len(pinned_solve_lifts(carrier, problem))
-            if n == 0 or (unique and n > 1):
-                return LiftReport(False, checked, problem, n, name)
+            fillers = pinned_solve_lifts(carrier, problem)
+            if not fillers or (unique and len(fillers) > 1):
+                return LiftReport(False, checked, problem, len(fillers), name, fillers)
     return LiftReport(True, checked)
 
 
 def _report(report):
     failure = report.failure
-    legs = None
+    legs = fillers = None
     if failure is not None:
         legs = (failure.i.mapping, failure.top.mapping, failure.bottom.mapping)
-    return report.ok, report.checked, report.generator, report.lift_count, legs
+        fillers = [h.mapping for h in report.fillers]
+    return report.ok, report.checked, report.generator, report.lift_count, legs, fillers
 
 
 def random_replacements(count: int = 40):
@@ -631,7 +639,7 @@ def assert_fillers_match_the_pinned_oracle(carrier, p, gens, name, alone=True):
                     n = len(fillers)
                     report.checked += 1
                     if n == 0 or (unique and n > 1):
-                        report = LiftReport(False, report.checked, problem, n, iname)
+                        report = LiftReport(False, report.checked, problem, n, iname, fillers)
         want.append(report)
     want = tuple(want)
     if alone:
@@ -772,3 +780,162 @@ def test_lifting_reports_match_the_eager_checks_on_generated_automata(A):
     if len(states) >= 2:
         _quotient, fold = AUT_CARRIER.quotient(A, [tuple(states[:2])])
         assert_same_reports(AUT_CARRIER, fold, gens, "fold", oracle)
+
+
+# -- replay against the pushout oracle ----------------------------------------
+
+
+FAULTS = ["repeat", "drop", "swap", "rename", "retarget", "fold"]
+
+
+def _renamed(cell):
+    return (cell[0], cell[1] + "'") if isinstance(cell, tuple) else cell + "'"
+
+
+def _coface_steps(pick, start, n: int) -> list:
+    """Bricks of ambient dimension ``n`` attached along maps into ``start``,
+    each minimal cube named afresh; on a start without its lowest cubes
+    these land on cubes whose cofaces lie outside the brick."""
+    steps = []
+    for k, (eps, (name, i)) in enumerate(zip(all_brick_indices(n), brick_generators(n).positive)):
+        homs = hom_enumerate(i.source, start)
+        if homs and pick([True, False]):
+            f = pick(homs)
+            steps.append(Attachment((name, ()), i, tuple(f.mapping.items()), ((min_cube(eps), f"new{k}"),)))
+    return steps
+
+
+def replay_case(pick):
+    """``(carrier, start, script)``, every choice made by ``pick(options)``:
+    a corpus certificate, a blowup script, or bricks attached to a corpus
+    object less its cubes below some dimension; then up to three faults.
+    A step is repeated, dropped, swapped with another, given fresh names
+    new or in use, or one attach image is replaced by some cell of the
+    script; or a second copy of it is added, followed by its codiagonal
+    along both copies (which glues the two) or along one copy twice
+    (which adds nothing), alone or summed with a third copy."""
+    kind = pick(["automaton", "blowup", "coface"])
+    if kind == "automaton":
+        A = pick(_REPLAY_AUTOMATA)
+        carrier, start = AUT_CARRIER, RelAutomaton(A.alphabet, [], {}, [], [])
+        script = list(cofibrant_replacement(A).certificate)
+    elif kind == "blowup":
+        P, m = pick(_REPLAY_BLOWUPS)
+        carrier, start = PCS_CARRIER, RelPCS(m, {}, {})
+        script = blowup_script(blowup(P, m), m)
+    else:
+        P, d = pick(_REPLAY_STARTS)
+        carrier, start = PCS_CARRIER, restrict(P, [c for c in P.all_cubes() if P.dim(c) >= d])
+        script = _coface_steps(pick, start, 1) + _coface_steps(pick, start, 2)
+    for fault in [pick(FAULTS) for _ in range(pick([0, 1, 2, 3]))]:
+        if not script:
+            break
+        k = pick(range(len(script)))
+        step = script[k]
+        if fault == "repeat":
+            script.insert(pick(range(len(script) + 1)), step)
+        elif fault == "drop":
+            del script[k]
+        elif fault == "swap":
+            j = pick(range(len(script)))
+            script[k], script[j] = script[j], step
+        elif fault == "rename":
+            used = [v for s in script for _c, v in s.fresh]
+            script[k] = step._replace(fresh=tuple((c, pick([_renamed(v), *used])) for c, v in step.fresh))
+        elif fault == "retarget" and step.attach:
+            j, cells = pick(range(len(step.attach))), [v for s in script for _c, v in s.attach + s.fresh]
+            attach = list(step.attach)
+            attach[j] = (attach[j][0], pick(cells))
+            script[k] = step._replace(attach=tuple(attach))
+        elif fault == "fold":
+            gen = step.generator
+            twin = step._replace(fresh=tuple((c, _renamed(v)) for c, v in step.fresh))
+            _pushed, j1, j2 = carrier.pushout(gen, gen)
+            nabla = carrier.copair([j1, j2], [carrier.identity(gen.target)] * 2)
+            image = {**{gen.mapping[a]: b for a, b in step.attach}, **dict(step.fresh)}
+            other = {**image, **dict(twin.fresh)} if pick([True, False]) else image
+            attach = {j1.mapping[c]: image.get(c) for c in carrier.cells(gen.target)}
+            attach.update((j2.mapping[c], other.get(c)) for c in carrier.cells(gen.target))
+            fold = Attachment(("fold", step.name), nabla, tuple(attach.items()), ())
+            if pick([True, False]):  # beside a third copy of the step, so that it adds cells
+                both, (d0, d1), (_c0, c1) = carrier.sum([nabla, gen])
+                attach = {d0.mapping[x]: y for x, y in fold.attach}
+                attach.update((d1.mapping[x], y) for x, y in step.attach)
+                fresh = tuple((c1.mapping[c], _renamed(_renamed(v))) for c, v in step.fresh)
+                fold = Attachment(fold.name, both, tuple(attach.items()), fresh)
+            script[k + 1:k + 1] = [twin, fold]
+    return carrier, start, script
+
+
+_REPLAY_AUTOMATA = automata_corpus(40)
+_REPLAY_BLOWUPS = [(P, m) for _name, P, _n in pcs_corpus() for m in (1, 2)] + [(tensor(cycle(3), cycle(3)), 2)]
+_REPLAY_STARTS = [
+    (P, d)
+    for P in [tensor(cycle(2), cycle(3))] + [P for _name, P, _n in pcs_corpus()]
+    for d in (1, 2)
+    if any(P.dim(c) >= d for c in P.all_cubes())
+]
+
+
+def _outcome(run, carrier, start, script):
+    """The object a replay builds, or its error and message."""
+    try:
+        return run(carrier, start, script)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_replay_agrees_with_the_pushout_oracle(data):
+    """The linear replay builds the object the pushout replay builds, or
+    fails with its error and message, on drawn scripts of both carriers."""
+    carrier, start, script = replay_case(lambda options: data.draw(st.sampled_from(list(options))))
+    assert _outcome(replay, carrier, start, script) == _outcome(pushout_replay, carrier, start, script)
+
+
+def test_replay_cases_reach_every_outcome():
+    """Seeded draws of the same cases agree with the oracle and reach a
+    built object, each of the four refusals, and a step whose brick makes
+    composite faces of cubes outside it."""
+    rng, seen = random.Random(33), Counter()
+    for _ in range(400):
+        carrier, start, script = replay_case(lambda options: rng.choice(list(options)))
+        got = _outcome(replay, carrier, start, script)
+        assert got == _outcome(pushout_replay, carrier, start, script)
+        if not isinstance(got, str):
+            seen["built"] += 1
+            bare = carrier.build([start, *(s.generator.target for s in script)], [
+                {c: c for c in carrier.cells(start)},
+                *({**{s.generator.mapping[a]: b for a, b in s.attach}, **dict(s.fresh)} for s in script),
+            ])
+            seen["composites"] += bare != got
+        else:
+            seen[next((k for k in ("not a", "loses", "relation", "fresh", "nothing", "glues") if k in got), got)] += 1
+    assert {"built", "composites", "not a", "fresh", "nothing", "glues"} <= seen.keys(), seen
+
+
+def test_replay_builds_once_and_pushes_out_nothing(monkeypatch):
+    """A corpus certificate and the blowup script of C12 x C12 each replay
+    by one ``build`` of the carrier and no ``Carrier.pushout``."""
+    result = cofibrant_replacement(samples.relational_mess())
+    C12 = blowup(tensor(cycle(12), cycle(12)), 2)
+    cases = [
+        (AUT_CARRIER, RelAutomaton(result.source.alphabet, [], {}, [], []), result.certificate, result.replacement),
+        (PCS_CARRIER, RelPCS(2, {}, {}), blowup_script(C12, 2), C12.blowup),
+    ]
+    for carrier, start, script, want in cases:
+        calls = Counter()
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(type(carrier), "build", counted("build", type(carrier).build))
+        monkeypatch.setattr(Carrier, "pushout", counted("pushout", Carrier.pushout))
+        assert replay(carrier, start, script) == want
+        monkeypatch.undo()
+        assert calls == {"build": 1}, (carrier, calls)
+        assert len(script) > 10

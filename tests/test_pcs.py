@@ -729,7 +729,8 @@ def faulty_documents(draw):
     """The JSON form of a corpus or drawn object with up to three grading
     faults (unknown or misgraded targets, identity and wrong-length words,
     repeated ids, extra or out-of-range dimensions; a repeated entry merges),
-    then at most one wrong type, bad word, missing field or negative bound."""
+    then at most one wrong type, bad word, missing field, unknown key or
+    negative bound."""
     P = draw(st.one_of(st.sampled_from(_oracle_pool()), relational_pcs(max_cubes=8)))
     doc = json.loads(json.dumps(to_json_dict(P)))
     cubes, faces = doc["cubes"], doc["faces"]
@@ -750,7 +751,7 @@ def faulty_documents(draw):
             cubes[draw(st.sampled_from(sorted(cubes)))].append(draw(st.sampled_from(ids)))
         elif fault == "dimension":
             cubes[draw(st.sampled_from(["-1", "0", "1", "2", "3", "7"]))] = [draw(st.sampled_from(ids))]
-    part, entry = draw(st.sampled_from([None, "part", "list", "field", "drop", "doc"])), _pick(draw, faces)
+    part, entry = draw(st.sampled_from([None, "part", "list", "field", "drop", "key", "doc"])), _pick(draw, faces)
     if part == "part":
         doc[draw(st.sampled_from(["cubes", "faces", "dim_bound"]))] = draw(
             st.sampled_from([[], {}, "x", None, -1, -2, 2.0, True, 1])
@@ -763,6 +764,9 @@ def faulty_documents(draw):
         )
     elif part == "drop" and entry:
         del entry[draw(st.sampled_from(["cube", "word", "targets"]))]
+    elif part == "key":  # a typo, or a key of the other format
+        where = draw(st.sampled_from([doc, entry] if entry else [doc]))
+        where[draw(st.sampled_from(["face", "edges", "target", "dim_bound", "cubes"]))] = []
     return [doc] if part == "doc" else doc
 
 
