@@ -656,8 +656,26 @@ def to_simple(A: RelAutomaton) -> RelAutomaton:
 
 @dataclass
 class NormalizeResult:
-    automaton: RelAutomaton
+    """The normal form of ``source`` as tables: ``states`` ``q0, q1, ...``,
+    simple ``edges`` as ``(label, u, v)`` in ``e0, e1, ...`` order, and the
+    ``initial`` and ``accepting`` states; ``automaton`` is built from them
+    on first read.  With no initial state they are the source's own fields
+    (``edges`` its ``Edge`` table) and ``automaton`` is the source."""
+
+    source: RelAutomaton
+    states: Sequence[str] = field(repr=False)
+    edges: Sequence[tuple[str, str, str]] | Mapping[str, Edge] = field(repr=False)
+    initial: Sequence[str] = field(repr=False)
+    accepting: Sequence[str] = field(repr=False)
     warning: Optional[str] = None
+
+    @cached_property
+    def automaton(self) -> RelAutomaton:
+        if not self.initial:
+            return self.source
+        single = {q: frozenset((q,)) for q in self.states}
+        table = {f"e{k}": _new_edge(Edge, (label, single[u], single[v])) for k, (label, u, v) in enumerate(self.edges)}
+        return RelAutomaton(self.source.alphabet, self.states, table, self.initial, self.accepting)
 
 
 def normalize(A: RelAutomaton) -> NormalizeResult:
@@ -675,30 +693,26 @@ def normalize(A: RelAutomaton) -> NormalizeResult:
     ``R`` keeps the edge ids of ``A``, so that order is ``A.edge_ids()``.
 
     Cost: one sort of the states of ``Q``, then per edge of ``R`` a sort
-    of its ends and one write per simple edge of the result, each sharing
-    its state's one singleton end set.  Only the result is built.
+    of its ends and one row per simple edge.  It builds no automaton.
     """
     if not A.initial:
-        return NormalizeResult(A, warning="no initial state; nothing to normalize")
+        return NormalizeResult(A, A.states, A.edges, A.initial, A.accepting, "no initial state; nothing to normalize")
     result = cofibrant_replacement(A)
     init_name, acc_name, int_name = result.names
     start = min(init_name.values())
     glued = dict.fromkeys(init_name.values(), start)
     name = {s: f"q{k}" for k, s in enumerate(sorted([start, *acc_name.values(), *int_name.values()]))}
-    single = {s: frozenset((q,)) for s, q in name.items()}
-    table: dict[str, Edge] = {}
+    edges: list[tuple[str, str, str]] = []
     for _eid, label, sources, targets in result._edge_ends():
         if len(sources) == 1 == len(targets):
             (u,), (v,) = sources, targets
-            table[f"e{len(table)}"] = _new_edge(Edge, (label, single[glued.get(u, u)], single[v]))
+            edges.append((label, name[glued.get(u, u)], name[v]))
             continue
-        ends = [single[v] for v in sorted(targets)]  # no edge of R enters an initial state
-        for u in sorted({glued.get(v, v) for v in sources}):
-            for v in ends:
-                table[f"e{len(table)}"] = _new_edge(Edge, (label, single[u], v))
+        ends = [name[v] for v in sorted(targets)]  # no edge of R enters an initial state
+        edges += [(label, name[u], v) for u in sorted({glued.get(v, v) for v in sources}) for v in ends]
     accepting = [name[start]] if A.initial & A.accepting else []
     accepting += map(name.get, acc_name.values())
-    return NormalizeResult(RelAutomaton(A.alphabet, name.values(), table, (name[start],), accepting))
+    return NormalizeResult(A, tuple(name.values()), edges, (name[start],), accepting)
 
 
 # -- verification -------------------------------------------------------------

@@ -258,20 +258,23 @@ def _concat(CA: RelAutomaton, CB: RelAutomaton) -> RelAutomaton:
     the quotient gluing the accepting non-initial states of ``NA`` to the
     initial state of ``NB``, named by its least member; and, when ``NA``
     accepts the empty word, a coproduct of that with ``CB`` itself.
+
+    Cost: one write per edge into the table for ``_numbered``, which
+    builds the only automaton: normal forms are read as their rows, and
+    only a raw operand (no initial state, or ``CB`` itself) as ``Edge``s.
     """
-    NA = normalize(CA).automaton
-    NB = normalize(CB).automaton
+    NA, NB = normalize(CA), normalize(CB)
     # if the left language contains the empty word, the right language
     # itself must be recognized too
-    eps = bool(NA.initial) and min(NA.initial) in NA.accepting
+    eps = bool(NA.initial) and NA.initial[0] in NA.accepting
     tag = "0/" if eps else ""
     parts = [(tag + "0/", NA), (tag + "1/", NB)] + ([("1/", CB)] if eps else [])
     names = [{v: prefix + v for v in N.states} for prefix, N in parts]
-    ends = sorted(NA.accepting - NA.initial)
+    ends = sorted(set(NA.accepting).difference(NA.initial))
     if ends and NB.initial:
         glued = names[0][ends[0]]
         names[0].update(dict.fromkeys(ends, glued))
-        names[1][min(NB.initial)] = glued
+        names[1][NB.initial[0]] = glued
     marks = [(NA.initial, ()), ((), NB.accepting), (CB.initial, CB.accepting)]
     states, initial, accepting, edges = set(), [], [], {}
     for (prefix, N), name, (inits, accepts) in zip(parts, names, marks):
@@ -279,13 +282,18 @@ def _concat(CA: RelAutomaton, CB: RelAutomaton) -> RelAutomaton:
         states.update(name.values())
         initial += map(rename, inits)
         accepting += map(rename, accepts)
-        for eid, e in N.edges.items():
-            edges[prefix + eid] = (e.label, list(map(rename, e.sources)), list(map(rename, e.targets)))
-    return _numbered(NA.alphabet | NB.alphabet, states, edges, initial, accepting)
+        if N.initial and N is not CB:  # a normal form's rows
+            for k, (label, u, v) in enumerate(N.edges):
+                edges[f"{prefix}e{k}"] = (label, (rename(u),), (rename(v),))
+        else:
+            for eid, e in N.edges.items():
+                edges[prefix + eid] = (e.label, list(map(rename, e.sources)), list(map(rename, e.targets)))
+    return _numbered(CA.alphabet | CB.alphabet, states, edges, initial, accepting)
 
 
 def _star(CA: RelAutomaton) -> RelAutomaton:
-    """Loop the accepting states back onto the initial state."""
+    """Loop the accepting states back onto the initial state: the quotient
+    of the normal form, renamed by ``_numbered`` straight from its tables."""
     NA = normalize(CA).automaton
     if not NA.initial:
         return _epsilon_automaton(NA.alphabet)
@@ -294,9 +302,7 @@ def _star(CA: RelAutomaton) -> RelAutomaton:
     pairs = [((ST, i), (ST, x)) for x in ends]
     M, _proj = AUT_CARRIER.quotient(NA, pairs)
     # the glued initial state now also accepts: the empty word is in a star
-    return canonical_rename(
-        RelAutomaton(M.alphabet, M.states, M.edges, M.initial, M.accepting | M.initial)
-    )
+    return _numbered(M.alphabet, M.states, M.edges, M.initial, M.accepting | M.initial)
 
 
 # -- independent word-set semantics --------------------------------------------

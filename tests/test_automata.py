@@ -33,7 +33,9 @@ from cofib.automata import (
     Edge,
     RelAutomaton,
     WordLimitError,
+    _edge,
     _fresh_names,
+    _natural,
     automata_generators,
     automaton,
     canonical_rename,
@@ -829,6 +831,32 @@ def test_normalize_equals_the_composition(A):
     _normalize_agrees(A)
 
 
+def _tables_agree(A: RelAutomaton) -> None:
+    """``normalize(A)``'s tables, written out as ``e0, e1, ...``, are the
+    fields of its automaton, edge order included."""
+    result = normalize(A)
+    N = result.automaton
+    assert result.source is A
+    if not A.initial:
+        assert N is A and result.edges is A.edges
+        return
+    edges = {f"e{k}": _edge(label, [u], [v]) for k, (label, u, v) in enumerate(result.edges)}
+    assert list(N.edges.items()) == list(edges.items())
+    assert sorted(N.states, key=_natural) == list(result.states)
+    assert (N.initial, N.accepting) == (frozenset(result.initial), frozenset(result.accepting))
+
+
+def test_normal_form_tables_are_its_automaton_on_the_corpus():
+    for A in automata_corpus(200):
+        _tables_agree(A)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(relational_automata(5, 6))
+def test_normal_form_tables_are_its_automaton(A):
+    _tables_agree(A)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(relational_automata(5, 6, min_initial=1), fresh_named_automata(12)))
 def test_replacement_and_normal_form_keep_the_oracles_edge_order(A):
@@ -872,10 +900,14 @@ def _spy_on_builds(monkeypatch) -> list:
 
 
 def test_normalize_builds_the_result_only(monkeypatch):
+    # and only on first read of `automaton`: `normalize` itself builds none
     A = samples.two_start_automaton()
     assert len(A.initial) > 1
     built = _spy_on_builds(monkeypatch)
-    N = normalize(A).automaton
+    result = normalize(A)
+    assert built == []
+    N = result.automaton
+    assert result.automaton is N
     assert len(built) == 1 and built[0] is N
 
 

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -821,3 +822,80 @@ def test_aut_normalize_warns_without_an_initial_state(tmp_path, capsys):
     assert code == 0
     assert data["warning"] == "no initial state; nothing to normalize"
     assert data["automaton"] == json.loads(path.read_text())
+
+
+# -- contract fuzz: exit codes 0, 1 or 2, never a traceback ------------------------
+
+_FILE_COMMANDS = [
+    ["pcs", "validate"],
+    ["pcs", "blowup", "-n", "2"],
+    ["pcs", "euclid", "-n", "2"],
+    ["pcs", "verify", "-n", "2"],
+    ["pcs", "export", "--format", "dot"],
+    ["aut", "lang", "-L", "3"],
+    ["aut", "cofrep"],
+    ["aut", "normalize"],
+    ["aut", "conditions"],
+    ["aut", "verify", "-L", "3"],
+]
+_DOCUMENTS = {path.name: path.read_text() for path in sorted(FIXTURES.glob("*.json"))}
+# wrong types, negative and huge integers, and names that nothing declares
+_ODD_VALUES = st.sampled_from(
+    [None, True, 0, -1, -(2**31), 2**63, 10**30, 1.5, "", "zz", "+-", [], {}, ["zz"], [[]], {"zz": []}]
+)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A fixture document with one value replaced, dropped or added at a
+    drawn path: the walk goes down into a drawn non-empty container while
+    a drawn coin says so."""
+    doc = json.loads(_DOCUMENTS[draw(st.sampled_from(sorted(_DOCUMENTS)))])
+    node = doc
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+        inner = [k for k in keys if isinstance(node[k], (dict, list)) and node[k]]
+        if not (inner and draw(st.booleans())):
+            break
+        node = node[draw(st.sampled_from(inner))]
+    op = draw(st.sampled_from(["replace", "drop", "add"] if keys else ["add"]))
+    if op == "add" and isinstance(node, dict):
+        node[draw(st.sampled_from(["zz", "cube", "0", "-1", "99"]))] = draw(_ODD_VALUES)
+    elif op == "add":
+        node.insert(draw(st.integers(0, len(node))), draw(_ODD_VALUES))
+    elif op == "drop":
+        del node[draw(st.sampled_from(keys))]
+    else:
+        node[draw(st.sampled_from(keys))] = draw(_ODD_VALUES)
+    return doc
+
+
+def _exit_code_and_stderr(argv) -> tuple:
+    """``main(argv)``'s exit code, argparse's included, and its stderr;
+    any other exception propagates and fails the caller."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_mutated_documents())
+def test_every_file_command_exits_0_1_or_2_on_a_mutated_fixture(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        for command in _FILE_COMMANDS:
+            code, err = _exit_code_and_stderr([*command, str(path)])
+            assert code in (0, 1, 2) and "Traceback" not in err, (command, doc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(st.sampled_from("ab()|*ε∅0"), max_size=14), st.booleans())
+def test_rx_compile_exits_0_or_2_on_any_text(text, ascii_aliases):
+    argv = ["rx", "compile", text, "--alphabet", "ab"] + ["--ascii"] * ascii_aliases
+    code, err = _exit_code_and_stderr(argv)
+    assert code in (0, 2) and "Traceback" not in err, argv

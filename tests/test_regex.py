@@ -308,9 +308,9 @@ def test_compiled_json_of_depths_zero_to_six_is_pinned():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 10])
-def test_compiling_a_chain_builds_five_automata_per_concatenation(monkeypatch, k):
-    # one per literal; per concatenation three: the normal form of each
-    # operand and the result, since normalizing builds no replacement
+def test_compiling_a_chain_builds_one_automaton_per_literal_and_concatenation(monkeypatch, k):
+    # a concatenation reads both normal forms as tables, so it builds
+    # only its result
     built = []
     init = RelAutomaton.__init__
 
@@ -321,7 +321,7 @@ def test_compiling_a_chain_builds_five_automata_per_concatenation(monkeypatch, k
     r = parse("a" * k)
     monkeypatch.setattr(RelAutomaton, "__init__", spy)
     A = compile_regex(r, "ab")
-    assert len(built) == k + 3 * (k - 1) and built[-1] is A
+    assert len(built) == k + (k - 1) and built[-1] is A
 
 
 def test_compile_builds_no_projection(monkeypatch):
