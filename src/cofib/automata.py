@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cells import Carrier, CellMorphism, Structure
-from .lifting import Attachment, GeneratorSet, LiftReport, lifting_reports, replay
+from .lifting import Attachment, GeneratorSet, TheoremReport, lifting_reports, replay
 from .pcs import FormatError, _known_keys
 
 ST = "st"
@@ -211,7 +211,7 @@ class WordLimitError(ValueError):
     """A word search found more words than its limit."""
 
 
-def language_upto(A: RelAutomaton, L: int, max_words: Optional[int] = None) -> set[Word]:
+def language_upto(A: RelAutomaton, L: int, max_words: int = MAX_WORDS) -> set[Word]:
     """All recognized words of length at most ``L``.
 
     Depth-first over prefixes with state-set transitions: a letter maps a
@@ -220,30 +220,44 @@ def language_upto(A: RelAutomaton, L: int, max_words: Optional[int] = None) -> s
     meets the recursion limit.  Each step ``(state set, letter)`` scans the
     letter's edges once per call, and is kept for the call: the cost is one
     scan per distinct step and one lookup per prefix and letter, the memory
-    the stack and one set per distinct step.  With ``max_words``, the
-    search stops with a ``WordLimitError`` as soon as it has found more
-    words than that.
+    the stack and one set per distinct step.  A prefix is extended only
+    when its state set meets the states within the letters left of an
+    accepting state, found by one backward pass: so each prefix extended
+    is a prefix of a word found, at most ``L`` per word.  The search stops
+    with a ``WordLimitError`` as soon as it has found more than
+    ``max_words`` words.
     """
     if L < 0:
         raise ValueError(f"length bound must be non-negative, got {L}")
     by_label: dict[str, list[Edge]] = defaultdict(list)
+    before: dict[str, set[str]] = defaultdict(set)
     for e in A.edges.values():
         by_label[e.label].append(e)
+        for t in e.targets:
+            before[t] |= e.sources
+    # within[r]: the states from which some word of at most r letters is accepted
+    within = [frozenset(A.accepting)]
+    frontier = within[0]
+    while frontier and len(within) < L:
+        within.append(within[-1].union(*map(before.__getitem__, frontier)))
+        frontier = within[-1] - within[-2]
+    within += within[-1:] * (L - len(within))
     letters = sorted(by_label)
     start = frozenset(A.initial)
     words: set[Word] = {()} if start & A.accepting else set()
     prefix: list[str] = []
     step: dict[tuple[frozenset, str], frozenset] = {}
-    # Frame k: the active states after the first k letters of ``prefix``
-    # and the letters still to try after them.
-    stack = [(start, iter(letters))] if L > 0 else []
+    # Frame k: the active states after the first k letters of ``prefix``,
+    # the letters still to try after them, and the states within the
+    # letters left after the next one.
+    stack = [(start, iter(letters), within[L - 1])] if L > 0 else []
     while stack:
-        active, untried = stack[-1]
+        active, untried, live = stack[-1]
         for a in untried:
             nxt = step.get((active, a))
             if nxt is None:
                 nxt = step[(active, a)] = frozenset().union(*(e.targets for e in by_label[a] if e.sources & active))
-            if nxt:
+            if not live.isdisjoint(nxt):
                 break
         else:
             stack.pop()
@@ -253,10 +267,10 @@ def language_upto(A: RelAutomaton, L: int, max_words: Optional[int] = None) -> s
         prefix.append(a)
         if nxt & A.accepting:
             words.add(tuple(prefix))
-            if max_words is not None and len(words) > max_words:
+            if len(words) > max_words:
                 raise WordLimitError(f"the count of words up to length {L} exceeds the limit {max_words}")
         if len(prefix) < L:
-            stack.append((nxt, iter(letters)))
+            stack.append((nxt, iter(letters), within[L - 1 - len(prefix)]))
         else:
             prefix.pop()
     return words
@@ -718,47 +732,12 @@ def normalize(A: RelAutomaton) -> NormalizeResult:
 # -- verification -------------------------------------------------------------
 
 
-@dataclass
-class ReplacementReport:
-    edge_count_ok: bool
-    state_formula_ok: bool
-    conditions_ok: bool
-    lifting: LiftReport
-    codiagonal_lifting: LiftReport
-    language_ok: bool
-    replay_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.edge_count_ok
-            and self.state_formula_ok
-            and self.conditions_ok
-            and self.lifting.ok
-            and self.codiagonal_lifting.ok
-            and self.language_ok
-            and self.replay_ok
-        )
-
-    def summary(self) -> dict:
-        return {
-            "edge_count_preserved": self.edge_count_ok,
-            "state_formula_exact": self.state_formula_ok,
-            "conditions": self.conditions_ok,
-            "unique_rlp": self.lifting.ok,
-            "codiagonal_rlp": self.codiagonal_lifting.ok,
-            "language_preserved": self.language_ok,
-            "certificate_replays": self.replay_ok,
-            "ok": self.ok,
-        }
-
-
 def verify_replacement(
     A: RelAutomaton,
     result: Optional[ReplacementResult] = None,
     language_bound: int = 5,
     check_codiagonals: bool = True,
-) -> ReplacementReport:
+) -> TheoremReport:
     """The replacement checks on ``result``, which must be
     ``cofibrant_replacement(A)`` (computed when not given).  The language
     check raises ``WordLimitError`` past ``MAX_WORDS`` words on either side."""
@@ -767,23 +746,17 @@ def verify_replacement(
     elif result.source is not A:
         raise ValueError("result is not the cofibrant replacement of this automaton")
     R = result.replacement
-    expected_states = (
-        len(A.initial)
-        + sum(len(e.targets & A.accepting) for e in A.edges.values())
-        + len(A.internal_states())
-    )
+    accepting_copies = sum(len(e.targets & A.accepting) for e in A.edges.values())
     gens = automata_generators(A.alphabet | R.alphabet)
     lifting, codiag = lifting_reports(AUT_CARRIER, result.beta, gens, check_codiagonals)
-    return ReplacementReport(
-        edge_count_ok=len(R.edges) == len(A.edges),
-        state_formula_ok=len(R.states) == expected_states,
-        conditions_ok=check_conditions(R)[0],
-        lifting=lifting,
-        codiagonal_lifting=codiag,
-        language_ok=language_upto(R, language_bound, MAX_WORDS)
-        == language_upto(A, language_bound, MAX_WORDS),
-        replay_ok=replay_certificate(result.certificate, A.alphabet) == R,
-    )
+    checks = {
+        "edge_count_preserved": len(R.edges) == len(A.edges),
+        "state_formula_exact": len(R.states) == len(A.initial) + accepting_copies + len(A.internal_states()),
+        "conditions": check_conditions(R)[0],
+        "language_preserved": language_upto(R, language_bound) == language_upto(A, language_bound),
+        "certificate_replays": replay_certificate(result.certificate, A.alphabet) == R,
+    }
+    return TheoremReport(lifting, codiag, checks)
 
 
 __all__ = [
@@ -814,6 +787,5 @@ __all__ = [
     "to_simple",
     "NormalizeResult",
     "normalize",
-    "ReplacementReport",
     "verify_replacement",
 ]

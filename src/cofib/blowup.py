@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .cells import CellMorphism
-from .lifting import GeneratorSet, LiftReport, lifting_reports
+from .lifting import GeneratorSet, TheoremReport, lifting_reports
 from .pcs import (
     PCS_CARRIER,
     EuclideanReport,
@@ -121,39 +121,21 @@ def brick_generators(n: int) -> GeneratorSet:
     return gens
 
 
-@dataclass
-class BlowupReport:
-    """Theorem checks for one input: euclidean blowup, unique lifting of
-    the blowup map, and euclidean-iff-isomorphism."""
+@dataclass(kw_only=True)
+class BlowupReport(TheoremReport):
+    """The blowup theorem checks, with the chart reports of the blowup and
+    of its input, and whether β is an isomorphism: facts about the input,
+    which ``ok`` reads only through the check ``euclidean_iff_iso``."""
 
     euclidean: EuclideanReport
-    lifting: LiftReport
-    codiagonal_lifting: LiftReport
     input_euclidean: EuclideanReport
     beta_iso: bool
 
-    @property
-    def euclidean_iff_iso(self) -> bool:
-        return self.input_euclidean.ok == self.beta_iso
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.euclidean.ok
-            and self.lifting.ok
-            and self.codiagonal_lifting.ok
-            and self.euclidean_iff_iso
-        )
-
     def summary(self) -> dict:
         return {
-            "blowup_euclidean": self.euclidean.ok,
-            "unique_rlp": self.lifting.ok,
-            "codiagonal_rlp": self.codiagonal_lifting.ok,
+            **super().summary(),
             "input_euclidean": self.input_euclidean.ok,
             "beta_is_isomorphism": self.beta_iso,
-            "euclidean_iff_iso": self.euclidean_iff_iso,
-            "ok": self.ok,
         }
 
 
@@ -177,12 +159,16 @@ def verify_blowup(P: RelPCS, n: int, result: Optional[BlowupResult] = None) -> B
         bottoms=[result.probes[eps] for eps in shapes],
         fillers=lambda k: maps[shapes[k]],
     )
+    euclidean = euclidean_check(RX, n, maps)
+    input_euclidean = euclidean_check(P, n, result.probes)
+    beta_iso = PCS_CARRIER.is_isomorphism(result.beta)
     return BlowupReport(
-        euclidean=euclidean_check(RX, n, maps),
-        lifting=lifting,
-        codiagonal_lifting=codiagonal_lifting,
-        input_euclidean=euclidean_check(P, n, result.probes),
-        beta_iso=PCS_CARRIER.is_isomorphism(result.beta),
+        lifting,
+        codiagonal_lifting,
+        {"blowup_euclidean": euclidean.ok, "euclidean_iff_iso": input_euclidean.ok == beta_iso},
+        euclidean=euclidean,
+        input_euclidean=input_euclidean,
+        beta_iso=beta_iso,
     )
 
 

@@ -15,7 +15,6 @@ from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 from . import automata as aut
-from .automata import MAX_WORDS
 from . import pcs
 from . import regex as rx
 from . import samples
@@ -125,7 +124,7 @@ def _at_most(limit: int, what: str):
 
 def _word_list(A: aut.RelAutomaton, length: int) -> list[str]:
     """The recognized words up to ``length``, sorted; at most ``MAX_WORDS``."""
-    return sorted("".join(w) for w in aut.language_upto(A, length, MAX_WORDS))
+    return sorted("".join(w) for w in aut.language_upto(A, length))
 
 
 # -- pcs subcommands ----------------------------------------------------------
@@ -168,6 +167,9 @@ def cmd_pcs_blowup(args) -> int:
 def cmd_pcs_euclid(args) -> int:
     P = _load_pcs(args.file)
     report = pcs.euclidean_check(P, args.n)
+    # an input that fails validation fails the chart check too, so only a failure is validated
+    if not report.ok and not (valid := pcs.validate(P)).ok:
+        return _emit_validation(valid)
     payload = {"ok": report.ok}
     if report.ok:
         payload["charts"] = {

@@ -288,6 +288,29 @@ def lifting_reports(
     return unique, rlp(carrier, p, nablas, legs, lambda j: fillers(squared[j]))
 
 
+@dataclass
+class TheoremReport:
+    """The theorem checks on one map β: unique lifting against the
+    generators, lifting against their codiagonals, and the construction's
+    own checks, each verdict under the name its summary prints."""
+
+    lifting: LiftReport
+    codiagonal_lifting: LiftReport
+    checks: dict[str, bool]
+
+    @property
+    def ok(self) -> bool:
+        return self.lifting.ok and self.codiagonal_lifting.ok and all(self.checks.values())
+
+    def summary(self) -> dict:
+        return {
+            **self.checks,
+            "unique_rlp": self.lifting.ok,
+            "codiagonal_rlp": self.codiagonal_lifting.ok,
+            "ok": self.ok,
+        }
+
+
 class Attachment(NamedTuple):
     """One step of a cell-complex script: the pushout of ``generator`` along
     the map its ``attach`` pairs give, each new cell named by its ``fresh``
@@ -481,6 +504,7 @@ __all__ = [
     "unique_lift_sides",
     "GeneratorSet",
     "lifting_reports",
+    "TheoremReport",
     "Attachment",
     "replay",
     "arrow_isomorphic",

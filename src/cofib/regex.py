@@ -22,9 +22,11 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .automata import (
     AUT_CARRIER,
+    MAX_WORDS,
     ST,
     RelAutomaton,
     Word,
+    WordLimitError,
     _numbered,
     automaton,
     canonical_rename,
@@ -310,8 +312,15 @@ def _star(CA: RelAutomaton) -> RelAutomaton:
 
 def regex_lang_upto(r: Regex, L: int) -> set[Word]:
     """Truncated language: every word of length at most ``L``, evaluated
-    operands first with length pruning."""
+    operands first with length pruning.  ``WordLimitError`` as soon as a
+    node has more than ``MAX_WORDS`` words."""
     return set(_postorder(r, lambda node, args: _lang_node(node, args, L)))
+
+
+def _within_limit(words, L: int):
+    if len(words) > MAX_WORDS:
+        raise WordLimitError(f"the count of words up to length {L} exceeds the limit {MAX_WORDS}")
+    return words
 
 
 def _lang_node(node: Regex, args: list[frozenset[Word]], L: int) -> frozenset[Word]:
@@ -324,7 +333,7 @@ def _lang_node(node: Regex, args: list[frozenset[Word]], L: int) -> frozenset[Wo
     if isinstance(node, Lit):
         return frozenset({(node.char,)}) if L >= 1 else frozenset()
     if isinstance(node, Union):
-        return args[0] | args[1]
+        return _within_limit(args[0] | args[1], L)
     if isinstance(node, Concat):
         right = sorted(args[1], key=len)
         out = set()
@@ -333,6 +342,7 @@ def _lang_node(node: Regex, args: list[frozenset[Word]], L: int) -> frozenset[Wo
                 if len(u) + len(v) > L:
                     break
                 out.add(u + v)
+            _within_limit(out, L)
         return frozenset(out)
     if isinstance(node, Star):
         base = sorted(args[0] - {()}, key=len)
@@ -348,6 +358,7 @@ def _lang_node(node: Regex, args: list[frozenset[Word]], L: int) -> frozenset[Wo
                     if w not in words:
                         words.add(w)
                         nxt.add(w)
+                _within_limit(words, L)
             frontier = nxt
         return frozenset(words)
     raise TypeError(f"not a regex: {node!r}")

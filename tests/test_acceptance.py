@@ -182,11 +182,11 @@ def test_criterion_07_replacement_suite(capsys):
             A, result, language_bound=6, check_codiagonals=False
         )
         if not (
-            rep.edge_count_ok
-            and rep.conditions_ok
+            rep.checks["edge_count_preserved"]
+            and rep.checks["conditions"]
             and rep.lifting.ok
-            and rep.language_ok
-            and rep.replay_ok
+            and rep.checks["language_preserved"]
+            and rep.checks["certificate_replays"]
         ):
             failures.append((k, rep.summary()))
     elapsed = time.monotonic() - start

@@ -51,16 +51,20 @@ def test_validate_ok(capsys):
 
 
 def test_validate_broken_closure_exits_1_with_witness(capsys):
-    code, data = run_json(
-        capsys, "pcs", "validate", str(FIXTURES / "broken-closure.json")
-    )
-    assert code == 1
-    assert not data["ok"]
-    assert data["problems"][0]["witness"] == {
-        "cube": "c",
-        "word": "--",
-        "missing": "v",
-    }
+    """Each command that charts or blows up a precubical set prints the
+    validation report of an input that fails it, as ``pcs validate`` does."""
+    for argv in (["pcs", "validate"],
+                 ["pcs", "euclid", "-n", "2"],
+                 ["pcs", "blowup", "-n", "2"],
+                 ["pcs", "verify", "-n", "2"]):
+        code, data = run_json(capsys, *argv, str(FIXTURES / "broken-closure.json"))
+        assert code == 1
+        assert not data["ok"]
+        assert data["problems"][0]["witness"] == {
+            "cube": "c",
+            "word": "--",
+            "missing": "v",
+        }
 
 
 def test_malformed_input_exits_2(tmp_path, capsys):
@@ -600,14 +604,30 @@ def test_word_count_over_the_limit_exits_2(tmp_path, capsys):
     }))
     for argv in (["aut", "lang", "-L", "11", str(path)],
                  ["aut", "verify", "-L", "11", str(path)],
-                 ["rx", "compile", "(a|b|c)*", "--alphabet", "abc", "-L", "11"]):
+                 ["rx", "compile", "(a|b|c)*", "--alphabet", "abc", "-L", "11"],
+                 ["rx", "fuzz", "--seed", "1", "--count", "20", "--depth", "6", "-L", "12", "--alphabet", "abcdefgh"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"exceeds the limit {cli.MAX_WORDS}" in captured.err
-    assert 88_573 <= cli.MAX_WORDS < 265_720
+        assert f"exceeds the limit {aut.MAX_WORDS}" in captured.err
+    assert 88_573 <= aut.MAX_WORDS < 265_720
     code, data = run_json(capsys, "aut", "lang", "-L", "10", str(path))
     assert code == 0 and len(data["words"]) == 88_573
+
+
+def test_no_prefix_of_a_loop_that_never_accepts_is_extended(tmp_path):
+    """Eight letters: 8^12 prefixes up to length 12, none of them a word."""
+    path = tmp_path / "dead-loop.json"
+    path.write_text(json.dumps({
+        "alphabet": list("abcdefgh"), "states": ["x"], "initial": ["x"], "accepting": [],
+        "edges": [{"label": a, "sources": ["x"], "targets": ["x"]} for a in "abcdefgh"],
+    }))
+    done = subprocess.run(
+        [sys.executable, "-m", "cofib", "aut", "lang", "-L", "12", str(path)], cwd=ROOT,
+        env=_subprocess_env(), capture_output=True, text=True, timeout=20,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == {"length_bound": 12, "words": []}
 
 
 def test_aut_cofrep(capsys):
@@ -798,6 +818,27 @@ def test_aut_verify_writes_automaton_cells_as_kind_and_name(monkeypatch, capsys)
     code, data = run_json(capsys, "aut", "verify", "-L", "3", str(FIXTURES / "loop-ab.json"))
     assert code == 1
     assert data["lifting_failure"] == {"generator": "edge(a)", "lift_count": 0, "top": {}, "bottom": {"ed:e": "ed:e0"}}
+
+
+def test_a_failed_check_fails_the_report_and_its_exit_code():
+    """For both carriers, each construction check counts in ``ok``; the
+    facts ``input_euclidean`` and ``beta_is_isomorphism`` do not: the
+    y-graph is not euclidean, and its blowup passes."""
+    reports = [
+        cli.verify_blowup(samples.y_graph(), 1),
+        cli.verify_blowup(samples.one_square_torus(), 2),
+        aut.verify_replacement(samples.loop_ab()),
+    ]
+    assert not reports[0].input_euclidean.ok and not reports[0].beta_iso
+    for report in reports:
+        for name in [None, *report.checks]:
+            checks = {**report.checks, name: False} if name else report.checks
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli._emit_verdict(dataclasses.replace(report, checks=checks))
+            data = json.loads(out.getvalue())
+            assert (code, data["ok"]) == ((1, False) if name else (0, True)), name
+            assert {key: data[key] for key in checks} == checks
 
 
 def test_rx_fuzz_reports_a_mismatch_witness(monkeypatch, capsys):

@@ -17,11 +17,12 @@ from typing import Callable, NamedTuple
 
 import pytest
 import test_automata
+import test_cli
 import test_pcs
 import test_regex
 from corpus import replacement_oracle
 
-from cofib import automata, pcs, regex
+from cofib import automata, lifting, pcs, regex
 from cofib.automata import cofibrant_replacement
 
 
@@ -77,6 +78,11 @@ MUTANTS = {
         "return (node.__class__, *node._args())", "return (*node._args(),)",
         test_regex.test_structural_equality_matches_the_dataclass_fields,
     ),
+    "theorem report ok without its construction checks": Mutant(
+        lifting.TheoremReport, "ok",
+        " and all(self.checks.values())", "",
+        test_cli.test_a_failed_check_fails_the_report_and_its_exit_code,
+    ),
     "saturate composes only degree-one faces": Mutant(
         pcs, "saturate",
         "            for b in bs:\n                if b in reached:",
@@ -89,9 +95,10 @@ MUTANTS = {
 def apply(monkeypatch, mutant: Mutant) -> None:
     """Patch in ``mutant``: its function recompiled from edited source."""
     original = inspect.getattr_static(mutant.owner, mutant.name)
-    source = textwrap.dedent(inspect.getsource(original))
+    function = original.fget if isinstance(original, property) else original
+    source = textwrap.dedent(inspect.getsource(function))  # a property's with its decorator
     assert source.count(mutant.old) == 1, f"{mutant.name}: the fragment to replace is not in its source once"
-    module = sys.modules[original.__module__]
+    module = sys.modules[function.__module__]
     namespace = dict(vars(module))
     flags = __future__.annotations.compiler_flag
     code = compile(source.replace(mutant.old, mutant.new), module.__file__, "exec", flags=flags, dont_inherit=True)

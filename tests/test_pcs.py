@@ -601,6 +601,31 @@ def _euclid_inputs():
     yield C2_4, 4
 
 
+def _without_one_composite_face(P):
+    """Each table ``P`` gives by dropping one stored entry along a word of
+    degree two or more, or one target of such an entry."""
+    for key, bs in P.faces.items():
+        if key[1].degree > 1:
+            for gone in (bs, *({b} for b in sorted(bs))):
+                yield RelPCS(P.dim_bound, P.cubes, {**P.faces, key: bs - gone})
+
+
+def test_a_table_missing_a_composite_face_has_no_chart():
+    """``pcs euclid`` validates only an input without a chart: a valid
+    input or blowup that loses a composite face fails both checks."""
+    inputs = [(P, n) for _name, P, n in pcs_corpus() if validate(P).ok]
+    inputs += [(tensor(cycle(3), cycle(4)), 2), (tensor(cycle(2), path(2)), 2)]
+    inputs.append((tensor(tensor(cycle(1), cycle(1)), cycle(2)), 3))
+    count = 0
+    for P, n in inputs:
+        for X in (P, blowup(P, n).blowup):
+            for Y in _without_one_composite_face(X):
+                assert not validate(Y).ok
+                assert not euclidean_check(Y, n).ok, to_json_dict(Y)
+                count += 1
+    assert count >= 500
+
+
 def test_euclidean_check_matches_the_neighbourhood_oracle():
     """Same verdict, counterexample, chart keys in order and chart names."""
     for P, n in _euclid_inputs():

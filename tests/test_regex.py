@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 from corpus import is_simple
 from cofib import samples
-from cofib.automata import AUT_CARRIER, RelAutomaton, check_conditions, language_upto, to_json_dict
+from cofib.automata import (
+    AUT_CARRIER,
+    MAX_WORDS,
+    RelAutomaton,
+    WordLimitError,
+    check_conditions,
+    language_upto,
+    to_json_dict,
+)
 from cofib.pcs import FormatError
 from cofib.regex import (
     Concat,
@@ -173,6 +181,22 @@ def test_oracle_star_of_a_star_stops_at_the_length_limit():
     assert time.process_time() - start < 5.0
     assert lang == regex_lang_upto(parse("(a|b)*"), 12)
     assert len(lang) == 8191
+
+
+_EIGHT = "(a|b|c|d|e|f|g|h)"
+
+
+@pytest.mark.parametrize(
+    "expr, L",
+    [
+        ("(a|b|c)*", 11),  # 265,720 words: the star passes the limit
+        (_EIGHT * 6, 6),  # 8^6 words: the last concatenation does
+        ("|".join([_EIGHT * 5, _EIGHT * 5 + "i", _EIGHT * 5 + "j", _EIGHT * 5 + "k"]), 6),  # 4 * 8^5: a union
+    ],
+)
+def test_oracle_stops_at_the_word_limit_inside_a_node(expr, L):
+    with pytest.raises(WordLimitError, match=f"up to length {L} exceeds the limit {MAX_WORDS}$"):
+        regex_lang_upto(parse(expr), L)
 
 
 # -- compiler ------------------------------------------------------------------------
