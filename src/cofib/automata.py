@@ -211,7 +211,7 @@ class WordLimitError(ValueError):
     """A word search found more words than its limit."""
 
 
-def language_upto(A: RelAutomaton, L: int, max_words: int = MAX_WORDS) -> set[Word]:
+def language_upto(A: RelAutomaton, L: int) -> set[Word]:
     """All recognized words of length at most ``L``.
 
     Depth-first over prefixes with state-set transitions: a letter maps a
@@ -225,7 +225,7 @@ def language_upto(A: RelAutomaton, L: int, max_words: int = MAX_WORDS) -> set[Wo
     accepting state, found by one backward pass: so each prefix extended
     is a prefix of a word found, at most ``L`` per word.  The search stops
     with a ``WordLimitError`` as soon as it has found more than
-    ``max_words`` words.
+    ``MAX_WORDS`` words.
     """
     if L < 0:
         raise ValueError(f"length bound must be non-negative, got {L}")
@@ -267,8 +267,8 @@ def language_upto(A: RelAutomaton, L: int, max_words: int = MAX_WORDS) -> set[Wo
         prefix.append(a)
         if nxt & A.accepting:
             words.add(tuple(prefix))
-            if len(words) > max_words:
-                raise WordLimitError(f"the count of words up to length {L} exceeds the limit {max_words}")
+            if len(words) > MAX_WORDS:
+                raise WordLimitError(f"the count of words up to length {L} exceeds the limit {MAX_WORDS}")
         if len(prefix) < L:
             stack.append((nxt, iter(letters), within[L - 1 - len(prefix)]))
         else:

@@ -149,15 +149,12 @@ def verify_blowup(P: RelPCS, n: int, result: Optional[BlowupResult] = None) -> B
         result = blowup(P, n)
     elif result.beta.target is not P or result.blowup.dim_bound != n:
         raise ValueError(f"result is not the blowup of this input at n = {n}")
-    shapes = all_brick_indices(n)
     RX = result.blowup
     maps = probe_table(RX, n)
+    tables = {id(P): result.probes, id(RX): maps}
+    shape = {id(brick(eps)): eps for eps in maps}
     lifting, codiagonal_lifting = lifting_reports(
-        PCS_CARRIER,
-        result.beta,
-        brick_generators(n),
-        bottoms=[result.probes[eps] for eps in shapes],
-        fillers=lambda k: maps[shapes[k]],
+        PCS_CARRIER, result.beta, brick_generators(n), homs=lambda B, X: tables[id(X)][shape[id(B)]]
     )
     euclidean = euclidean_check(RX, n, maps)
     input_euclidean = euclidean_check(P, n, result.probes)

@@ -109,6 +109,9 @@ MAX_AMBIENT_DIM = 7  # `pcs verify -n 7` on one square runs for half a minute
 MAX_FUZZ_DEPTH = 16  # random regex trees grow with depth: 4687 nodes at 24
 MAX_FUZZ_COUNT = 10_000  # `rx fuzz --depth 4 -L 8` checks 1000 regexes in 1.4 s
 MAX_WORD_LENGTH = 12
+_TEX = str.maketrans(  # LaTeX's special characters, written as text
+    {c: "\\" + c for c in "#$%&_{}"} | {"\\": r"\textbackslash{}", "^": r"\textasciicircum{}", "~": r"\textasciitilde{}"}
+)
 
 
 def _at_most(limit: int, what: str):
@@ -234,8 +237,8 @@ def cmd_pcs_brick(args) -> int:
 def pcs_to_dot(P: pcs.RelPCS) -> str:
     """Cells as nodes ranked by dimension; a face entry with several
     targets goes through a point-shaped surrogate node (DOT has no native
-    hyperedges).  A JSON string is a DOT ID."""
-    quote = encode_basestring_ascii
+    hyperedges).  A JSON string, its non-ASCII kept, is a DOT ID."""
+    quote = encode_basestring
     shapes = {0: "ellipse", 1: "box"}
     lines = ["digraph precubical {", "  rankdir=BT;"]
     for d in sorted(P.cubes):
@@ -264,7 +267,7 @@ def pcs_to_dot(P: pcs.RelPCS) -> str:
 
 
 def pcs_to_tikz(P: pcs.RelPCS) -> str:
-    """Schematic layered figure: one row per dimension, faces as arrows."""
+    """Schematic layered figure: one row per dimension, faces as arrows, names escaped."""
     max_dim = max(P.cubes, default=0)
     if max_dim > 2:
         raise InputError("tikz export supports dimension at most 2")
@@ -278,7 +281,7 @@ def pcs_to_tikz(P: pcs.RelPCS) -> str:
             pos[c] = (i, d)
             lines.append(
                 f"  \\node[{styles[d]}] (c{len(pos)-1}) at ({2*i},{2*d}) "
-                f"{{{c}}};"
+                f"{{{c.translate(_TEX)}}};"
             )
     index = {c: i for i, c in enumerate(pos)}
     for (a, g), bs in sorted(P.faces.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):

@@ -28,15 +28,12 @@ that rebuilds an object exactly certifies it as built from the generators.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cells import Carrier, CellMorphism, LiftingProblem, violation
-
-Fillers = Callable[[int], Sequence[CellMorphism]]
 
 
 def codiagonal(carrier: Carrier, f: CellMorphism) -> CellMorphism:
@@ -162,20 +159,18 @@ def _lift_check(
     p: CellMorphism,
     morphisms: Iterable[tuple[str, CellMorphism]],
     unique: bool,
-    bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
-    fillers: Optional[Fillers] = None,
+    homs: Optional[Callable[[Any, Any], Sequence[CellMorphism]]] = None,
 ) -> LiftReport:
     """Count the fillers of every square; stop at the first square with
     none, or with other than one when ``unique``.  A morphism's fillers are
-    searched (or read from ``fillers``) at its first square, once."""
+    searched at its first square, once."""
+    homs = homs or carrier.hom
     checked = 0
-    for k, (name, i) in enumerate(morphisms):
-        legs = None if bottoms is None else bottoms[k]
+    for name, i in morphisms:
         table = None
-        for problem in lifting_problems(carrier, i, p, legs):
+        for problem in lifting_problems(carrier, i, p, homs(i.target, p.target)):
             if table is None:
-                rows = carrier.hom(i.target, p.source) if fillers is None else fillers(k)
-                table = filler_table(carrier, i, p, rows)
+                table = filler_table(carrier, i, p, homs(i.target, p.source))
             checked += 1
             found = solve_lifts(carrier, problem, table)
             if not found or (unique and len(found) > 1):
@@ -187,29 +182,27 @@ def rlp(
     carrier: Carrier,
     p: CellMorphism,
     morphisms: Iterable[tuple[str, CellMorphism]],
-    bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
-    fillers: Optional[Fillers] = None,
+    homs: Optional[Callable[[Any, Any], Sequence[CellMorphism]]] = None,
 ) -> LiftReport:
     """Ordinary right lifting property: every square has at least one filler.
 
-    ``bottoms[k]``, when given, holds the bottom legs ``cod(i) -> cod(p)``
-    of the ``k``-th morphism ``i``, and ``fillers(k)`` every map ``cod(i)
-    -> dom(p)``, each in hom order, searched elsewhere; ``fillers`` is
-    called at most once per morphism, at its first square.
+    ``homs(B, X)``, when given, returns every map ``B -> X`` in hom order,
+    searched elsewhere.  It is asked, per morphism ``i``, for the bottom
+    legs ``cod(i) -> cod(p)`` and, at ``i``'s first square, for the
+    fillers ``cod(i) -> dom(p)``.
     """
-    return _lift_check(carrier, p, morphisms, False, bottoms, fillers)
+    return _lift_check(carrier, p, morphisms, False, homs)
 
 
 def unique_rlp(
     carrier: Carrier,
     p: CellMorphism,
     morphisms: Iterable[tuple[str, CellMorphism]],
-    bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
-    fillers: Optional[Fillers] = None,
+    homs: Optional[Callable[[Any, Any], Sequence[CellMorphism]]] = None,
 ) -> LiftReport:
     """Unique right lifting property: every square has exactly one
-    filler.  ``bottoms`` and ``fillers`` as for :func:`rlp`."""
-    return _lift_check(carrier, p, morphisms, True, bottoms, fillers)
+    filler.  ``homs`` as for :func:`rlp`."""
+    return _lift_check(carrier, p, morphisms, True, homs)
 
 
 def unique_lift_sides(carrier: Carrier, p: CellMorphism, i: CellMorphism) -> tuple[bool, bool]:
@@ -256,36 +249,37 @@ def lifting_reports(
     p: CellMorphism,
     generators: GeneratorSet,
     codiagonals: bool = True,
-    bottoms: Optional[Sequence[Sequence[CellMorphism]]] = None,
-    fillers: Optional[Fillers] = None,
+    homs: Optional[Callable[[Any, Any], Sequence[CellMorphism]]] = None,
 ) -> tuple[LiftReport, LiftReport]:
     """``unique_rlp`` against the positive generators and ``rlp`` against
     their codiagonals (skipped, and reported as vacuous, unless
-    ``codiagonals``), from one bottom-leg search and at most one filler
-    search per generator, or from ``bottoms`` and ``fillers`` as for
-    :func:`rlp`, indexed by generator.
+    ``codiagonals``), each hom set searched at most once, by ``homs`` as
+    for :func:`rlp` or by the carrier's search.
 
     A codiagonal ``nabla f`` has ``f``'s codomain, so its squares have
-    exactly ``f``'s bottom legs and its fillers are ``f``'s.  A generator
-    without a bottom leg has no square against either map, and its
-    codiagonal is never requested; one without a square (and so none
-    against its codiagonal) has no filler search.  A generator's fillers
-    are searched at the first square of either check and cached until
-    this returns.  The reports are those of the two checks run on their
+    exactly ``f``'s bottom legs and its fillers are ``f``'s: both checks
+    read one dict of searches, keyed by the identities of the two ends,
+    that lives until this returns.  A generator without a bottom leg has
+    no square against either map, and its codiagonal is never requested;
+    one without a square (and so none against its codiagonal) has no
+    filler search.  The reports are those of the two checks run on their
     own.
     """
-    positive = generators.positive
-    if bottoms is None:
-        bottoms = [carrier.hom(f.target, p.target) for _name, f in positive]
-    if fillers is None:
-        fillers = functools.cache(lambda k: carrier.hom(positive[k][1].target, p.source))
-    unique = unique_rlp(carrier, p, positive, bottoms, fillers)
+    search = homs or carrier.hom
+    searched: dict = {}
+
+    def shared(B, X):
+        key = (id(B), id(X))
+        if key not in searched:
+            searched[key] = search(B, X)
+        return searched[key]
+
+    unique = unique_rlp(carrier, p, generators.positive, shared)
     if not codiagonals:
         return unique, LiftReport(True, 0)
-    squared = [k for k, legs in enumerate(bottoms) if legs]
-    nablas = map(generators.codiagonal, squared)  # lazy: a failing check stops building them
-    legs = [bottoms[k] for k in squared]
-    return unique, rlp(carrier, p, nablas, legs, lambda j: fillers(squared[j]))
+    # lazy: a failing check searches no bottom leg and builds no codiagonal past it
+    squared = (k for k, (_name, f) in enumerate(generators.positive) if shared(f.target, p.target))
+    return unique, rlp(carrier, p, map(generators.codiagonal, squared), shared)
 
 
 @dataclass

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import random
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -91,14 +92,17 @@ def test_language_rejects_negative_bound():
         language_upto(samples.loop_a(), -1)
 
 
-def test_language_stops_at_the_word_limit_while_enumerating():
+def test_language_stops_at_the_word_limit_while_enumerating(monkeypatch):
     A = samples.loop_ab()
-    assert len(language_upto(A, 3, max_words=15)) == 15
+    monkeypatch.setattr(automata_module, "MAX_WORDS", 15)
+    assert len(language_upto(A, 3)) == 15
+    monkeypatch.setattr(automata_module, "MAX_WORDS", 14)
     with pytest.raises(WordLimitError, match="up to length 3 exceeds the limit 14"):
-        language_upto(A, 3, max_words=14)
+        language_upto(A, 3)
     # 2^1001 - 1 words in all: only a search that stops at the limit returns
+    monkeypatch.setattr(automata_module, "MAX_WORDS", 1000)
     with pytest.raises(WordLimitError, match="exceeds the limit 1000$"):
-        language_upto(A, 1000, max_words=1000)
+        language_upto(A, 1000)
 
 
 def test_language_of_long_loop_needs_no_recursion():
@@ -125,12 +129,14 @@ def test_language_agrees_with_the_per_prefix_oracle(A, L, limit):
 
     def outcome(search):
         try:
-            return search(A, L, limit)
+            return search()
         except WordLimitError as exc:
             return str(exc)
 
     assert language_upto(A, L) == prefix_language_upto(A, L)
-    assert outcome(language_upto) == outcome(prefix_language_upto)
+    with patch.object(automata_module, "MAX_WORDS", limit):
+        limited = outcome(lambda: language_upto(A, L))
+    assert limited == outcome(lambda: prefix_language_upto(A, L, limit))
 
 
 # -- edge index -------------------------------------------------------------------

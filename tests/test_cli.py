@@ -560,6 +560,25 @@ def test_export_tikz_groups_by_dimension(tmp_path, capsys):
     assert out.count("\\node") == 9
 
 
+def test_export_writes_names_the_way_each_tool_reads_them(tmp_path, capsys):
+    """TikZ escapes LaTeX's special characters in a cube's name; DOT keeps
+    a non-ASCII name as it is, since Graphviz reads no ``\\u`` escapes."""
+    faces = {("é", CubeWord.parse("-")): ["a_1"], ("é", CubeWord.parse("+")): ["50%"]}
+    P = pcs.relpcs(1, {0: ["a_1", "50%"], 1: ["é"]}, faces)
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(pcs.to_json_dict(P)))
+    code, tikz = run(capsys, "pcs", "export", "--format", "tikz", str(path))
+    assert code == 0
+    assert "{a\\_1};" in tikz and "{50\\%};" in tikz and "{é};" in tikz
+    assert "{a_1}" not in tikz and "{50%}" not in tikz
+    odd = "#$%&_{}\\^~"
+    assert odd.translate(cli._TEX) == "\\#\\$\\%\\&\\_\\{\\}\\textbackslash{}\\textasciicircum{}\\textasciitilde{}"
+    code, dot = run(capsys, "pcs", "export", "--format", "dot", str(path))
+    assert code == 0
+    assert '"é" [shape=box];' in dot and '"a_1" [shape=ellipse];' in dot and '"50%"' in dot
+    assert "\\u" not in dot
+
+
 def test_export_tikz_rejects_high_dimension(tmp_path, capsys):
     P = pcs.relpcs(3, {3: ["c"]}, {})
     path = tmp_path / "high.json"

@@ -21,6 +21,7 @@ from corpus import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cofib import lifting as lifting_module
 from cofib import samples
 from cofib.automata import (
     AUT_CARRIER,
@@ -613,6 +614,41 @@ def test_codiagonal_check_makes_no_filler_search_of_its_own(monkeypatch):
             assert len(fillers) <= squared
         searched += len(fillers)
     assert searched > 100
+
+
+def test_lifting_reports_searches_each_hom_set_at_most_once_per_call():
+    """A generator and its codiagonal read the same two hom sets out of
+    their codomain, so one ``lifting_reports`` call searches each pair of
+    ends at most once.  The maps: the replacements of 40 corpus automata,
+    each automaton with two states glued, and the first 10 corpus blowups.
+    The call goes through the module, so a patched ``lifting_reports`` is
+    the one checked."""
+    maps = []
+    for A in automata_corpus(40):
+        res = cofibrant_replacement(A)
+        gens = automata_generators(A.alphabet | res.replacement.alphabet)
+        maps.append((AUT_CARRIER, res.beta, gens))
+        states = sorted(c for c in AUT_CARRIER.cells(A) if c[0] == "st")
+        if len(states) >= 2:
+            maps.append((AUT_CARRIER, AUT_CARRIER.quotient(A, [tuple(states[:2])])[1], gens))
+    for _name, P, n in pcs_corpus()[:10]:
+        maps.append((PCS_CARRIER, blowup(P, n).beta, brick_generators(n)))
+    searched = 0
+    for carrier, p, gens in maps:
+        ends = Counter()
+        original = type(carrier).hom
+
+        def spy(self, source, target, *args, **kwargs):
+            if not args and not kwargs:
+                ends[(id(source), id(target))] += 1
+            return original(self, source, target, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(type(carrier), "hom", spy)
+            lifting_module.lifting_reports(carrier, p, gens)
+        assert max(ends.values(), default=1) == 1
+        searched += len(ends)
+    assert searched > 5000
 
 
 # -- fillers from one table per generator, against one pinned search per square ------

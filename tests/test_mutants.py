@@ -10,20 +10,28 @@ enters ``src``.
 """
 
 import __future__
+import contextlib
+import importlib
 import inspect
 import sys
 import textwrap
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import pytest
+import test_acceptance
 import test_automata
+import test_blowup
 import test_cli
+import test_lifting
 import test_pcs
 import test_regex
 from corpus import replacement_oracle
 
 from cofib import automata, lifting, pcs, regex
 from cofib.automata import cofibrant_replacement
+
+blowup = importlib.import_module("cofib.blowup")  # the package attribute is the function
 
 
 class Mutant(NamedTuple):
@@ -48,6 +56,16 @@ def _compiled_bytes_are_pinned() -> None:
 def _replacement_keeps_the_oracles_edge_order() -> None:
     for A in test_automata.edge_order_automata():
         test_automata.assert_same_automaton(cofibrant_replacement(A).replacement, replacement_oracle(A))
+
+
+def _euclidean_iff_isomorphism() -> None:
+    # the criterion binds euclidean_check by name: hand it the module's, mutant or not
+    bound = test_acceptance.euclidean_check
+    test_acceptance.euclidean_check = pcs.euclidean_check
+    try:
+        test_acceptance.test_criterion_03_euclidean_iff_isomorphism(SimpleNamespace(disabled=contextlib.nullcontext))
+    finally:
+        test_acceptance.euclidean_check = bound
 
 
 MUTANTS = {
@@ -88,6 +106,31 @@ MUTANTS = {
         "            for b in bs:\n                if b in reached:",
         "            for b in bs if g.degree == 1 else ():\n                if b in reached:",
         test_pcs.test_validate_composes_a_face_that_only_a_composite_word_reaches,
+    ),
+    "blowup skips its first sub-brick's faces": Mutant(
+        blowup, "blowup",
+        "for index, g, placed in subs:", "for index, g, placed in subs[1:]:",
+        test_blowup.test_verify_blowup_on_corpus_matches_expectations,
+    ),
+    "beta sends a probe to its least brick cell's image": Mutant(
+        blowup, "blowup",
+        "beta_map[fid] = f.mapping[bottom]", "beta_map[fid] = f.mapping[min(f.mapping)]",
+        test_blowup.test_verify_blowup_on_corpus_matches_expectations,
+    ),
+    "filler table keys drop the top row": Mutant(
+        lifting, "filler_table",
+        "key = (tuple(map(at, placed)), ", "key = ((), ",
+        test_blowup.test_verify_blowup_on_corpus_matches_expectations,
+    ),
+    "euclidean check takes any probe at the cube as its chart": Mutant(
+        pcs, "euclidean_check",
+        "if {(f.mapping[b], w) for b, w in _min_words(eps)} == cover:", "if True:",
+        _euclidean_iff_isomorphism,
+    ),
+    "lifting reports search past their shared dict": Mutant(
+        lifting, "lifting_reports",
+        "if key not in searched:", "if True:",
+        test_lifting.test_lifting_reports_searches_each_hom_set_at_most_once_per_call,
     ),
 }
 
