@@ -20,11 +20,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from itertools import combinations_with_replacement, repeat
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .cells import Carrier, CellMorphism, Structure
 from .lifting import Attachment, GeneratorSet, TheoremReport, lifting_reports, replay
-from .pcs import FormatError, _known_keys
+from .pcs import FormatError, _known_keys, _strings
 
 ST = "st"
 ED = "ed"
@@ -155,8 +155,7 @@ def from_json_dict(data: dict) -> RelAutomaton:
         raise FormatError("automaton must be a JSON object")
     _known_keys(data, ("alphabet", "states", "initial", "accepting", "edges"))
     for key in ("alphabet", "states", "initial", "accepting"):
-        value = data.get(key, [])
-        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        if not _strings(data.get(key, [])):
             raise FormatError(f"'{key}' must be a list of strings")
     # a word is printed as its letters joined, which names it only when
     # every letter is one character
@@ -179,10 +178,7 @@ def from_json_dict(data: dict) -> RelAutomaton:
         targets = entry.get("targets", [])
         if not isinstance(label, str):
             raise FormatError("edge label must be a string")
-        if not all(
-            isinstance(ends, list) and all(isinstance(v, str) for v in ends)
-            for ends in (sources, targets)
-        ):
+        if not (_strings(sources) and _strings(targets)):
             raise FormatError("edge endpoints must be lists of strings")
         edges[f"e{k}"] = _edge(label, sources, targets)
     try:
@@ -504,31 +500,9 @@ def check_conditions(A: RelAutomaton) -> tuple[bool, Optional[tuple[str, str]]]:
 # -- cofibrant replacement ----------------------------------------------------
 
 
-def _fresh_names(A: RelAutomaton) -> tuple[dict, dict, dict]:
-    """Deterministic names for the replacement's states, unique by
-    construction: initial copies, accepting copies in edge order, then
-    internal copies.  One pass over the edges finds the accepting targets
-    and the states with both incoming and outgoing edges."""
-    taken: set[str] = set()
-
-    def claim(base: str) -> str:
-        name, k = base, 0
-        while name in taken:
-            k += 1
-            name = f"{base}#{k}"
-        taken.add(name)
-        return name
-
-    init_name = {v: claim(f"init({v})") for v in sorted(A.initial)}
-    acc_name, into, out_of = {}, set(), set()
-    for eid in A.edge_ids():
-        _label, sources, targets = A.edges[eid]
-        into |= targets
-        out_of |= sources
-        for v in sorted(targets & A.accepting):
-            acc_name[(eid, v)] = claim(f"acc({eid},{v})")
-    int_name = {v: claim(f"int({v})") for v in sorted(into & out_of)}
-    return init_name, acc_name, int_name
+# An edge id as written into an accepting copy's name: backslashes and
+# commas escaped, so that the id ends at the first unescaped comma.
+_ESCAPE = str.maketrans({"\\": "\\\\", ",": "\\,"})
 
 
 @dataclass
@@ -536,32 +510,22 @@ class ReplacementResult:
     """The cofibrant ``replacement`` of ``source``, with its projection
     ``beta`` back to ``source`` and the build script ``certificate``, all
     three built on first read and cached (``beta`` checked to be a
-    morphism); ``normalize`` reads only the tables.  ``names`` holds the
-    copies' state names from ``_fresh_names``; ``starts`` maps each state
-    to the copies an edge out of it starts at, ``accepts`` each edge to
-    its accepting copies.
+    morphism); ``normalize`` reads only the tables.  ``names`` maps each
+    initial state, each (edge, accepting target) and each internal state
+    to its copy's name; ``ends`` holds per edge, in natural order, its id,
+    label, and distinct source and target copies.
     """
 
     source: RelAutomaton
     names: tuple[dict, dict, dict] = field(repr=False)
-    starts: dict[str, tuple[str, ...]] = field(repr=False)
-    accepts: dict[str, list[str]] = field(repr=False)
-
-    def _edge_ends(self) -> Iterator[tuple[str, str, list[str], list[str]]]:
-        """Per edge in natural order: id, label, and its distinct sources
-        (``starts``) and targets (internal and own accepting copies)."""
-        A, starts, accepts, int_name = self.source, self.starts, self.accepts, self.names[2]
-        for eid in A.edge_ids():
-            label, sources, targets = A.edges[eid]
-            sources = [c for v in sources for c in starts[v]]
-            yield eid, label, sources, [int_name[v] for v in targets if v in int_name] + accepts.get(eid, [])
+    ends: list[tuple[str, str, list[str], list[str]]] = field(repr=False)
 
     @cached_property
     def replacement(self) -> RelAutomaton:
         A = self.source
         init_name, acc_name, int_name = self.names
         edges = {eid: _new_edge(Edge, (label, frozenset(srcs), frozenset(tgts)))
-                 for eid, label, srcs, tgts in self._edge_ends()}
+                 for eid, label, srcs, tgts in self.ends}
         accepting = {init_name[v] for v in A.initial & A.accepting}.union(acc_name.values())
         states = [*init_name.values(), *acc_name.values(), *int_name.values()]
         return RelAutomaton(A.alphabet, states, edges, init_name.values(), accepting)
@@ -626,19 +590,30 @@ def cofibrant_replacement(A: RelAutomaton) -> ReplacementResult:
     both incoming and outgoing edges gets one internal copy carrying its
     full star.  The projection sends every copy back to its original.
 
-    Cost: ``_fresh_names``, then the tables ``starts`` and ``accepts``.
-    No automaton is built: the replacement, the projection and the build
-    script are left to first read.
+    A copy's name is fixed by its role: ``init(v)``, ``acc(eid,v)`` with
+    ``eid`` escaped by ``_ESCAPE``, and ``int(v)``, so no two copies share
+    one.  Cost: two passes over the edges, for the internal states and
+    then for the tables.  No automaton is built: the replacement, the
+    projection and the build script are left to first read.
     """
-    names = init_name, acc_name, int_name = _fresh_names(A)
-    starts = dict.fromkeys(A.states, ())
-    starts.update((v, (name,)) for v, name in init_name.items())
-    for v, name in int_name.items():
-        starts[v] += (name,)
-    accepts: dict[str, list[str]] = defaultdict(list)
-    for (eid, _v), name in acc_name.items():
-        accepts[eid].append(name)
-    return ReplacementResult(A, names, starts, accepts)
+    into, out_of = set(), set()
+    for _label, sources, targets in A.edges.values():
+        into |= targets
+        out_of |= sources
+    init_name = {v: f"init({v})" for v in sorted(A.initial)}
+    int_name = {v: f"int({v})" for v in sorted(into & out_of)}
+    acc_name: dict[tuple[str, str], str] = {}
+    ends = []
+    for eid in A.edge_ids():
+        label, sources, targets = A.edges[eid]
+        copies = [int_name[v] for v in targets if v in int_name]
+        for v in sorted(targets & A.accepting):
+            copies.append(f"acc({eid.translate(_ESCAPE)},{v})")
+            acc_name[(eid, v)] = copies[-1]
+        starts = [init_name[v] for v in sources if v in init_name]
+        starts += [int_name[v] for v in sources if v in int_name]
+        ends.append((eid, label, starts, copies))
+    return ReplacementResult(A, (init_name, acc_name, int_name), ends)
 
 
 def replay_certificate(certificate: Sequence[Attachment], alphabet: Iterable[str]) -> RelAutomaton:
@@ -717,7 +692,7 @@ def normalize(A: RelAutomaton) -> NormalizeResult:
     glued = dict.fromkeys(init_name.values(), start)
     name = {s: f"q{k}" for k, s in enumerate(sorted([start, *acc_name.values(), *int_name.values()]))}
     edges: list[tuple[str, str, str]] = []
-    for _eid, label, sources, targets in result._edge_ends():
+    for _eid, label, sources, targets in result.ends:
         if len(sources) == 1 == len(targets):
             (u,), (v,) = sources, targets
             edges.append((label, name[glued.get(u, u)], name[v]))

@@ -396,14 +396,15 @@ def relational_automata(draw, max_states: int, max_edges: int, min_initial: int 
     return automaton("ab", states, edges, initial, draw(subset))
 
 
-# State names shaped like the replacement's fresh names, so that ``claim``
-# has to add suffixes to them.
+# State names shaped like the replacement's copy names: a copy's name then
+# nests one (``init(init(s0))``), and may equal the name of a state of the
+# input, which the replacement does not keep.
 FRESH_LIKE = ["s0", "s1", "init(s0)", "int(s0)", "int(s1)#1", "acc(e0,s1)", "init(init(s0))", "q1"]
 
 
 @st.composite
 def fresh_named_automata(draw, max_edges: int):
-    """A relational automaton over ``ab`` on states named like fresh
+    """A relational automaton over ``ab`` on states named like copy
     names, with at least one initial state (which may also be internal),
     edges with up to three sources and targets, and its edge table in a
     drawn order."""
@@ -417,27 +418,17 @@ def fresh_named_automata(draw, max_edges: int):
 
 
 def fresh_names(A: RelAutomaton) -> tuple[dict, dict, dict]:
-    """The oracle of ``automata._fresh_names``, one pass per kind of copy:
-    each claims its base name or the first free ``base#k``, initial copies
-    first, then accepting copies in edge order, then internal copies."""
-    taken: set[str] = set()
-
-    def claim(base: str) -> str:
-        name = base
-        k = 0
-        while name in taken:
-            k += 1
-            name = f"{base}#{k}"
-        taken.add(name)
-        return name
-
-    init_name = {v: claim(f"init({v})") for v in sorted(A.initial)}
-    acc_name = {
-        (eid, v): claim(f"acc({eid},{v})")
-        for eid in A.edge_ids()
-        for v in sorted(A.edges[eid].targets & A.accepting)
-    }
-    int_name = {v: claim(f"int({v})") for v in A.internal_states()}
+    """The oracle of ``cofibrant_replacement(A).names``, one pass per kind
+    of copy: initial copies, then accepting copies in edge order, then
+    internal copies.  A copy is named by its role, the edge id of an
+    accepting copy with its backslashes doubled and its commas escaped."""
+    init_name = {v: f"init({v})" for v in sorted(A.initial)}
+    acc_name = {}
+    for eid in A.edge_ids():
+        escaped = eid.replace("\\", "\\\\").replace(",", "\\,")
+        for v in sorted(A.edges[eid].targets & A.accepting):
+            acc_name[(eid, v)] = f"acc({escaped},{v})"
+    int_name = {v: f"int({v})" for v in A.internal_states()}
     return init_name, acc_name, int_name
 
 

@@ -35,7 +35,6 @@ from cofib.automata import (
     RelAutomaton,
     WordLimitError,
     _edge,
-    _fresh_names,
     _natural,
     automata_generators,
     automaton,
@@ -870,8 +869,8 @@ def test_replacement_and_normal_form_keep_the_oracles_edge_order(A):
     _normalize_agrees(A)
 
 
-# Two accepting copies whose base names collide, since an edge id may hold
-# a comma: the second claim gets the suffix `#1`.
+# Two accepting copies whose names collide unless the edge id is escaped,
+# since an edge id may hold a comma.
 COLLIDING_ACC = RelAutomaton(
     "ab",
     ["s", "x,y", "y"],
@@ -883,14 +882,45 @@ COLLIDING_ACC = RelAutomaton(
     ["x,y", "y"],
 )
 
+# Two accepting copies whose names collide when only commas are escaped:
+# both would be `acc(a\,b,c)`.
+COLLIDING_BACKSLASH = RelAutomaton(
+    "ab",
+    ["s", "b,c", "c"],
+    {
+        "a\\": Edge("a", frozenset({"s"}), frozenset({"b,c"})),
+        "a,b": Edge("b", frozenset({"s"}), frozenset({"c"})),
+    },
+    ["s"],
+    ["b,c", "c"],
+)
+
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(relational_automata(5, 6), fresh_named_automata(12)))
 @example(COLLIDING_ACC)
+@example(COLLIDING_BACKSLASH)
 def test_fresh_names_match_the_oracle_in_claim_order(A):
-    # insertion order is claim order, which decides every `#k` suffix
-    got, want = _fresh_names(A), fresh_names(A)
+    # insertion order is the order of the copies in the replacement's tables
+    result = cofibrant_replacement(A)
+    got, want = result.names, fresh_names(A)
     assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+    assert len(result.replacement.states) == sum(map(len, got))
+
+
+def test_copy_names_escape_the_edge_id():
+    names = {
+        "e": "acc(e,x,y)",
+        "e,x": "acc(e\\,x,y)",
+        "a\\": "acc(a\\\\,b,c)",
+        "a,b": "acc(a\\,b,c)",
+    }
+    # each edge has one accepting target; a shared name would also fail `beta`
+    for A in (COLLIDING_ACC, COLLIDING_BACKSLASH):
+        result = cofibrant_replacement(A)
+        assert {eid: name for (eid, _v), name in result.names[1].items()} == {eid: names[eid] for eid in A.edges}
+        assert len(result.replacement.states) == sum(map(len, result.names))
+        assert result.beta.source is result.replacement
 
 
 def _spy_on_builds(monkeypatch) -> list:
@@ -1011,6 +1041,10 @@ def test_json_rejects_bad_shapes():
         from_json_dict(
             {"alphabet": ["a"], "states": [], "initial": ["ghost"], "edges": []}
         )
+    with pytest.raises(FormatError, match="^automaton must be a JSON object$"):
+        from_json_dict(["a"])
+    with pytest.raises(FormatError, match="^edge label must be a string$"):
+        from_json_dict({"alphabet": ["a"], "states": ["x"], "edges": [{"label": 1}]})
 
 
 def test_state_count_formula_is_exact():
